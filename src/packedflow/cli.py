@@ -29,7 +29,7 @@ from .data import (
     subsample,
     write_dataset,
 )
-from .metrics import coefficient_table, evaluate, predict_simulation, write_coefficients_csv, write_report_json
+from .metrics import coefficient_table, evaluate_predictions, predict_simulation, write_coefficients_csv, write_report_json
 from .packed_net import PackedSpec, load_params, save_params
 from .training import (
     GridRow,
@@ -242,12 +242,16 @@ def _cmd_eval(args) -> int:
     _check_keys(config, "eval config", required=("model", "scaler", "data"))
     _check_keys(config["data"], "eval config: data", required=("dir",))
     spec, plans, params = load_params(_resolve(base, config["model"]))
-    with open(_resolve(base, config["scaler"]), encoding="utf-8") as fh:
-        scaler = ScalerPair.from_dict(json.load(fh))
+    scaler_path = _resolve(base, config["scaler"])
+    with open(scaler_path, encoding="utf-8") as fh:
+        try:
+            scaler = ScalerPair.from_dict(json.load(fh))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{scaler_path}: invalid scaler ({exc})") from exc
     dataset = load_dataset(_resolve(base, config["data"]["dir"]))
 
-    report = evaluate(params, plans, scaler, dataset)
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
+    report = evaluate_predictions(predictions, dataset)
     rows = coefficient_table(predictions, dataset)
 
     out = Path(args.out)

@@ -49,6 +49,7 @@ _SURFACE_DISTANCE_TOL = 1e-9
 _NORMAL_NORM_TOL = 1e-6
 _STD_CLAMP = 1e-12
 MANIFEST_NAME = "manifest.json"
+_SCALER_FIELDS = (("input_mean", 7), ("input_std", 7), ("target_mean", 4), ("target_std", 4))
 
 
 class SimulationParseError(ValueError):
@@ -144,13 +145,15 @@ class ScalerPair:
     target_std: np.ndarray
 
     def __post_init__(self):
-        for field_name, width in (("input_mean", 7), ("input_std", 7), ("target_mean", 4), ("target_std", 4)):
+        for field_name, width in _SCALER_FIELDS:
             arr = np.array(getattr(self, field_name), dtype=np.float64)
             if arr.shape != (width,):
                 raise ValueError(f"{field_name} must have shape ({width},), got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{field_name} entries must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, field_name, arr)
-        if (self.input_std <= 0).any() or (self.target_std <= 0).any():
+        if not ((self.input_std > 0).all() and (self.target_std > 0).all()):
             raise ValueError("scaler std entries must be positive")
 
     def to_dict(self) -> dict:
@@ -163,12 +166,12 @@ class ScalerPair:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScalerPair":
-        return cls(
-            input_mean=np.asarray(obj["input_mean"], dtype=np.float64),
-            input_std=np.asarray(obj["input_std"], dtype=np.float64),
-            target_mean=np.asarray(obj["target_mean"], dtype=np.float64),
-            target_std=np.asarray(obj["target_std"], dtype=np.float64),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("scaler must be a JSON object")
+        missing = [name for name, _ in _SCALER_FIELDS if name not in obj]
+        if missing:
+            raise ValueError(f"scaler is missing key {missing[0]!r}")
+        return cls(**{name: np.asarray(obj[name], dtype=np.float64) for name, _ in _SCALER_FIELDS})
 
 
 def load_simulation(path) -> Simulation:

@@ -205,7 +205,7 @@ def mean_relative_error(pred, truth, names=None) -> float:
 def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulation) -> np.ndarray:
     """Model prediction for one simulation in physical units."""
     scaled = apply_scaler(scaler, sim.points, "forward", "inputs")
-    out = forward(params, plans, scaled, mode="eval")
+    out = forward(params, plans, scaled)
     return apply_scaler(scaler, out.mean_output, "inverse", "targets")
 
 

@@ -8,19 +8,28 @@ scaled by the capacity factor ``alpha`` and partitioned into
 estimator: every estimator sees the full input and emits a complete
 prediction, and the network output is the arithmetic mean over estimators.
 
-Weight arrays are stored per layer with shape
-``(groups, per_group_out, per_group_in)``; the equivalent dense weight matrix
-is block-diagonal with those blocks on the diagonal, in group order.  Group
-channel ranges are contiguous, so estimator ``j`` owns channels
-``[j * width // M, (j + 1) * width // M)`` of every layer and estimators never
-share weights.  All math is float64.
+All parameters live in one contiguous float64 vector, ``Params.flat``, in
+model-file order (layer 0 weights, layer 0 biases, layer 1 weights, ...).
+``Params.weights[i]`` views it with shape ``(groups, per_group_out,
+per_group_in)``: the blocks, in group order, of a block-diagonal dense matrix.
+``Params.biases[i]`` views it with shape ``(out_width,)``.  Group channel
+ranges are contiguous, so estimator ``j`` owns channels
+``[j * width // M, (j + 1) * width // M)`` of every layer.
+
+Activations stay group-major, ``(groups, batch, per_group_width)``, so each
+layer is one batched GEMM.  The batch is broadcast to the first layer's
+groups as ``batch[None]``, activations are regrouped only where the group
+count changes (``gamma > 1``), and the last layer emits
+``(num_estimators, batch, out_features)``.  Dropout masks keep the public
+layout ``(batch, out_width)`` and are viewed group-major.  All math is float64.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,16 +93,7 @@ class PackedSpec:
             raise ValueError("dropout probability is fixed at 0.2 when dropout is enabled")
 
     def to_dict(self) -> dict:
-        return {
-            "num_estimators": self.num_estimators,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "hidden_widths": list(self.hidden_widths),
-            "in_features": self.in_features,
-            "out_features": self.out_features,
-            "dropout_enabled": self.dropout_enabled,
-            "dropout_p": self.dropout_p,
-        }
+        return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PackedSpec":
@@ -129,28 +129,61 @@ class LayerPlan:
             raise ValueError(f"out_width {self.out_width} != groups*per_group_out")
 
     def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "in_width": self.in_width,
-            "out_width": self.out_width,
-            "groups": self.groups,
-            "per_group_in": self.per_group_in,
-            "per_group_out": self.per_group_out,
-        }
+        return asdict(self)
 
 
-@dataclass
 class Params:
-    """Per-layer block weights ``(groups, per_group_out, per_group_in)`` and biases ``(out_width,)``."""
+    """Per-layer weights and biases, stored as views into one contiguous float64 vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``flat`` holds every layer's weights then biases, in layer order, exactly
+    as the model file stores them.  ``weights[i]`` has shape ``(groups,
+    per_group_out, per_group_in)`` and ``biases[i]`` shape ``(out_width,)``.
+    The constructor copies the given arrays into a new ``flat``.  Change values
+    in place (``weights[i][...] = ...``): a list item rebound to a new array no
+    longer reaches ``flat``, which is what ``save_params`` writes.
+    """
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        pairs = list(zip(weights, biases, strict=True))
+        flat = np.concatenate([np.ravel(a) for pair in pairs for a in pair], dtype=np.float64)
+        self._bind(flat, [(np.shape(w), np.shape(b)) for w, b in pairs])
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "Params":
+        """Wrap ``flat`` without copying, given each layer's (weight shape, bias shape)."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes)
+        return params
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray] = []
+        offset = 0
+        for w_shape, b_shape in shapes:
+            for views, shape in ((self.weights, w_shape), (self.biases, b_shape)):
+                size = math.prod(shape)
+                views.append(flat[offset : offset + size].reshape(shape))
+                offset += size
+        if offset != flat.size:
+            raise ValueError(f"layer shapes cover {offset} values, buffer holds {flat.size}")
+
+    @property
+    def shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        return [(w.shape, b.shape) for w, b in zip(self.weights, self.biases)]
 
     def copy(self) -> "Params":
-        return Params([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Params.from_flat(self.flat.copy(), self.shapes)
 
     def zeros_like(self) -> "Params":
-        return Params([np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases])
+        return Params.from_flat(np.zeros_like(self.flat), self.shapes)
+
+    def non_finite_layer(self) -> int | None:
+        """Index of the first layer holding a NaN or an infinity; None if all are finite."""
+        if np.isfinite(self.flat).all():
+            return None
+        finite = [np.isfinite(w).all() and np.isfinite(b).all() for w, b in zip(self.weights, self.biases)]
+        return finite.index(False)
 
 
 @dataclass(frozen=True)
@@ -245,81 +278,49 @@ def make_dropout_masks(
     ]
 
 
-def _check_layer(i: int, plan: LayerPlan, weights: np.ndarray, biases: np.ndarray, x: np.ndarray) -> None:
-    expected_w = (plan.groups, plan.per_group_out, plan.per_group_in)
-    if weights.shape != expected_w:
-        raise ShapeMismatchError(i, f"weights shape {weights.shape}, plan expects {expected_w}")
-    if biases.shape != (plan.out_width,):
-        raise ShapeMismatchError(i, f"biases shape {biases.shape}, plan expects ({plan.out_width},)")
-    if x.shape[1] != plan.in_width:
-        raise ShapeMismatchError(i, f"input width {x.shape[1]}, plan expects {plan.in_width}")
+def _layer_shapes(plans: list[LayerPlan]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    return [((p.groups, p.per_group_out, p.per_group_in), (p.out_width,)) for p in plans]
 
 
-def _affine(plan: LayerPlan, weights: np.ndarray, biases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    xg = x.reshape(n, plan.groups, plan.per_group_in).transpose(1, 0, 2)
-    yg = xg @ weights.transpose(0, 2, 1)  # (groups, n, per_group_out)
-    return yg.transpose(1, 0, 2).reshape(n, plan.out_width) + biases
-
-
-def _affine_backward(
-    plan: LayerPlan, weights: np.ndarray, x: np.ndarray, dz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = x.shape[0]
-    xg = x.reshape(n, plan.groups, plan.per_group_in).transpose(1, 0, 2)
-    dzg = dz.reshape(n, plan.groups, plan.per_group_out).transpose(1, 0, 2)
-    grad_w = dzg.transpose(0, 2, 1) @ xg
-    grad_b = dz.sum(axis=0)
-    dx = (dzg @ weights).transpose(1, 0, 2).reshape(n, plan.in_width)
-    return grad_w, grad_b, dx
-
-
-def _resolve_masks(
-    plans: list[LayerPlan],
-    batch_size: int,
-    mode: str,
-    rng: np.random.Generator | None,
-    dropout_p: float,
-    dropout_masks: list[np.ndarray] | None,
-) -> list[np.ndarray] | None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode != "train" or (dropout_p == 0.0 and dropout_masks is None):
-        return None
-    if dropout_masks is not None:
-        if len(dropout_masks) != len(plans) - 1:
-            raise ValueError(
-                f"expected {len(plans) - 1} dropout masks, got {len(dropout_masks)}"
+def _check_layers(params: Params, plans: list[LayerPlan]) -> None:
+    if len(params.weights) != len(plans):
+        raise ShapeMismatchError(0, f"params hold {len(params.weights)} layers, plans {len(plans)}")
+    for i, (plan, (w_shape, b_shape)) in enumerate(zip(plans, _layer_shapes(plans))):
+        if params.weights[i].shape != w_shape:
+            raise ShapeMismatchError(i, f"weights shape {params.weights[i].shape}, plan expects {w_shape}")
+        if params.biases[i].shape != b_shape:
+            raise ShapeMismatchError(i, f"biases shape {params.biases[i].shape}, plan expects {b_shape}")
+        if i and plans[i - 1].out_width != plan.in_width:
+            raise ShapeMismatchError(
+                i, f"input width {plans[i - 1].out_width}, plan expects {plan.in_width}"
             )
-        return dropout_masks
-    if rng is None:
-        raise ValueError("training with dropout requires an rng (or explicit masks)")
-    return make_dropout_masks(plans, batch_size, dropout_p, rng)
+
+
+def _group_major(a: np.ndarray, groups: int) -> np.ndarray:
+    """View channel-major rows ``(batch, width)`` as ``(groups, batch, width // groups)``."""
+    return a.reshape(len(a), groups, -1).transpose(1, 0, 2)
+
+
+def _regroup(a: np.ndarray, groups: int) -> np.ndarray:
+    """Re-partition the channels of group-major ``a`` into ``groups`` contiguous groups."""
+    if a.shape[0] == groups:
+        return a
+    return _group_major(a.transpose(1, 0, 2).reshape(a.shape[1], -1), groups)
 
 
 def _run_layers(
-    params: Params, plans: list[LayerPlan], x: np.ndarray, masks: list[np.ndarray] | None
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Apply the full stack; returns (output, per-layer inputs, per-layer pre-activations)."""
-    if len(params.weights) != len(plans) or len(params.biases) != len(plans):
-        raise ShapeMismatchError(0, f"params hold {len(params.weights)} layers, plans {len(plans)}")
-    inputs, preacts = [], []
-    last = len(plans) - 1
-    for i, plan in enumerate(plans):
-        _check_layer(i, plan, params.weights[i], params.biases[i], x)
-        z = _affine(plan, params.weights[i], params.biases[i], x)
-        inputs.append(x)
-        preacts.append(z)
-        if i < last:
-            x = np.maximum(z, 0.0)
-            if masks is not None:
-                x = x * masks[i]
-        else:
-            x = z
-    return x, inputs, preacts
+    params: Params,
+    plans: list[LayerPlan],
+    batch: np.ndarray,
+    dropout_masks: list[np.ndarray] | None,
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray] | None]:
+    """The group-major forward pass shared by inference and training.
 
-
-def _replicate_input(batch: np.ndarray, plans: list[LayerPlan]) -> np.ndarray:
+    Returns the last layer's output ``(num_estimators, batch, out_features)``,
+    each layer's group-major input and pre-activation, and the dropout masks
+    viewed group-major.
+    """
+    _check_layers(params, plans)
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeMismatchError(0, f"batch must be 2-D, got shape {batch.shape}")
@@ -329,34 +330,42 @@ def _replicate_input(batch: np.ndarray, plans: list[LayerPlan]) -> np.ndarray:
         )
     if not np.isfinite(batch).all():
         raise ValueError("batch contains non-finite values")
-    return np.tile(batch, (1, plans[0].groups))
+    masks = None
+    if dropout_masks is not None:
+        if len(dropout_masks) != len(plans) - 1:
+            raise ValueError(f"expected {len(plans) - 1} dropout masks, got {len(dropout_masks)}")
+        masks = [_group_major(m, plan.groups) for m, plan in zip(dropout_masks, plans)]
+
+    x = batch[None]  # one input group, broadcast to every estimator of the first layer
+    inputs, preacts = [], []
+    for i, plan in enumerate(plans):
+        z = x @ params.weights[i].transpose(0, 2, 1)
+        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
+        inputs.append(x)
+        preacts.append(z)
+        if i == len(plans) - 1:
+            return z, inputs, preacts, masks
+        x = np.maximum(z, 0.0)
+        if masks is not None:
+            x *= masks[i]
+        x = _regroup(x, plans[i + 1].groups)
 
 
 def forward(
     params: Params,
     plans: list[LayerPlan],
     batch: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    dropout_p: float = 0.0,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> PerEstimatorOutput:
     """Evaluate the packed network on a batch of raw feature rows.
 
-    The input is replicated once per estimator, every layer except the last
-    is followed by ReLU, and inverted dropout is applied after each
-    activation when ``mode="train"`` and ``dropout_p > 0``.  ``mode="eval"``
-    is deterministic and never consumes the rng.
+    Every estimator sees the whole batch, and every layer except the last is
+    followed by ReLU.  Without ``dropout_masks`` the pass is deterministic;
+    with them (see :func:`make_dropout_masks`), each activation is multiplied
+    by its mask.
     """
-    x0 = _replicate_input(batch, plans)
-    masks = _resolve_masks(plans, x0.shape[0], mode, rng, dropout_p, dropout_masks)
-    y, _, _ = _run_layers(params, plans, x0, masks)
-    m = plans[0].groups
-    out_features = plans[-1].per_group_out
-    stacked = y.reshape(-1, m, out_features)
-    estimator_outputs = np.ascontiguousarray(stacked.transpose(1, 0, 2))
-    mean_output = stacked.sum(axis=1) / m
-    return PerEstimatorOutput(estimator_outputs=estimator_outputs, mean_output=mean_output)
+    y, _, _, _ = _run_layers(params, plans, batch, dropout_masks)
+    return PerEstimatorOutput(estimator_outputs=y, mean_output=y.sum(axis=0) / len(y))
 
 
 def loss_and_grad(
@@ -364,9 +373,6 @@ def loss_and_grad(
     plans: list[LayerPlan],
     batch: np.ndarray,
     targets: np.ndarray,
-    mode: str = "train",
-    rng: np.random.Generator | None = None,
-    dropout_p: float = 0.0,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> tuple[float, Params]:
     """MSE of the ensemble-mean prediction and its exact parameter gradients.
@@ -386,31 +392,28 @@ def loss_and_grad(
     if not np.isfinite(targets).all():
         raise ValueError("targets contain non-finite values")
 
-    x0 = _replicate_input(batch, plans)
-    n = x0.shape[0]
-    masks = _resolve_masks(plans, n, mode, rng, dropout_p, dropout_masks)
-    y, inputs, preacts = _run_layers(params, plans, x0, masks)
-
-    m = plans[0].groups
-    out_features = plans[-1].per_group_out
-    mean_output = y.reshape(n, m, out_features).sum(axis=1) / m
-    diff = mean_output - targets
+    y, inputs, preacts, masks = _run_layers(params, plans, batch, dropout_masks)
+    m, n, out_features = y.shape
+    diff = y.sum(axis=0) / m - targets
     loss = float(np.mean(diff * diff))
 
     # d loss / d mean_output, then split equally across estimators.
     dmean = (2.0 / (n * out_features)) * diff
-    dy = np.tile(dmean / m, (1, m))
+    dz = np.broadcast_to(dmean / m, y.shape)
 
-    grad_w: list[np.ndarray | None] = [None] * len(plans)
-    grad_b: list[np.ndarray | None] = [None] * len(plans)
-    upstream = dy
+    grads = Params.from_flat(np.empty(param_count(plans)), _layer_shapes(plans))
     for i in range(len(plans) - 1, -1, -1):
+        plan = plans[i]
         if i < len(plans) - 1:
+            dz = _regroup(dz, plan.groups)  # a fresh array from the layer above, updated in place
             if masks is not None:
-                upstream = upstream * masks[i]
-            upstream = upstream * (preacts[i] > 0.0)
-        grad_w[i], grad_b[i], upstream = _affine_backward(plans[i], params.weights[i], inputs[i], upstream)
-    return loss, Params(list(grad_w), list(grad_b))
+                dz *= masks[i]
+            dz *= preacts[i] > 0.0
+        np.matmul(dz.transpose(0, 2, 1), inputs[i], out=grads.weights[i])
+        np.sum(dz, axis=1, out=grads.biases[i].reshape(plan.groups, plan.per_group_out))
+        if i:
+            dz = dz @ params.weights[i]
+    return loss, grads
 
 
 def _header_bytes(spec: PackedSpec, plans: list[LayerPlan]) -> bytes:
@@ -427,22 +430,20 @@ def save_params(path, spec: PackedSpec, params: Params) -> None:
 
     Layout (little-endian): 8-byte magic ``PKMLP1\\x00\\x00``, uint32 header
     length, UTF-8 JSON header (format version, spec fields, layer plan
-    table), then per layer in order: weights in C order, then biases.
-    Round-trips are bit-exact.
+    table), then ``params.flat``: per layer in order, weights in C order,
+    then biases.  Round-trips are bit-exact.
     """
     plans = plan_layers(spec)
-    for i, plan in enumerate(plans):
-        _check_layer(i, plan, params.weights[i], params.biases[i], np.empty((0, plan.in_width)))
-        if not (np.isfinite(params.weights[i]).all() and np.isfinite(params.biases[i]).all()):
-            raise ValueError(f"layer {i}: non-finite parameter values cannot be saved")
+    _check_layers(params, plans)
+    bad = params.non_finite_layer()
+    if bad is not None:
+        raise ValueError(f"layer {bad}: non-finite parameter values cannot be saved")
     header = _header_bytes(spec, plans)
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
@@ -462,15 +463,8 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     plans = plan_layers(spec)
     if [p.to_dict() for p in plans] != header["plans"]:
         raise ValueError(f"{path}: layer plan table does not match the stored spec")
-    weights, biases = [], []
-    for plan in plans:
-        n_w = plan.groups * plan.per_group_out * plan.per_group_in
-        w = np.frombuffer(blob, dtype="<f8", count=n_w, offset=offset).copy()
-        offset += 8 * n_w
-        b = np.frombuffer(blob, dtype="<f8", count=plan.out_width, offset=offset).copy()
-        offset += 8 * plan.out_width
-        weights.append(w.reshape(plan.groups, plan.per_group_out, plan.per_group_in))
-        biases.append(b)
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after parameter data")
-    return spec, plans, Params(weights, biases)
+    expected = 8 * param_count(plans)
+    if len(blob) - offset > expected:
+        raise ValueError(f"{path}: {len(blob) - offset - expected} trailing bytes after parameter data")
+    flat = np.frombuffer(blob, dtype="<f8", count=param_count(plans), offset=offset)
+    return spec, plans, Params.from_flat(flat.astype(np.float64), _layer_shapes(plans))

@@ -10,13 +10,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, ScalerPair, apply_scaler, fit_scaler, kfold_split
+from .data import Dataset, ScalerPair, _pooled, apply_scaler, fit_scaler, kfold_split
 from .packed_net import (
     PackedSpec,
     Params,
     forward,
     init_params,
     loss_and_grad,
+    make_dropout_masks,
     plan_layers,
 )
 
@@ -88,10 +89,10 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Exponential moment estimates, shaped like the Params they track."""
+    """Exponential moment estimates, aligned with the ``Params.flat`` they track."""
 
-    first_moment: Params
-    second_moment: Params
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
 
@@ -134,7 +135,7 @@ class CVResult:
 
 
 def init_adam_state(params: Params) -> AdamState:
-    return AdamState(first_moment=params.zeros_like(), second_moment=params.zeros_like())
+    return AdamState(first_moment=np.zeros_like(params.flat), second_moment=np.zeros_like(params.flat))
 
 
 def adam_step(
@@ -144,48 +145,29 @@ def adam_step(
     lr: float,
     weight_decay: float = 0.0,
 ) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update.
+    """One bias-corrected Adam update over the whole parameter vector.
 
     Weight decay enters as coupled L2 (gradient += weight_decay * param)
     before the moment updates, and never touches biases.
     """
-    for i, (gw, gb) in enumerate(zip(grads.weights, grads.biases)):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise ValueError(f"non-finite gradient in layer {i}")
+    bad = grads.non_finite_layer()
+    if bad is not None:
+        raise ValueError(f"non-finite gradient in layer {bad}")
 
     t = state.step_count + 1
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
 
-    def update(p, g, m, v):
-        m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m_new / correction1
-        v_hat = v_new / correction2
-        return p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m_new, v_new
-
-    new_weights, new_biases = [], []
-    m_w, v_w = state.first_moment.weights, state.second_moment.weights
-    m_b, v_b = state.first_moment.biases, state.second_moment.biases
-    out_m_w, out_v_w, out_m_b, out_v_b = [], [], [], []
-    for i in range(len(params.weights)):
-        g = grads.weights[i] + weight_decay * params.weights[i]
-        p_new, m_new, v_new = update(params.weights[i], g, m_w[i], v_w[i])
-        new_weights.append(p_new)
-        out_m_w.append(m_new)
-        out_v_w.append(v_new)
-
-        b_new, mb_new, vb_new = update(params.biases[i], grads.biases[i], m_b[i], v_b[i])
-        new_biases.append(b_new)
-        out_m_b.append(mb_new)
-        out_v_b.append(vb_new)
-
-    new_state = AdamState(
-        first_moment=Params(out_m_w, out_m_b),
-        second_moment=Params(out_v_w, out_v_b),
-        step_count=t,
-    )
-    return Params(new_weights, new_biases), new_state
+    decayed = grads.copy()
+    for g, w in zip(decayed.weights, params.weights):
+        g += weight_decay * w
+    g = decayed.flat
+    m_new = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
+    v_new = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m_new / correction1
+    v_hat = v_new / correction2
+    flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return Params.from_flat(flat, params.shapes), AdamState(m_new, v_new, t)
 
 
 def early_stop(history: list[float], threshold: float = 0.01, window: int = 5) -> bool:
@@ -205,8 +187,7 @@ def early_stop(history: list[float], threshold: float = 0.01, window: int = 5) -
 
 def pooled_scaled_arrays(dataset: Dataset, scaler: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
     """Standardized (inputs, targets) pooled over all points of all simulations."""
-    points = np.vstack([s.points for s in dataset.simulations])
-    targets = np.vstack([s.targets for s in dataset.simulations])
+    points, targets = _pooled(dataset)
     return (
         apply_scaler(scaler, points, "forward", "inputs"),
         apply_scaler(scaler, targets, "forward", "targets"),
@@ -214,9 +195,9 @@ def pooled_scaled_arrays(dataset: Dataset, scaler: ScalerPair) -> tuple[np.ndarr
 
 
 def scaled_mse(params: Params, plans, scaler: ScalerPair, dataset: Dataset) -> float:
-    """Eval-mode MSE of the ensemble mean on standardized targets."""
+    """MSE of the ensemble mean, without dropout, on standardized targets."""
     x, y = pooled_scaled_arrays(dataset, scaler)
-    out = forward(params, plans, x, mode="eval")
+    out = forward(params, plans, x)
     diff = out.mean_output - y
     return float(np.mean(diff * diff))
 
@@ -242,7 +223,6 @@ def train(
     state = init_adam_state(params)
     x, y = pooled_scaled_arrays(train_data, scaler)
     n = len(x)
-    dropout_p = spec.dropout_p if spec.dropout_enabled else 0.0
     rng = np.random.default_rng([cfg.seed, 1])
 
     losses: list[float] = []
@@ -254,9 +234,10 @@ def train(
         weighted = 0.0
         for start in range(0, n, cfg.batch_points):
             idx = order[start : start + cfg.batch_points]
-            loss, grads = loss_and_grad(
-                params, plans, x[idx], y[idx], mode="train", rng=rng, dropout_p=dropout_p
-            )
+            masks = None
+            if spec.dropout_enabled:
+                masks = make_dropout_masks(plans, len(idx), spec.dropout_p, rng)
+            loss, grads = loss_and_grad(params, plans, x[idx], y[idx], masks)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"loss = {loss}")
             try:

@@ -10,7 +10,7 @@ of the loss value alone.
 import numpy as np
 
 from packedflow.data import CylinderFlowConfig, Dataset, Simulation, generate_cylinder_flow
-from packedflow.packed_net import _affine, forward
+from packedflow.packed_net import forward
 
 # ---------------------------------------------------------------------------
 # Dense reference MLP (plain matrices, ReLU, mean-squared loss)
@@ -26,8 +26,11 @@ def dense_forward(weights, biases, x):
     return a
 
 
-def dense_loss_and_grads(weights, biases, x, y):
-    """Loss mean((out - y)^2) with hand-derived backprop for the dense MLP."""
+def dense_loss_and_grads(weights, biases, x, y, masks=None):
+    """Loss mean((out - y)^2) with hand-derived backprop for the dense MLP.
+
+    ``masks``, if given, multiply each hidden activation after its ReLU.
+    """
     acts = [x]
     preacts = []
     a = x
@@ -35,6 +38,8 @@ def dense_loss_and_grads(weights, biases, x, y):
         z = a @ w.T + b
         preacts.append(z)
         a = np.maximum(z, 0.0) if i < len(weights) - 1 else z
+        if masks is not None and i < len(weights) - 1:
+            a = a * masks[i]
         acts.append(a)
     n, c = y.shape
     diff = a - y
@@ -46,7 +51,10 @@ def dense_loss_and_grads(weights, biases, x, y):
         grad_w[i] = dz.T @ acts[i]
         grad_b[i] = dz.sum(axis=0)
         if i > 0:
-            dz = (dz @ weights[i]) * (preacts[i - 1] > 0.0)
+            dz = dz @ weights[i]
+            if masks is not None:
+                dz = dz * masks[i - 1]
+            dz = dz * (preacts[i - 1] > 0.0)
     return loss, grad_w, grad_b
 
 
@@ -67,7 +75,7 @@ def block_diagonal_matrix(plan, blocks):
 
 def ensemble_loss(params, plans, x, y, masks=None):
     """Loss recomputed from the forward pass only (no backprop code involved)."""
-    out = forward(params, plans, x, mode="train", dropout_masks=masks)
+    out = forward(params, plans, x, dropout_masks=masks)
     diff = out.mean_output - y
     return float(np.mean(diff * diff))
 
@@ -106,7 +114,7 @@ def nudge_biases_off_kinks(params, plans, batch, masks=None, margin=0.25):
     """
     x = np.tile(batch, (1, plans[0].groups))
     for i, plan in enumerate(plans[:-1]):
-        z = _affine(plan, params.weights[i], params.biases[i], x)
+        z = x @ block_diagonal_matrix(plan, params.weights[i]).T + params.biases[i]
         for unit in range(plan.out_width):
             col = np.sort(z[:, unit])
             gaps = np.diff(col)

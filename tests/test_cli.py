@@ -249,6 +249,38 @@ class TestBenchCommand:
 
 
 class TestExitCodes:
+    def eval_with_scaler(self, workspace, tmp_path, scaler):
+        scaler_path = tmp_path / "scaler.json"
+        scaler_path.write_text(json.dumps(scaler))
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(workspace / "run" / "model.pkmlp"),
+                "scaler": str(scaler_path),
+                "data": {"dir": str(workspace / "data" / "test")},
+            },
+        )
+        code = main(["eval", "--config", config, "--out", str(tmp_path / "report")])
+        return code, scaler_path
+
+    def test_nan_scaler_std_is_validation_error(self, workspace, tmp_path, capsys):
+        scaler = json.loads((workspace / "run" / "scaler.json").read_text())
+        scaler["target_std"][2] = float("nan")
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, scaler)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(scaler_path) in err and "target_std" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_missing_scaler_key_is_validation_error(self, workspace, tmp_path, capsys):
+        scaler = json.loads((workspace / "run" / "scaler.json").read_text())
+        del scaler["target_std"]
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, scaler)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(scaler_path) in err and "'target_std'" in err
+        assert not (tmp_path / "report").exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()

@@ -212,6 +212,25 @@ class TestScaler:
         with pytest.raises(ValueError, match="positive"):
             ScalerPair(np.zeros(7), np.zeros(7), np.zeros(4), np.ones(4))
 
+    @pytest.mark.parametrize("field,index", [("target_std", 2), ("input_mean", 0)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, field, index, value):
+        fields = {
+            "input_mean": np.zeros(7),
+            "input_std": np.ones(7),
+            "target_mean": np.zeros(4),
+            "target_std": np.ones(4),
+        }
+        fields[field][index] = value
+        with pytest.raises(ValueError, match=field):
+            ScalerPair(**fields)
+
+    def test_from_dict_names_missing_key(self):
+        obj = ScalerPair(np.zeros(7), np.ones(7), np.zeros(4), np.ones(4)).to_dict()
+        del obj["target_std"]
+        with pytest.raises(ValueError, match="missing key 'target_std'"):
+            ScalerPair.from_dict(obj)
+
 
 class TestKfold:
     def test_partition_property(self):

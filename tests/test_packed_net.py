@@ -5,6 +5,9 @@ dense MLP, materialized block-diagonal matrices, and central finite
 differences of the loss value.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from helpers import (
@@ -125,6 +128,31 @@ class TestInitParams:
         assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
 
 
+class TestParamsBuffer:
+    def test_views_share_one_flat_buffer_in_file_order(self):
+        plans = plan_layers(PackedSpec(3, 2, 3, (9, 13)))
+        params = init_params(plans, 4)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.size == param_count(plans)
+        for w, b in zip(params.weights, params.biases):
+            assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+        params.flat[:] = np.arange(params.flat.size)
+        in_order = np.concatenate([a.ravel() for pair in zip(params.weights, params.biases) for a in pair])
+        assert np.array_equal(in_order, params.flat)
+
+    def test_copies_own_their_buffers(self):
+        plans = plan_layers(PackedSpec(2, 1, 1, (6,)))
+        params = init_params(plans, 0)
+        weights = [w.copy() for w in params.weights]
+        rebuilt = Params(weights, [b.copy() for b in params.biases])
+        for other in (rebuilt, params.copy(), params.zeros_like()):
+            assert not np.shares_memory(other.flat, params.flat)
+            for w, b in zip(other.weights, other.biases):
+                assert np.shares_memory(w, other.flat) and np.shares_memory(b, other.flat)
+        assert not np.shares_memory(rebuilt.flat, weights[0])
+        assert np.array_equal(rebuilt.flat, params.flat)
+
+
 class TestParamCount:
     def test_single_hidden_dense(self):
         assert param_count(plan_layers(PackedSpec(1, 1, 1, (48,)))) == 580
@@ -218,8 +246,8 @@ class TestForward:
     def test_eval_mode_is_pure(self):
         spec = PackedSpec(2, 2, 1, (8,), dropout_enabled=True)
         plans, params, x, _ = random_case(spec, 5)
-        a = forward(params, plans, x, mode="eval")
-        b = forward(params, plans, x, mode="eval")
+        a = forward(params, plans, x)
+        b = forward(params, plans, x)
         assert np.array_equal(a.mean_output, b.mean_output)
         assert np.array_equal(a.estimator_outputs, b.estimator_outputs)
 
@@ -253,7 +281,7 @@ class TestDropout:
         spec = PackedSpec(2, 1, 1, (6,), in_features=3, out_features=2)
         plans, params, x, _ = random_case(spec, 8)
         masks = make_dropout_masks(plans, len(x), 0.2, np.random.default_rng(4))
-        out = forward(params, plans, x, mode="train", dropout_masks=masks)
+        out = forward(params, plans, x, dropout_masks=masks)
         a = np.tile(x, (1, 2))
         dense0 = block_diagonal_matrix(plans[0], params.weights[0])
         a = np.maximum(a @ dense0.T + params.biases[0], 0.0) * masks[0]
@@ -263,18 +291,50 @@ class TestDropout:
             out.mean_output, z.reshape(len(x), 2, 2).mean(axis=1), rtol=0, atol=1e-12
         )
 
-    def test_train_mode_without_rng_or_masks_fails(self):
-        spec = PackedSpec(2, 1, 1, (6,))
-        plans, params, x, _ = random_case(spec, 8)
-        with pytest.raises(ValueError, match="rng"):
-            forward(params, plans, x, mode="train", dropout_p=0.2)
 
-    def test_eval_never_applies_dropout(self):
-        spec = PackedSpec(2, 1, 1, (6,))
-        plans, params, x, _ = random_case(spec, 8)
-        plain = forward(params, plans, x, mode="eval")
-        with_p = forward(params, plans, x, mode="eval", dropout_p=0.2, rng=np.random.default_rng(0))
-        assert np.array_equal(plain.mean_output, with_p.mean_output)
+class TestRegroup:
+    """gamma = 3: each estimator splits into 3 groups after the first layer and merges before the last."""
+
+    SPEC = PackedSpec(2, 2, 3, (9, 13, 5), in_features=5, out_features=3)
+
+    def case(self, dropout):
+        plans, params, x, y = random_case(self.SPEC, 31, batch=7)
+        assert [p.groups for p in plans] == [2, 6, 6, 2]
+        masks = make_dropout_masks(plans, len(x), 0.2, np.random.default_rng(5)) if dropout else None
+        dense_w = [block_diagonal_matrix(plan, w) for plan, w in zip(plans, params.weights)]
+        return plans, params, x, y, masks, dense_w
+
+    def test_masked_forward_matches_block_diagonal_matrices(self):
+        plans, params, x, _, masks, dense_w = self.case(dropout=True)
+        a = np.tile(x, (1, 2))
+        for i, (w, b) in enumerate(zip(dense_w, params.biases)):
+            a = a @ w.T + b
+            if i < len(plans) - 1:
+                a = np.maximum(a, 0.0) * masks[i]
+        out = forward(params, plans, x, dropout_masks=masks)
+        per_estimator = a.reshape(len(x), 2, 3).transpose(1, 0, 2)
+        np.testing.assert_allclose(out.estimator_outputs, per_estimator, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.mean_output, per_estimator.mean(axis=0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_gradients_match_block_diagonal_matrices(self, dropout):
+        plans, params, x, y, masks, dense_w = self.case(dropout)
+        # Fold the ensemble mean into the last dense layer: mean = average @ (W a + b).
+        average = np.tile(np.eye(3), (1, 2)) / 2
+        weights = dense_w[:-1] + [average @ dense_w[-1]]
+        biases = list(params.biases[:-1]) + [average @ params.biases[-1]]
+        ref_loss, ref_w, ref_b = dense_loss_and_grads(weights, biases, np.tile(x, (1, 2)), y, masks)
+        ref_w[-1] = average.T @ ref_w[-1]
+        ref_b[-1] = average.T @ ref_b[-1]
+
+        loss, grads = loss_and_grad(params, plans, x, y, dropout_masks=masks)
+        assert abs(loss - ref_loss) <= 1e-12
+        for i, plan in enumerate(plans):
+            on_blocks = block_diagonal_matrix(plan, np.ones_like(params.weights[i]))
+            np.testing.assert_allclose(
+                block_diagonal_matrix(plan, grads.weights[i]), ref_w[i] * on_blocks, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(grads.biases[i], ref_b[i], rtol=0, atol=1e-12)
 
 
 class TestLossAndGrad:
@@ -321,7 +381,7 @@ class TestLossAndGrad:
             make_dropout_masks(plans, len(x), 0.2, np.random.default_rng(12)) if dropout else None
         )
         nudge_biases_off_kinks(params, plans, x, masks)
-        _, grads = loss_and_grad(params, plans, x, y, mode="train", dropout_masks=masks)
+        _, grads = loss_and_grad(params, plans, x, y, dropout_masks=masks)
         fd_w, fd_b = fd_gradients(params, plans, x, y, masks)
         for i in range(len(plans)):
             assert relative_error(grads.weights[i], fd_w[i]).max() < 1e-4
@@ -353,6 +413,27 @@ class TestSerialization:
         assert loaded_plans == plans
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
             assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    def test_file_bytes_follow_documented_layout(self, tmp_path):
+        spec = PackedSpec(3, 2, 3, (9, 13), dropout_enabled=True)
+        plans = plan_layers(spec)
+        params = init_params(plans, 5)
+        rng = np.random.default_rng(6)
+        for b in params.biases:
+            b += rng.normal(size=b.shape)  # nonzero, so a misplaced bias block shows
+        header = json.dumps(
+            {"format_version": 1, "spec": spec.to_dict(), "plans": [p.to_dict() for p in plans]},
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+        expected = b"PKMLP1\x00\x00" + struct.pack("<I", len(header)) + header
+        for w, b in zip(params.weights, params.biases):
+            expected += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+        save_params(tmp_path / "model.pkmlp", spec, params)
+        assert (tmp_path / "model.pkmlp").read_bytes() == expected
+        _, _, loaded = load_params(tmp_path / "model.pkmlp")
+        save_params(tmp_path / "again.pkmlp", spec, loaded)
+        assert (tmp_path / "again.pkmlp").read_bytes() == expected
 
     def test_round_trip_eval_equivalent(self, tmp_path):
         spec = PackedSpec(3, 2, 1, (12,))
