@@ -12,8 +12,9 @@ import csv
 import json
 import os
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .data import Dataset, ScalerPair, fit_scaler
 from .metrics import EvalReport, evaluate
@@ -30,14 +31,6 @@ __all__ = [
     "write_benchmark",
 ]
 
-# Human-readable headers for the four cross-simulation physics metrics.
-PHYSICS_HEADERS = (
-    "mean relative drag",
-    "mean relative lift",
-    "Spearman's correlation for drag",
-    "Spearman's correlation for lift",
-)
-
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -51,13 +44,27 @@ class BenchCase:
 
 @dataclass
 class BenchRow:
+    """One case's outcome: its training history and a metric report per split."""
+
     case: BenchCase
-    param_count: int
-    train_seconds: float
-    final_train_loss: float
-    reports: dict[str, EvalReport]
+    reports: dict[str, EvalReport] = field(default_factory=dict)
     history: TrainHistory | None = None
     error: str | None = None
+
+    @property
+    def param_count(self) -> int:
+        return param_count(plan_layers(self.case.spec))
+
+    @property
+    def train_seconds(self) -> float:
+        """Seconds spent in the epoch loop; 0.0 when training failed."""
+        return 0.0 if self.history is None else sum(self.history.wall_seconds)
+
+    @property
+    def final_train_loss(self) -> float:
+        if self.history is None or not self.history.train_loss:
+            return float("nan")
+        return self.history.train_loss[-1]
 
 
 @dataclass
@@ -78,7 +85,7 @@ def machine_descriptor() -> dict:
 
 
 def time_training(
-    spec: PackedSpec, cfg: TrainConfig, dataset: Dataset, scaler: ScalerPair | None = None
+    spec: PackedSpec, cfg: TrainConfig, dataset: Dataset, scaler: ScalerPair
 ) -> tuple[float, Params, TrainHistory]:
     """Train once and report the wall-clock seconds spent in the epoch loop.
 
@@ -86,8 +93,6 @@ def time_training(
     """
     if cfg.early_stop_enabled:
         raise ValueError("benchmark timing requires early_stop_enabled=False")
-    if scaler is None:
-        scaler = fit_scaler(dataset)
     params, history = train(spec, dataset, None, scaler, cfg)
     return sum(history.wall_seconds), params, history
 
@@ -108,26 +113,15 @@ def run_benchmark(
     rows = []
     for case in cases:
         plans = plan_layers(case.spec)
-        row = BenchRow(
-            case=case,
-            param_count=param_count(plans),
-            train_seconds=0.0,
-            final_train_loss=float("nan"),
-            reports={},
-        )
+        row = BenchRow(case)
         try:
-            case_cfg = TrainConfig(
+            case_cfg = replace(
+                cfg,
                 learning_rate=case.learning_rate,
                 weight_decay=case.weight_decay,
-                max_epochs=cfg.max_epochs,
-                batch_points=cfg.batch_points,
-                seed=cfg.seed,
                 early_stop_enabled=False,
             )
-            seconds, params, history = time_training(case.spec, case_cfg, train_split, scaler)
-            row.train_seconds = seconds
-            row.final_train_loss = history.train_loss[-1] if history.train_loss else float("nan")
-            row.history = history
+            _, params, row.history = time_training(case.spec, case_cfg, train_split, scaler)
             for split_name, split in eval_splits.items():
                 row.reports[split_name] = evaluate(params, plans, scaler, split)
         except Exception as exc:  # keep remaining rows running
@@ -136,63 +130,41 @@ def run_benchmark(
     return BenchReport(rows=rows, machine=machine_descriptor(), split_names=tuple(eval_splits))
 
 
-def _case_columns(case: BenchCase) -> tuple:
-    spec = case.spec
-    return (
-        case.name,
-        "(" + ",".join(str(w) for w in spec.hidden_widths) + ")",
-        spec.num_estimators,
-        spec.alpha,
-        spec.gamma,
-        spec.dropout_enabled,
-        repr(case.learning_rate),
-        repr(case.weight_decay),
-    )
+class _Column(NamedTuple):
+    name: str  # CSV header
+    value: Callable[[BenchRow, EvalReport | None], object]  # from a row and its report on one split
+    header: str | None = None  # text-table header; None keeps the column out of the table
+    fmt: str = ""  # text-table format spec
 
 
-_CSV_HEADER = (
-    "name",
-    "layers",
-    "num_estimators",
-    "alpha",
-    "gamma",
-    "dropout",
-    "learning_rate",
-    "weight_decay",
-    "param_count",
-    "train_seconds",
-    "final_train_loss",
-    "mse_x_velocity",
-    "mse_y_velocity",
-    "mse_pressure",
-    "mse_surface_pressure",
-    "mse_turbulent_viscosity",
-    "mean_relative_drag",
-    "mean_relative_lift",
-    "spearman_drag",
-    "spearman_lift",
-    "error",
+def _metric(name: str) -> Callable[[BenchRow, EvalReport | None], object]:
+    return lambda row, report: None if report is None else getattr(report, name)
+
+
+_TABLE_METRICS = {
+    "mean_relative_drag": "mean relative drag",
+    "mean_relative_lift": "mean relative lift",
+    "spearman_drag": "Spearman's correlation for drag",
+    "spearman_lift": "Spearman's correlation for lift",
+}
+
+# The one column list of bench_<split>.csv, in order; the columns with a header
+# also form bench_<split>.txt.  A None value is an empty CSV cell and a "-" table cell.
+_COLUMNS = (
+    _Column("name", lambda row, _: row.case.name, "model"),
+    _Column("layers", lambda row, _: "(" + ",".join(map(str, row.case.spec.hidden_widths)) + ")", "layers"),
+    _Column("num_estimators", lambda row, _: row.case.spec.num_estimators, "M"),
+    _Column("alpha", lambda row, _: row.case.spec.alpha, "alpha"),
+    _Column("gamma", lambda row, _: row.case.spec.gamma, "gamma"),
+    _Column("dropout", lambda row, _: row.case.spec.dropout_enabled, "dropout"),
+    _Column("learning_rate", lambda row, _: row.case.learning_rate, "lr", "g"),
+    _Column("weight_decay", lambda row, _: row.case.weight_decay, "weight decay", "g"),
+    _Column("param_count", lambda row, _: row.param_count, "params"),
+    _Column("train_seconds", lambda row, _: row.train_seconds, "train seconds", ".3f"),
+    _Column("final_train_loss", lambda row, _: row.final_train_loss),
+    *(_Column(f.name, _metric(f.name), _TABLE_METRICS.get(f.name), ".4g") for f in fields(EvalReport)),
+    _Column("error", lambda row, _: row.error),
 )
-
-
-def _report_values(report: EvalReport | None) -> list:
-    if report is None:
-        return [""] * 9
-    d = report.to_dict()
-    return [
-        "" if d[key] is None else repr(d[key])
-        for key in (
-            "mse_x_velocity",
-            "mse_y_velocity",
-            "mse_pressure",
-            "mse_surface_pressure",
-            "mse_turbulent_viscosity",
-            "mean_relative_drag",
-            "mean_relative_lift",
-            "spearman_drag",
-            "spearman_lift",
-        )
-    ]
 
 
 def write_benchmark(report: BenchReport, out_dir) -> None:
@@ -210,68 +182,19 @@ def write_benchmark(report: BenchReport, out_dir) -> None:
             write_history_csv(row.history, logs_dir / f"{row.case.name}_history.csv")
 
     for split_name in report.split_names:
+        values = [[col.value(row, row.reports.get(split_name)) for col in _COLUMNS] for row in report.rows]
         with open(out_dir / f"bench_{split_name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for row in report.rows:
-                writer.writerow(
-                    (
-                        *_case_columns(row.case),
-                        row.param_count,
-                        repr(row.train_seconds),
-                        repr(row.final_train_loss),
-                        *_report_values(row.reports.get(split_name)),
-                        row.error or "",
-                    )
-                )
-        _write_text_table(report, split_name, out_dir / f"bench_{split_name}.txt")
+            writer = csv.writer(fh)  # floats as repr, None as an empty cell
+            writer.writerow(col.name for col in _COLUMNS)
+            writer.writerows(values)
+        _write_text_table(split_name, values, out_dir / f"bench_{split_name}.txt")
 
 
-def _write_text_table(report: BenchReport, split_name: str, path) -> None:
-    headers = [
-        "model",
-        "layers",
-        "M",
-        "alpha",
-        "gamma",
-        "dropout",
-        "lr",
-        "weight decay",
-        "params",
-        "train seconds",
-        *PHYSICS_HEADERS,
-    ]
-    table = [headers]
-    for row in report.rows:
-        rep = row.reports.get(split_name)
-        if rep is None:
-            physics = ["-", "-", "-", "-"]
-        else:
-            physics = [
-                f"{rep.mean_relative_drag:.4g}",
-                f"{rep.mean_relative_lift:.4g}",
-                "-" if rep.spearman_drag is None else f"{rep.spearman_drag:.4g}",
-                "-" if rep.spearman_lift is None else f"{rep.spearman_lift:.4g}",
-            ]
-        spec = row.case.spec
-        table.append(
-            [
-                row.case.name,
-                "(" + ",".join(str(w) for w in spec.hidden_widths) + ")",
-                str(spec.num_estimators),
-                str(spec.alpha),
-                str(spec.gamma),
-                str(spec.dropout_enabled),
-                f"{row.case.learning_rate:g}",
-                f"{row.case.weight_decay:g}",
-                str(row.param_count),
-                f"{row.train_seconds:.3f}",
-                *physics,
-            ]
-        )
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
+def _write_text_table(split_name: str, values: list[list], path: Path) -> None:
+    shown = [i for i, col in enumerate(_COLUMNS) if col.header]
+    table = [[_COLUMNS[i].header for i in shown]]
+    table += [["-" if row[i] is None else format(row[i], _COLUMNS[i].fmt) for i in shown] for row in values]
+    widths = [max(len(cells[i]) for cells in table) for i in range(len(shown))]
     lines = [f"evaluation split: {split_name}"]
-    for r in table:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(r, widths)).rstrip())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += ["  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip() for cells in table]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -29,7 +29,7 @@ from .data import (
     subsample,
     write_dataset,
 )
-from .metrics import coefficient_table, evaluate_predictions, predict_simulation, write_coefficients_csv, write_report_json
+from .metrics import evaluate_predictions, predict_simulation, write_coefficients_csv, write_report_json
 from .packed_net import PackedSpec, load_params, save_params
 from .training import (
     GridRow,
@@ -41,7 +41,7 @@ from .training import (
     write_history_csv,
 )
 
-__all__ = ["main", "run_cli", "ConfigError"]
+__all__ = ["run_cli", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -241,7 +241,10 @@ def _cmd_eval(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "eval config", required=("model", "scaler", "data"))
     _check_keys(config["data"], "eval config: data", required=("dir",))
-    spec, plans, params = load_params(_resolve(base, config["model"]))
+    try:
+        spec, plans, params = load_params(_resolve(base, config["model"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     scaler_path = _resolve(base, config["scaler"])
     with open(scaler_path, encoding="utf-8") as fh:
         try:
@@ -251,8 +254,7 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(_resolve(base, config["data"]["dir"]))
 
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
-    report = evaluate_predictions(predictions, dataset)
-    rows = coefficient_table(predictions, dataset)
+    report, rows = evaluate_predictions(predictions, dataset)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,9 +352,5 @@ def run_cli(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

@@ -53,7 +53,7 @@ _SCALER_FIELDS = (("input_mean", 7), ("input_std", 7), ("target_mean", 4), ("tar
 
 
 class SimulationParseError(ValueError):
-    """Malformed simulation CSV; carries 1-based row and column of the offense."""
+    """Malformed simulation CSV or dataset manifest; carries the 1-based CSV row and column, if any."""
 
     def __init__(self, path, row: int | None, column: str | None, message: str):
         location = ""
@@ -235,12 +235,26 @@ def load_dataset(directory) -> Dataset:
     """Load a dataset directory: manifest.json plus the simulation CSVs it lists."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
+
+    def fault(message: str) -> SimulationParseError:
+        return SimulationParseError(manifest_path, None, None, message)
+
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise fault(f"invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise fault("top level must be a JSON object")
     for key in ("split_label", "simulations"):
         if key not in manifest:
-            raise ValueError(f"{manifest_path}: missing manifest key {key!r}")
-    sims = tuple(load_simulation(directory / name) for name in manifest["simulations"])
+            raise fault(f"missing manifest key {key!r}")
+    if manifest["split_label"] not in SPLIT_LABELS:
+        raise fault(f"split_label must be one of {SPLIT_LABELS}, got {manifest['split_label']!r}")
+    names = manifest["simulations"]
+    if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
+        raise fault("'simulations' must be a non-empty list of file names")
+    sims = tuple(load_simulation(directory / name) for name in names)
     return Dataset(simulations=sims, split_label=manifest["split_label"])
 
 
@@ -290,12 +304,8 @@ def apply_scaler(scaler: ScalerPair, data, direction: str, which: str) -> np.nda
     """Standardize (``forward``: (v-mean)/std) or restore (``inverse``: v*std+mean)."""
     if which == "inputs":
         mean, std, width = scaler.input_mean, scaler.input_std, 7
-        if isinstance(data, Simulation):
-            data = data.points
     elif which == "targets":
         mean, std, width = scaler.target_mean, scaler.target_std, 4
-        if isinstance(data, Simulation):
-            data = data.targets
     else:
         raise ValueError(f"which must be 'inputs' or 'targets', got {which!r}")
     arr = np.asarray(data, dtype=np.float64)

@@ -223,8 +223,14 @@ def coefficient_table(
     return rows
 
 
-def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> EvalReport:
-    """Metric suite for precomputed physical-unit predictions, one per simulation."""
+def evaluate_predictions(
+    predictions: list[np.ndarray], dataset: Dataset
+) -> tuple[EvalReport, list[tuple[str, float, float, float, float]]]:
+    """Score precomputed physical-unit predictions, one per simulation.
+
+    Returns the metric suite and the per-simulation coefficient table it was
+    built from (see :func:`coefficient_table`).
+    """
     if len(predictions) != len(dataset.simulations):
         raise ValueError(
             f"{len(predictions)} prediction arrays for {len(dataset.simulations)} simulations"
@@ -261,7 +267,7 @@ def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> Eva
         spearman_drag = None
         spearman_lift = None
 
-    return EvalReport(
+    report = EvalReport(
         mse_x_velocity=float(mse[0]),
         mse_y_velocity=float(mse[1]),
         mse_pressure=float(mse[2]),
@@ -272,12 +278,13 @@ def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> Eva
         spearman_drag=spearman_drag,
         spearman_lift=spearman_lift,
     )
+    return report, table
 
 
 def evaluate(params: Params, plans, scaler: ScalerPair, dataset: Dataset) -> EvalReport:
     """Predict every simulation (scale, forward, inverse-scale) and score it."""
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
-    return evaluate_predictions(predictions, dataset)
+    return evaluate_predictions(predictions, dataset)[0]
 
 
 def write_report_json(report: EvalReport, path) -> None:

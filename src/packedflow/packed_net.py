@@ -447,24 +447,45 @@ def save_params(path, spec: PackedSpec, params: Params) -> None:
 
 
 def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
-    """Read a model file written by :func:`save_params` (bit-exact)."""
+    """Read a model file written by :func:`save_params` (bit-exact).
+
+    A malformed file raises ``ValueError`` naming the path and the byte offset
+    of the fault; every length is checked before the bytes are read.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+
+    def fault(offset: int, message: str) -> ValueError:
+        return ValueError(f"{path}: byte {offset}: {message}")
+
+    start = len(_MODEL_MAGIC) + 4
+    if len(blob) < start:
+        raise fault(len(blob), f"file ends inside the {start}-byte magic and header length")
     if blob[: len(_MODEL_MAGIC)] != _MODEL_MAGIC:
-        raise ValueError(f"{path}: not a packed model file (bad magic)")
-    offset = len(_MODEL_MAGIC)
-    (header_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
-    offset += header_len
+        raise fault(0, "not a packed model file (bad magic)")
+    (header_len,) = struct.unpack_from("<I", blob, len(_MODEL_MAGIC))
+    offset = start + header_len
+    if offset > len(blob):
+        raise fault(len(_MODEL_MAGIC), f"header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(blob[start:offset].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise fault(start, f"header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict) or "spec" not in header or "plans" not in header:
+        raise fault(start, "header must be a JSON object with 'spec' and 'plans'")
     if header.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {header.get('format_version')}")
-    spec = PackedSpec.from_dict(header["spec"])
+        raise fault(start, f"unsupported format version {header.get('format_version')}")
+    try:
+        spec = PackedSpec.from_dict(header["spec"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise fault(start, f"invalid spec ({exc!r})") from None
     plans = plan_layers(spec)
     if [p.to_dict() for p in plans] != header["plans"]:
-        raise ValueError(f"{path}: layer plan table does not match the stored spec")
+        raise fault(start, "layer plan table does not match the stored spec")
     expected = 8 * param_count(plans)
+    if len(blob) - offset < expected:
+        raise fault(offset, f"parameter data holds {len(blob) - offset} bytes, the spec needs {expected}")
     if len(blob) - offset > expected:
-        raise ValueError(f"{path}: {len(blob) - offset - expected} trailing bytes after parameter data")
+        raise fault(offset + expected, f"{len(blob) - offset - expected} trailing bytes after parameter data")
     flat = np.frombuffer(blob, dtype="<f8", count=param_count(plans), offset=offset)
     return spec, plans, Params.from_flat(flat.astype(np.float64), _layer_shapes(plans))

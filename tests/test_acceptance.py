@@ -21,7 +21,7 @@ from helpers import (
 )
 
 from packedflow.bench import time_training
-from packedflow.cli import main
+from packedflow.cli import run_cli
 from packedflow.data import fit_scaler, write_dataset
 from packedflow.metrics import evaluate, evaluate_predictions, force_coefficients
 from packedflow.packed_net import (
@@ -193,7 +193,7 @@ def test_c7_learning_sanity():
     _, history = train(spec, dataset, None, scaler, cfg)
     ratio = min(history.train_loss) / history.train_loss[0]
 
-    report = evaluate_predictions([sim.targets for sim in dataset.simulations], dataset)
+    report, _ = evaluate_predictions([sim.targets for sim in dataset.simulations], dataset)
     perfect_ok = (
         report.mse_x_velocity == 0.0
         and report.mse_y_velocity == 0.0
@@ -232,7 +232,7 @@ def test_c8_protocol_fidelity(tmp_path):
         )
     )
     out = tmp_path / "out"
-    cli_ok = main(["cv", "--config", str(config), "--seed", "4", "--out", str(out)]) == 0
+    cli_ok = run_cli(["cv", "--config", str(config), "--seed", "4", "--out", str(out)]) == 0
     with open(out / "cv_results.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     schema_ok = rows[0] == ["dropout", "alpha", "gamma", "learning_rate", "validation_loss"]

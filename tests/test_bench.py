@@ -5,11 +5,37 @@ import csv
 import pytest
 from helpers import cylinder_dataset, field_dataset
 
+from packedflow import bench as bench_module
 from packedflow.bench import BenchCase, machine_descriptor, run_benchmark, time_training, write_benchmark
+from packedflow.data import fit_scaler
+from packedflow.metrics import EvalReport
 from packedflow.packed_net import PackedSpec, param_count, plan_layers
-from packedflow.training import TrainConfig
+from packedflow.training import TrainConfig, TrainHistory
 
 DEEP_THIN = (64, 64, 8, 64, 64, 64, 8, 64, 64)
+
+GOLDEN_CSV = (
+    b"name,layers,num_estimators,alpha,gamma,dropout,learning_rate,weight_decay,param_count,"
+    b"train_seconds,final_train_loss,mse_x_velocity,mse_y_velocity,mse_pressure,"
+    b"mse_surface_pressure,mse_turbulent_viscosity,mean_relative_drag,mean_relative_lift,"
+    b"spearman_drag,spearman_lift,error\r\n"
+    b"tiny,(8),2,1,1,False,0.01,0.0,104,0.75,0.5,0.5,0.25,0.3333333333333333,2e-07,0.30000000000000004,"
+    b"12.5,0.03125,0.8,-0.4,\r\n"
+    b'wide,"(8,4)",2,2,1,True,0.001,1e-05,240,1.125,0.30000000000000004,1e-05,3.0,0.125,4.0,0.0,'
+    b"1234567.0,0.5,,1.0,\r\n"
+    b'broken,(8),4,1,2,False,0.5,0.0,112,0.0,nan,,,,,,,,,,"ValueError: bad spec, no features"\r\n'
+)
+GOLDEN_TABLE = """\
+evaluation split: test
+model   layers  M  alpha  gamma  dropout  lr     weight decay  params  train seconds  mean relative drag  \
+mean relative lift  Spearman's correlation for drag  Spearman's correlation for lift
+tiny    (8)     2  1      1      False    0.01   0             104     0.750          12.5                \
+0.03125             0.8                              -0.4
+wide    (8,4)   2  2      1      True     0.001  1e-05         240     1.125          1.235e+06           \
+0.5                 -                                1
+broken  (8)     4  1      2      False    0.5    0             112     0.000          -                   \
+-                   -                                -
+"""
 
 
 def hidden_weight_count(spec):
@@ -51,7 +77,7 @@ class TestTimeTraining:
         dataset = field_dataset(3, num_points=40, seed=0)
         spec = PackedSpec(2, 1, 1, (8,))
         cfg = TrainConfig(learning_rate=0.01, max_epochs=3, batch_points=64, seed=1)
-        seconds, params, history = time_training(spec, cfg, dataset)
+        seconds, params, history = time_training(spec, cfg, dataset, fit_scaler(dataset))
         assert seconds > 0.0
         assert history.num_epochs == 3
         assert sum(history.wall_seconds) == seconds
@@ -60,15 +86,15 @@ class TestTimeTraining:
         dataset = field_dataset(3, num_points=40, seed=0)
         spec = PackedSpec(2, 1, 1, (8,))
         cfg = TrainConfig(learning_rate=0.01, max_epochs=3, batch_points=64, seed=1)
-        _, _, first = time_training(spec, cfg, dataset)
-        _, _, second = time_training(spec, cfg, dataset)
+        _, _, first = time_training(spec, cfg, dataset, fit_scaler(dataset))
+        _, _, second = time_training(spec, cfg, dataset, fit_scaler(dataset))
         assert first.train_loss == second.train_loss
 
     def test_early_stop_rejected(self):
         dataset = field_dataset(3, num_points=10, seed=0)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=2, seed=0, early_stop_enabled=True)
         with pytest.raises(ValueError, match="early_stop"):
-            time_training(PackedSpec(2, 1, 1, (8,)), cfg, dataset)
+            time_training(PackedSpec(2, 1, 1, (8,)), cfg, dataset, fit_scaler(dataset))
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +169,47 @@ class TestRunBenchmark:
         original = (out_dir / "bench_test.csv").read_bytes()
         regenerated = (tmp_path / "again" / "bench_test.csv").read_bytes()
         assert original == regenerated
+
+
+class TestWriteBenchmarkGolden:
+    """Both report files, byte for byte, from fixed histories and fixed metric reports."""
+
+    CASES = [
+        BenchCase("tiny", PackedSpec(2, 1, 1, (8,)), learning_rate=0.01),
+        BenchCase(
+            "wide", PackedSpec(2, 2, 1, (8, 4), dropout_enabled=True), learning_rate=0.001, weight_decay=1e-5
+        ),
+        BenchCase("broken", PackedSpec(4, 1, 2, (8,)), learning_rate=0.5),
+    ]
+    HISTORIES = {
+        "tiny": TrainHistory([0.75, 0.5], None, [0.25, 0.5]),
+        "wide": TrainHistory([2.0, 0.1 + 0.2], [1.5, 0.25], [1.0, 0.125]),
+    }
+    REPORTS = {
+        "tiny": EvalReport(0.5, 0.25, 1.0 / 3.0, 2e-07, 0.1 + 0.2, 12.5, 0.03125, 0.8, -0.4),
+        "wide": EvalReport(1e-05, 3.0, 0.125, 4.0, 0.0, 1234567.0, 0.5, None, 1.0),
+    }
+
+    @pytest.fixture
+    def out_dir(self, monkeypatch, tmp_path):
+        names = {case.spec: case.name for case in self.CASES}
+
+        def fake_time_training(spec, cfg, dataset, scaler):
+            if names[spec] == "broken":
+                raise ValueError("bad spec, no features")
+            history = self.HISTORIES[names[spec]]
+            return sum(history.wall_seconds), names[spec], history
+
+        # The fake "params" is the case name, so evaluate can look up its report.
+        monkeypatch.setattr(bench_module, "time_training", fake_time_training)
+        monkeypatch.setattr(bench_module, "evaluate", lambda params, plans, scaler, ds: self.REPORTS[params])
+        split = cylinder_dataset(3, surface_points=8, field_points=8, seed=2)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=2, batch_points=64, seed=5)
+        write_benchmark(run_benchmark(self.CASES, cfg, split, {"test": split}), tmp_path)
+        return tmp_path
+
+    def test_csv(self, out_dir):
+        assert (out_dir / "bench_test.csv").read_bytes() == GOLDEN_CSV
+
+    def test_text_table(self, out_dir):
+        assert (out_dir / "bench_test.txt").read_bytes().decode() == GOLDEN_TABLE

@@ -1,15 +1,19 @@
 """End-to-end CLI: configs, artifacts, determinism, exit codes."""
 
 import csv
+import importlib
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from packedflow.cli import main
+from packedflow import metrics
+from packedflow.cli import run_cli
 from packedflow.data import Dataset, ScalerPair, Simulation, load_dataset, write_dataset
-from packedflow.metrics import evaluate, predict_simulation
+from packedflow.metrics import coefficient_table, evaluate, predict_simulation
 from packedflow.packed_net import load_params
 
 
@@ -23,6 +27,20 @@ def directory_snapshot(root):
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()
     }
+
+
+def corrupt_model(blob, kind):
+    """A damaged copy of a model file and the byte offset its fault is reported at."""
+    (h,) = struct.unpack_from("<I", blob, 8)
+    header, params = blob[12 : 12 + h], blob[12 + h :]
+    return {
+        "under-12-bytes": (blob[:10], 10),
+        "long-header": (blob[:8] + struct.pack("<I", 10**6) + blob[12:], 8),
+        "header-not-utf8": (blob[:12] + b"\xff" + blob[13:], 12),
+        "array": (blob[:12] + b"[" + b" " * (h - 2) + b"]" + params, 12),
+        "no-plans": (blob[:12] + header.replace(b'"plans"', b'"plan_"') + params, 12),
+        "short-parameters": (blob[:-8], 12 + h),
+    }[kind]
 
 
 GEN_SPLITS = {
@@ -58,7 +76,7 @@ GEN_SPLITS = {
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     gen_config = write_config(root / "gen.json", {"splits": GEN_SPLITS})
-    assert main(["gen", "--config", gen_config, "--seed", "7", "--out", str(root / "data")]) == 0
+    assert run_cli(["gen", "--config", gen_config, "--seed", "7", "--out", str(root / "data")]) == 0
 
     train_config = write_config(
         root / "train.json",
@@ -68,7 +86,7 @@ def workspace(tmp_path_factory):
             "data": {"train_dir": "data/train"},
         },
     )
-    assert main(["train", "--config", train_config, "--seed", "3", "--out", str(root / "run")]) == 0
+    assert run_cli(["train", "--config", train_config, "--seed", "3", "--out", str(root / "run")]) == 0
     return root
 
 
@@ -81,14 +99,14 @@ class TestGen:
 
     def test_byte_identical_repeat(self, workspace, tmp_path):
         gen_config = str(workspace / "gen.json")
-        assert main(["gen", "--config", gen_config, "--seed", "7", "--out", str(tmp_path / "a")]) == 0
-        assert main(["gen", "--config", gen_config, "--seed", "7", "--out", str(tmp_path / "b")]) == 0
+        assert run_cli(["gen", "--config", gen_config, "--seed", "7", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli(["gen", "--config", gen_config, "--seed", "7", "--out", str(tmp_path / "b")]) == 0
         assert directory_snapshot(tmp_path / "a") == directory_snapshot(tmp_path / "b")
         assert directory_snapshot(tmp_path / "a") == directory_snapshot(workspace / "data")
 
     def test_other_seed_differs(self, workspace, tmp_path):
         gen_config = str(workspace / "gen.json")
-        assert main(["gen", "--config", gen_config, "--seed", "8", "--out", str(tmp_path / "c")]) == 0
+        assert run_cli(["gen", "--config", gen_config, "--seed", "8", "--out", str(tmp_path / "c")]) == 0
         assert directory_snapshot(tmp_path / "c") != directory_snapshot(workspace / "data")
 
 
@@ -111,7 +129,7 @@ class TestTrainCommand:
                 "data": {"train_dir": str(workspace / "data" / "train")},
             },
         )
-        assert main(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 0
+        assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 0
         assert directory_snapshot(workspace / "data" / "train") == before
 
 
@@ -125,7 +143,8 @@ class TestEvalCommand:
                 "data": {"dir": "data/test"},
             },
         )
-        assert main(["eval", "--config", eval_config, "--seed", "0", "--out", str(workspace / "report")]) == 0
+        argv = ["eval", "--config", eval_config, "--seed", "0", "--out", str(workspace / "report")]
+        assert run_cli(argv) == 0
         with open(workspace / "report" / "eval_report.json") as fh:
             report_from_cli = json.load(fh)
 
@@ -155,7 +174,8 @@ class TestEvalCommand:
                 "data": {"dir": str(tmp_path / "echo")},
             },
         )
-        assert main(["eval", "--config", eval_config, "--seed", "0", "--out", str(tmp_path / "report")]) == 0
+        argv = ["eval", "--config", eval_config, "--seed", "0", "--out", str(tmp_path / "report")]
+        assert run_cli(argv) == 0
         with open(tmp_path / "report" / "eval_report.json") as fh:
             report = json.load(fh)
         for key, value in report.items():
@@ -163,6 +183,31 @@ class TestEvalCommand:
                 assert value == 1.0, key
             else:
                 assert value == 0.0, key
+
+    def test_orders_each_surface_once(self, workspace, tmp_path, monkeypatch):
+        ordered = []
+        order_surface = metrics.order_surface
+
+        def counting(sim):
+            ordered.append(sim.name)
+            return order_surface(sim)
+
+        monkeypatch.setattr(metrics, "order_surface", counting)
+        config = write_config(
+            workspace / "eval_once.json",
+            {"model": "run/model.pkmlp", "scaler": "run/scaler.json", "data": {"dir": "data/test"}},
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 0
+        dataset = load_dataset(workspace / "data" / "test")
+        assert ordered == [sim.name for sim in dataset.simulations]
+
+        monkeypatch.setattr(metrics, "order_surface", order_surface)
+        spec, plans, params = load_params(workspace / "run" / "model.pkmlp")
+        scaler = ScalerPair.from_dict(json.loads((workspace / "run" / "scaler.json").read_text()))
+        predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
+        with open(tmp_path / "report" / "coefficients.csv", newline="") as fh:
+            written = [(r[0], *map(float, r[1:])) for r in list(csv.reader(fh))[1:]]
+        assert written == coefficient_table(predictions, dataset)
 
     def test_coefficient_csv_schema(self, workspace):
         with open(workspace / "report" / "coefficients.csv", newline="") as fh:
@@ -188,7 +233,7 @@ class TestCvCommand:
 
     def test_table_schema_and_fold_means(self, workspace, tmp_path):
         config = self.cv_config(workspace, tmp_path / "cv.json")
-        assert main(["cv", "--config", config, "--seed", "1", "--out", str(tmp_path / "cv_out")]) == 0
+        assert run_cli(["cv", "--config", config, "--seed", "1", "--out", str(tmp_path / "cv_out")]) == 0
         with open(tmp_path / "cv_out" / "cv_results.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["dropout", "alpha", "gamma", "learning_rate", "validation_loss"]
@@ -206,10 +251,8 @@ class TestCvCommand:
     def test_deterministic_and_parallel_equivalent(self, workspace, tmp_path):
         config = self.cv_config(workspace, tmp_path / "cv.json")
         for name, jobs in (("one", "1"), ("two", "1"), ("par", "2")):
-            assert (
-                main(["cv", "--config", config, "--seed", "5", "--jobs", jobs, "--out", str(tmp_path / name)])
-                == 0
-            )
+            argv = ["cv", "--config", config, "--seed", "5", "--jobs", jobs, "--out", str(tmp_path / name)]
+            assert run_cli(argv) == 0
         one = (tmp_path / "one" / "cv_results.csv").read_bytes()
         assert one == (tmp_path / "two" / "cv_results.csv").read_bytes()
         assert one == (tmp_path / "par" / "cv_results.csv").read_bytes()
@@ -239,7 +282,8 @@ class TestBenchCommand:
                 },
             },
         )
-        assert main(["bench", "--config", config, "--seed", "2", "--out", str(tmp_path / "bench_out")]) == 0
+        argv = ["bench", "--config", config, "--seed", "2", "--out", str(tmp_path / "bench_out")]
+        assert run_cli(argv) == 0
         for split in ("test", "test_ood"):
             assert (tmp_path / "bench_out" / f"bench_{split}.csv").exists()
             assert (tmp_path / "bench_out" / f"bench_{split}.txt").exists()
@@ -260,7 +304,7 @@ class TestExitCodes:
                 "data": {"dir": str(workspace / "data" / "test")},
             },
         )
-        code = main(["eval", "--config", config, "--out", str(tmp_path / "report")])
+        code = run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")])
         return code, scaler_path
 
     def test_nan_scaler_std_is_validation_error(self, workspace, tmp_path, capsys):
@@ -281,22 +325,70 @@ class TestExitCodes:
         assert str(scaler_path) in err and "'target_std'" in err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize(
+        "kind", ["under-12-bytes", "long-header", "header-not-utf8", "array", "no-plans", "short-parameters"]
+    )
+    def test_corrupt_model_file_is_validation_error(self, workspace, tmp_path, capsys, kind):
+        corrupted, offset = corrupt_model((workspace / "run" / "model.pkmlp").read_bytes(), kind)
+        model_path = tmp_path / "model.pkmlp"
+        model_path.write_bytes(corrupted)
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(model_path),
+                "scaler": str(workspace / "run" / "scaler.json"),
+                "data": {"dir": str(workspace / "data" / "test")},
+            },
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
+        assert f"{model_path}: byte {offset}:" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            pytest.param("{not json", id="invalid-json"),
+            pytest.param("[]", id="not-object"),
+            pytest.param('{"split_label": "test"}', id="missing-key"),
+            pytest.param('{"split_label": "val", "simulations": ["sim.csv"]}', id="unknown-split"),
+            pytest.param('{"split_label": "test", "simulations": []}', id="empty-list"),
+            pytest.param('{"split_label": "test", "simulations": 5}', id="not-a-list"),
+        ],
+    )
+    def test_malformed_manifest_is_validation_error(self, workspace, tmp_path, capsys, manifest):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        test_dir = workspace / "data" / "test"
+        first = json.loads((test_dir / "manifest.json").read_text())["simulations"][0]
+        shutil.copy(test_dir / first, data_dir / "sim.csv")
+        (data_dir / "manifest.json").write_text(manifest)
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(workspace / "run" / "model.pkmlp"),
+                "scaler": str(workspace / "run" / "scaler.json"),
+                "data": {"dir": str(data_dir)},
+            },
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
+        assert str(data_dir / "manifest.json") in capsys.readouterr().err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
-        assert main(["frobnicate"]) == 2
+        assert run_cli(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_missing_config_file(self, tmp_path):
-        assert main(["gen", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
+        assert run_cli(["gen", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "gen.json", {"splits": GEN_SPLITS, "bogus": 1})
-        assert main(["gen", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert run_cli(["gen", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert "bogus" in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_runtime_failure_returns_one(self, workspace, tmp_path):
         config = write_config(
@@ -308,7 +400,7 @@ class TestExitCodes:
             },
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+            assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
 
     def test_malformed_dataset_is_validation_error(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -323,4 +415,11 @@ class TestExitCodes:
                 "data": {"train_dir": str(data_dir)},
             },
         )
-        assert main(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 2
+        assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 2
+
+
+def test_console_script_is_the_cli_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module_name, _, attr = pyproject["project"]["scripts"]["packedflow"].partition(":")
+    assert getattr(importlib.import_module(module_name), attr) is run_cli

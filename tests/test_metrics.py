@@ -219,7 +219,7 @@ def split():
 
 class TestEvaluate:
     def test_perfect_predictor(self, split):
-        report = evaluate_predictions([sim.targets for sim in split.simulations], split)
+        report, _ = evaluate_predictions([sim.targets for sim in split.simulations], split)
         assert report.mse_x_velocity == 0.0
         assert report.mse_y_velocity == 0.0
         assert report.mse_pressure == 0.0
@@ -231,7 +231,7 @@ class TestEvaluate:
         assert report.spearman_lift == 1.0
 
     def test_report_has_exactly_nine_metrics(self, split):
-        report = evaluate_predictions([sim.targets for sim in split.simulations], split)
+        report, _ = evaluate_predictions([sim.targets for sim in split.simulations], split)
         expected = {
             "mse_x_velocity",
             "mse_y_velocity",
@@ -251,7 +251,7 @@ class TestEvaluate:
             sim.targets + rng.normal(scale=0.5, size=sim.targets.shape)
             for sim in split.simulations
         ]
-        report = evaluate_predictions(predictions, split)
+        report, _ = evaluate_predictions(predictions, split)
         drag_pred, drag_true = [], []
         for pred, sim in zip(predictions, split.simulations):
             mask = sim.surface_mask
@@ -270,8 +270,8 @@ class TestEvaluate:
             out = arr.copy()
             out[:, 2] *= 37.0
             scaled.append(out)
-        a = evaluate_predictions(base, split)
-        b = evaluate_predictions(scaled, split)
+        a, _ = evaluate_predictions(base, split)
+        b, _ = evaluate_predictions(scaled, split)
         assert a.spearman_drag == b.spearman_drag
         assert a.spearman_lift == b.spearman_lift
 
@@ -286,12 +286,12 @@ class TestEvaluate:
             sims.append(Simulation(f"ring_{i}", sim.points, targets))
         dataset = Dataset(tuple(sims), split_label="test")
         predictions = [s.targets + rng.normal(size=(12, 4)) for s in sims]
-        report = evaluate_predictions(predictions, dataset)
+        report, _ = evaluate_predictions(predictions, dataset)
         assert report.mse_surface_pressure == pytest.approx(report.mse_pressure, rel=1e-12)
 
     def test_single_simulation_leaves_spearman_undefined(self):
         split = ring_dataset(1, 32, circulation=1.0, seed=4)
-        report = evaluate_predictions([split.simulations[0].targets], split)
+        report, _ = evaluate_predictions([split.simulations[0].targets], split)
         assert report.spearman_drag is None
         assert report.spearman_lift is None
         assert report.mse_pressure == 0.0
@@ -301,7 +301,7 @@ class TestEvaluate:
 
         from packedflow.metrics import write_report_json
 
-        report = evaluate_predictions([sim.targets for sim in split.simulations], split)
+        report, _ = evaluate_predictions([sim.targets for sim in split.simulations], split)
         write_report_json(report, tmp_path / "report.json")
         loaded = json.loads((tmp_path / "report.json").read_text())
         assert EvalReport(**loaded) == report
