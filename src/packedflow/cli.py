@@ -92,6 +92,14 @@ def _parse_train(obj: dict, seed: int, where: str) -> TrainConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _convert(obj: dict, key: str, kind: type, where: str):
+    """``kind(obj[key])``, or a ConfigError naming ``where`` and the key."""
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {key!r}: {exc}") from exc
+
+
 def _parse_range(value, where: str) -> tuple[float, float]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{where}: expected a [lo, hi] pair")
@@ -209,19 +217,24 @@ def _cmd_cv(args) -> int:
     for i, row in enumerate(config["grid"]):
         where = f"cv config: grid[{i}]"
         _check_keys(row, where, required=("dropout", "alpha", "gamma", "learning_rate"))
+        if not isinstance(row["dropout"], bool):
+            raise ConfigError(f"{where}: 'dropout' must be true or false, got {row['dropout']!r}")
         grid.append(
             GridRow(
-                dropout=bool(row["dropout"]),
-                alpha=int(row["alpha"]),
-                gamma=int(row["gamma"]),
-                learning_rate=float(row["learning_rate"]),
+                dropout=row["dropout"],
+                alpha=_convert(row, "alpha", int, where),
+                gamma=_convert(row, "gamma", int, where),
+                learning_rate=_convert(row, "learning_rate", float, where),
             )
         )
-    k = int(config.get("k", 4))
+    k = _convert(config, "k", int, "cv config") if "k" in config else 4
+    fraction = None
+    if "subsample_fraction" in config:
+        fraction = _convert(config, "subsample_fraction", float, "cv config")
 
     dataset = load_dataset(_resolve(base, config["data"]["train_dir"]))
-    if "subsample_fraction" in config:
-        dataset = subsample(dataset, float(config["subsample_fraction"]), args.seed)
+    if fraction is not None:
+        dataset = subsample(dataset, fraction, args.seed)
     result = cross_validate(dataset, grid, base_spec, cfg, k=k, jobs=args.jobs)
 
     out = Path(args.out)

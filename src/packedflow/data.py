@@ -254,6 +254,12 @@ def load_dataset(directory) -> Dataset:
     names = manifest["simulations"]
     if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
         raise fault("'simulations' must be a non-empty list of file names")
+    first_entry = {}
+    for name in names:
+        stem = Path(name).stem  # the simulation name
+        if stem in first_entry:
+            raise fault(f"entry {name!r} repeats the simulation name {stem!r} of entry {first_entry[stem]!r}")
+        first_entry[stem] = name
     sims = tuple(load_simulation(directory / name) for name in names)
     return Dataset(simulations=sims, split_label=manifest["split_label"])
 

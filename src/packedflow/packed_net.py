@@ -22,6 +22,11 @@ groups as ``batch[None]``, activations are regrouped only where the group
 count changes (``gamma > 1``), and the last layer emits
 ``(num_estimators, batch, out_features)``.  Dropout masks keep the public
 layout ``(batch, out_width)`` and are viewed group-major.  All math is float64.
+
+``forward`` runs a batch in fixed row blocks of 1024 to 2047 rows (one block
+if it is shorter), so inference memory is bounded by the block, and every
+output equals that of a one-batch pass.  ReLU and dropout run in place, so
+each layer keeps one activation array, in training and in inference.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+_ROW_BLOCK = 1024  # inference rows per block; below ~384 rows BLAS may round differently
 _MODEL_MAGIC = b"PKMLP1\x00\x00"
 
 
@@ -298,28 +304,25 @@ def _check_layers(params: Params, plans: list[LayerPlan]) -> None:
 
 def _group_major(a: np.ndarray, groups: int) -> np.ndarray:
     """View channel-major rows ``(batch, width)`` as ``(groups, batch, width // groups)``."""
-    return a.reshape(len(a), groups, -1).transpose(1, 0, 2)
+    return a.reshape(len(a), groups, a.shape[1] // groups).transpose(1, 0, 2)
 
 
 def _regroup(a: np.ndarray, groups: int) -> np.ndarray:
     """Re-partition the channels of group-major ``a`` into ``groups`` contiguous groups."""
     if a.shape[0] == groups:
         return a
-    return _group_major(a.transpose(1, 0, 2).reshape(a.shape[1], -1), groups)
+    return _group_major(a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2]), groups)
 
 
-def _run_layers(
-    params: Params,
-    plans: list[LayerPlan],
-    batch: np.ndarray,
-    dropout_masks: list[np.ndarray] | None,
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray] | None]:
-    """The group-major forward pass shared by inference and training.
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Bounds of ``max(1, n // _ROW_BLOCK)`` nearly equal row blocks covering ``[0, n)``."""
+    count = max(1, n // _ROW_BLOCK)
+    edges = [n * j // count for j in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
-    Returns the last layer's output ``(num_estimators, batch, out_features)``,
-    each layer's group-major input and pre-activation, and the dropout masks
-    viewed group-major.
-    """
+
+def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks) -> np.ndarray:
+    """Validate the layers, the batch and the dropout masks; return the batch as float64."""
     _check_layers(params, plans)
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -330,25 +333,36 @@ def _run_layers(
         )
     if not np.isfinite(batch).all():
         raise ValueError("batch contains non-finite values")
+    shapes = [(len(batch), plan.out_width) for plan in plans[:-1]]
+    if dropout_masks is not None and [np.shape(m) for m in dropout_masks] != shapes:
+        raise ValueError(f"dropout masks must have shapes {shapes}")
+    return batch
+
+
+def _run_layers(params: Params, plans: list[LayerPlan], batch: np.ndarray, dropout_masks) -> tuple:
+    """The group-major forward pass shared by inference and training, on checked inputs.
+
+    Returns the last layer's output ``(num_estimators, batch, out_features)``,
+    each layer's group-major input and kept activation (ReLU then dropout, in
+    place), and the dropout masks viewed group-major.
+    """
     masks = None
     if dropout_masks is not None:
-        if len(dropout_masks) != len(plans) - 1:
-            raise ValueError(f"expected {len(plans) - 1} dropout masks, got {len(dropout_masks)}")
         masks = [_group_major(m, plan.groups) for m, plan in zip(dropout_masks, plans)]
 
     x = batch[None]  # one input group, broadcast to every estimator of the first layer
-    inputs, preacts = [], []
+    inputs, acts = [], []
     for i, plan in enumerate(plans):
         z = x @ params.weights[i].transpose(0, 2, 1)
         z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
         inputs.append(x)
-        preacts.append(z)
         if i == len(plans) - 1:
-            return z, inputs, preacts, masks
-        x = np.maximum(z, 0.0)
+            return z, inputs, acts, masks
+        np.maximum(z, 0.0, out=z)
         if masks is not None:
-            x *= masks[i]
-        x = _regroup(x, plans[i + 1].groups)
+            z *= masks[i]
+        acts.append(z)
+        x = _regroup(z, plans[i + 1].groups)
 
 
 def forward(
@@ -362,9 +376,13 @@ def forward(
     Every estimator sees the whole batch, and every layer except the last is
     followed by ReLU.  Without ``dropout_masks`` the pass is deterministic;
     with them (see :func:`make_dropout_masks`), each activation is multiplied
-    by its mask.
+    by its mask.  The rows run in blocks of :func:`_row_blocks`.
     """
-    y, _, _, _ = _run_layers(params, plans, batch, dropout_masks)
+    batch = _checked_inputs(params, plans, batch, dropout_masks)
+    y = np.empty((plans[-1].groups, len(batch), plans[-1].per_group_out))
+    for lo, hi in _row_blocks(len(batch)):
+        masks = None if dropout_masks is None else [m[lo:hi] for m in dropout_masks]
+        y[:, lo:hi] = _run_layers(params, plans, batch[lo:hi], masks)[0]
     return PerEstimatorOutput(estimator_outputs=y, mean_output=y.sum(axis=0) / len(y))
 
 
@@ -392,7 +410,8 @@ def loss_and_grad(
     if not np.isfinite(targets).all():
         raise ValueError("targets contain non-finite values")
 
-    y, inputs, preacts, masks = _run_layers(params, plans, batch, dropout_masks)
+    batch = _checked_inputs(params, plans, batch, dropout_masks)
+    y, inputs, acts, masks = _run_layers(params, plans, batch, dropout_masks)
     m, n, out_features = y.shape
     diff = y.sum(axis=0) / m - targets
     loss = float(np.mean(diff * diff))
@@ -408,7 +427,7 @@ def loss_and_grad(
             dz = _regroup(dz, plan.groups)  # a fresh array from the layer above, updated in place
             if masks is not None:
                 dz *= masks[i]
-            dz *= preacts[i] > 0.0
+            dz *= acts[i] > 0.0  # kept and active: relu(z) * mask > 0 exactly where z > 0
         np.matmul(dz.transpose(0, 2, 1), inputs[i], out=grads.weights[i])
         np.sum(dz, axis=1, out=grads.biases[i].reshape(plan.groups, plan.per_group_out))
         if i:

@@ -68,6 +68,22 @@ def block_diagonal_matrix(plan, blocks):
     return dense
 
 
+def block_diagonal_forward(plans, params, x, masks=None):
+    """Packed forward pass through materialized dense block-diagonal matrices.
+
+    ``masks``, if given, multiply each hidden activation after its ReLU.
+    Returns the per-estimator outputs, ``(num_estimators, batch, out_features)``.
+    """
+    a = np.tile(x, (1, plans[0].groups))
+    for i, plan in enumerate(plans):
+        a = a @ block_diagonal_matrix(plan, params.weights[i]).T + params.biases[i]
+        if i < len(plans) - 1:
+            a = np.maximum(a, 0.0)
+            if masks is not None:
+                a = a * masks[i]
+    return a.reshape(len(x), plans[-1].groups, -1).transpose(1, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradients
 # ---------------------------------------------------------------------------

@@ -257,6 +257,27 @@ class TestCvCommand:
         assert one == (tmp_path / "two" / "cv_results.csv").read_bytes()
         assert one == (tmp_path / "par" / "cv_results.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "row, key, value, where",
+        [
+            pytest.param(0, "alpha", "two", "cv config: grid[0]: 'alpha'", id="alpha-word"),
+            pytest.param(1, "gamma", None, "cv config: grid[1]: 'gamma'", id="gamma-null"),
+            pytest.param(1, "learning_rate", "fast", "cv config: grid[1]: 'learning_rate'", id="lr-word"),
+            pytest.param(1, "dropout", "false", "cv config: grid[1]: 'dropout'", id="dropout-string"),
+            pytest.param(0, "dropout", 0, "cv config: grid[0]: 'dropout'", id="dropout-number"),
+            pytest.param(None, "k", "four", "cv config: 'k'", id="k"),
+            pytest.param(None, "subsample_fraction", [0.5], "cv config: 'subsample_fraction'", id="fraction"),
+        ],
+    )
+    def test_bad_grid_value_is_validation_error(self, workspace, tmp_path, capsys, row, key, value, where):
+        path = Path(self.cv_config(workspace, tmp_path / "cv.json"))
+        config = json.loads(path.read_text())
+        (config if row is None else config["grid"][row])[key] = value
+        path.write_text(json.dumps(config))
+        assert run_cli(["cv", "--config", str(path), "--out", str(tmp_path / "cv_out")]) == 2
+        assert f"error: {where}" in capsys.readouterr().err
+        assert not (tmp_path / "cv_out").exists()
+
 
 class TestBenchCommand:
     def test_outputs_per_split(self, workspace, tmp_path):
@@ -353,6 +374,7 @@ class TestExitCodes:
             pytest.param('{"split_label": "val", "simulations": ["sim.csv"]}', id="unknown-split"),
             pytest.param('{"split_label": "test", "simulations": []}', id="empty-list"),
             pytest.param('{"split_label": "test", "simulations": 5}', id="not-a-list"),
+            pytest.param('{"split_label": "test", "simulations": ["sim.csv", "sim.csv"]}', id="repeated"),
         ],
     )
     def test_malformed_manifest_is_validation_error(self, workspace, tmp_path, capsys, manifest):

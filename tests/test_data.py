@@ -1,9 +1,12 @@
 """Data layer: CSV parsing, scalers, folds, subsampling, and the flow generator."""
 
+import json
+
 import numpy as np
 import pytest
 from helpers import field_dataset, field_simulation
 
+from packedflow import data
 from packedflow.data import (
     CylinderFlowConfig,
     Dataset,
@@ -149,6 +152,29 @@ class TestSimulationCsv:
         assert [s.name for s in loaded.simulations] == [s.name for s in dataset.simulations]
         for a, b in zip(loaded.simulations, dataset.simulations):
             np.testing.assert_allclose(a.points, b.points, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "entries, repeated, stem",
+        [
+            (["test_000.csv", "test_001.csv", "test_000.csv"], "test_000.csv", "test_000"),
+            (["test_001.csv", "copy/test_001.csv"], "copy/test_001.csv", "test_001"),
+        ],
+    )
+    def test_repeated_manifest_entry_rejected_before_reading(
+        self, tmp_path, monkeypatch, entries, repeated, stem
+    ):
+        write_dataset(field_dataset(2, num_points=6, split_label="test"), tmp_path / "ds")
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest_path.write_text(json.dumps({"split_label": "test", "simulations": entries}))
+
+        def no_csv_reads(path):
+            raise AssertionError(f"read {path} before the manifest was checked")
+
+        monkeypatch.setattr(data, "load_simulation", no_csv_reads)
+        with pytest.raises(SimulationParseError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value).startswith(f"{manifest_path}: ")
+        assert f"entry {repeated!r} repeats the simulation name {stem!r}" in str(info.value)
 
 
 class TestScaler:

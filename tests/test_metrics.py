@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import cylinder_dataset, naive_spearman
+from helpers import block_diagonal_forward, cylinder_dataset, field_simulation, naive_spearman
 
-from packedflow.data import Dataset, Simulation
+from packedflow.data import Dataset, Simulation, fit_scaler
 from packedflow.metrics import (
     EvalReport,
     evaluate_predictions,
@@ -12,8 +12,10 @@ from packedflow.metrics import (
     mean_relative_error,
     mse_per_channel,
     order_surface,
+    predict_simulation,
     spearman,
 )
+from packedflow.packed_net import PackedSpec, init_params, plan_layers
 
 
 def surface_polygon_simulation(xy, normals=None, inlet=(10.0, 0.0)):
@@ -305,3 +307,15 @@ class TestEvaluate:
         write_report_json(report, tmp_path / "report.json")
         loaded = json.loads((tmp_path / "report.json").read_text())
         assert EvalReport(**loaded) == report
+
+
+def test_predict_simulation_spanning_row_blocks_matches_block_diagonal_matrices():
+    sim = field_simulation("large", 3001, seed=5)
+    scaler = fit_scaler(Dataset((sim,), split_label="train"))
+    plans = plan_layers(PackedSpec(4, 2, 2, (16, 32, 16)))
+    params = init_params(plans, 9)
+    scaled = (sim.points - scaler.input_mean) / scaler.input_std
+    mean_output = block_diagonal_forward(plans, params, scaled).mean(axis=0)
+    expected = mean_output * scaler.target_std + scaler.target_mean
+    predicted = predict_simulation(params, plans, scaler, sim)
+    np.testing.assert_allclose(predicted, expected, rtol=1e-12, atol=1e-12)

@@ -7,10 +7,12 @@ differences of the loss value.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
+    block_diagonal_forward,
     block_diagonal_matrix,
     dense_forward,
     dense_loss_and_grads,
@@ -18,12 +20,16 @@ from helpers import (
     nudge_biases_off_kinks,
     relative_error,
 )
+from hypothesis import given
+from hypothesis import strategies as st
 
 from packedflow.packed_net import (
+    _ROW_BLOCK,
     LayerPlan,
     PackedSpec,
     Params,
     ShapeMismatchError,
+    _row_blocks,
     forward,
     init_params,
     load_params,
@@ -305,14 +311,9 @@ class TestRegroup:
         return plans, params, x, y, masks, dense_w
 
     def test_masked_forward_matches_block_diagonal_matrices(self):
-        plans, params, x, _, masks, dense_w = self.case(dropout=True)
-        a = np.tile(x, (1, 2))
-        for i, (w, b) in enumerate(zip(dense_w, params.biases)):
-            a = a @ w.T + b
-            if i < len(plans) - 1:
-                a = np.maximum(a, 0.0) * masks[i]
+        plans, params, x, _, masks, _ = self.case(dropout=True)
+        per_estimator = block_diagonal_forward(plans, params, x, masks)
         out = forward(params, plans, x, dropout_masks=masks)
-        per_estimator = a.reshape(len(x), 2, 3).transpose(1, 0, 2)
         np.testing.assert_allclose(out.estimator_outputs, per_estimator, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.mean_output, per_estimator.mean(axis=0), rtol=0, atol=1e-12)
 
@@ -335,6 +336,53 @@ class TestRegroup:
                 block_diagonal_matrix(plan, grads.weights[i]), ref_w[i] * on_blocks, rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(grads.biases[i], ref_b[i], rtol=0, atol=1e-12)
+
+
+class TestRowBlocks:
+    """Inference runs in row blocks; outputs must not depend on where the block edges fall."""
+
+    SPEC = PackedSpec(2, 2, 3, (9, 13, 5))
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 5000])
+    def test_forward_matches_block_diagonal_matrices(self, n, dropout):
+        plans, params, x, _ = random_case(self.SPEC, 17, batch=n)
+        masks = make_dropout_masks(plans, n, 0.2, np.random.default_rng(n)) if dropout else None
+        expected = block_diagonal_forward(plans, params, x, masks)
+        out = forward(params, plans, x, dropout_masks=masks)
+        np.testing.assert_allclose(out.estimator_outputs, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.mean_output, expected.mean(axis=0), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1, 3])
+    def test_empty_batch(self, gamma):
+        plans, params, _, _ = random_case(PackedSpec(2, 2, gamma, (9, 13, 5)), 0)
+        out = forward(params, plans, np.empty((0, 7)))
+        assert out.estimator_outputs.shape == (2, 0, 4)
+        assert out.mean_output.shape == (0, 4)
+
+    def test_rejects_masks_for_another_batch(self):
+        plans, params, x, _ = random_case(self.SPEC, 0, batch=2049)
+        masks = make_dropout_masks(plans, 2050, 0.2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dropout masks must have shapes"):
+            forward(params, plans, x, dropout_masks=masks)
+
+    def test_forward_memory_is_bounded_by_the_block(self):
+        plans, params, x, _ = random_case(PackedSpec(8, 4, 1, DEEP_THIN), 0, batch=20_000)
+        tracemalloc.start()
+        try:
+            forward(params, plans, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"forward peaked at {peak / 2**20:.0f} MiB"
+
+    @given(st.integers(min_value=0, max_value=20 * _ROW_BLOCK))
+    def test_blocks_cover_the_batch_once_in_order(self, n):
+        blocks = _row_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert min(hi - lo for lo, hi in blocks) >= min(n, _ROW_BLOCK)
+        assert len(blocks) == 1 or max(hi - lo for lo, hi in blocks) < 2 * _ROW_BLOCK
 
 
 class TestLossAndGrad:
