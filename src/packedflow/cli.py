@@ -1,9 +1,10 @@
 """Command-line pipeline: dataset generation, training, CV, evaluation, benchmarking.
 
-Each subcommand takes a strict JSON config (unknown keys rejected), a single
-``--seed`` that feeds all randomness, ``--jobs`` for CV parallelism, and an
-output directory that receives every artifact.  Relative paths inside a
-config resolve against the config file's directory.
+Each subcommand takes a strict JSON config (unknown keys and values of the
+wrong JSON type rejected, nothing coerced), a single ``--seed`` that feeds all
+randomness, ``--jobs`` for CV parallelism, and an output directory that
+receives every artifact.  Relative paths inside a config resolve against the
+config file's directory.
 
 Exit codes: 0 success, 2 config/validation error, 1 runtime failure.
 """
@@ -13,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,7 +51,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _check_keys(obj: dict, where: str, required: tuple, optional: tuple = ()) -> None:
+def _check_keys(obj: dict, where: str, required, optional=()) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     unknown = sorted(set(obj) - set(required) - set(optional))
@@ -59,51 +62,52 @@ def _check_keys(obj: dict, where: str, required: tuple, optional: tuple = ()) ->
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
-def _parse_spec(obj: dict, where: str) -> PackedSpec:
-    _check_keys(
-        obj,
-        where,
-        required=("num_estimators", "alpha", "gamma", "hidden_widths"),
-        optional=("in_features", "out_features", "dropout_enabled", "dropout_p"),
-    )
+def _read(cls, obj: dict, where: str, **given):
+    """A ``cls`` built from the JSON object ``obj``, or a ConfigError naming ``where``.
+
+    The keys of ``obj`` are the fields of ``cls`` other than those in
+    ``given``: a field with a default may be left out, one without must be set.
+    Each value must have exactly its field's JSON type (see ``_value``).
+    """
+    settable = [f for f in fields(cls) if f.name not in given]
+    required = [f.name for f in settable if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(obj, where, required, [f.name for f in settable])
+    kinds = get_type_hints(cls)
+    values = {name: _value(kinds[name], value, f"{where}: {name!r}") for name, value in obj.items()}
     try:
-        return PackedSpec.from_dict(obj)
-    except (TypeError, ValueError) as exc:
+        return cls(**values, **given)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_train(obj: dict, seed: int, where: str) -> TrainConfig:
-    _check_keys(
-        obj,
-        where,
-        required=("learning_rate",),
-        optional=(
-            "weight_decay",
-            "max_epochs",
-            "batch_points",
-            "early_stop_enabled",
-            "early_stop_threshold",
-            "early_stop_window",
-        ),
-    )
-    try:
-        return TrainConfig(seed=seed, **obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _value(kind, value, where: str):
+    """``value`` checked against the field annotation ``kind``, never coerced.
 
-
-def _convert(obj: dict, key: str, kind: type, where: str):
-    """``kind(obj[key])``, or a ConfigError naming ``where`` and the key."""
-    try:
-        return kind(obj[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {key!r}: {exc}") from exc
-
-
-def _parse_range(value, where: str) -> tuple[float, float]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{where}: expected a [lo, hi] pair")
-    return float(value[0]), float(value[1])
+    ``tuple[T, ...]`` takes a list of ``T`` and ``tuple[T, T]`` a list of two;
+    a dataclass takes an object, read by ``_read``.  A float field takes any
+    finite JSON number and returns it as a float.
+    """
+    if is_dataclass(kind):
+        return _read(kind, value, where)
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {json.dumps(value)}")
+        if items[1:] == (Ellipsis,):
+            items = items[:1] * len(value)
+        elif len(value) != len(items):
+            raise ConfigError(f"{where}: expected a list of {len(items)}, got {json.dumps(value)}")
+        return tuple(_value(item, v, f"{where}[{i}]") for i, (item, v) in enumerate(zip(items, value)))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    valid, expected = {
+        bool: (isinstance(value, bool), "true or false"),
+        int: (number and isinstance(value, int), "an integer"),
+        float: (number and abs(value) <= sys.float_info.max, "a finite number"),
+        str: (isinstance(value, str), "a string"),
+    }[kind]
+    if not valid:
+        raise ConfigError(f"{where}: expected {expected}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
 def _split_seed(seed: int, index: int) -> int:
@@ -124,48 +128,26 @@ def _load_config(path: str) -> tuple[dict, Path]:
     return config, config_path.parent
 
 
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
+def _path(base: Path, obj: dict, key: str, where: str) -> Path:
+    """The path string ``obj[key]``, relative paths resolved against ``base``."""
+    path = Path(_value(str, obj[key], f"{where}: {key!r}"))
     return path if path.is_absolute() else base / path
 
 
 def _cmd_gen(args) -> int:
-    config, base = _load_config(args.config)
+    config, _ = _load_config(args.config)
     _check_keys(config, "gen config", required=("splits",))
     splits = config["splits"]
     if not isinstance(splits, dict) or not splits:
         raise ConfigError("gen config: 'splits' must be a non-empty object")
-    out = Path(args.out)
+    gen_cfgs = {}
     for index, (split_name, split_cfg) in enumerate(sorted(splits.items())):
         where = f"gen config: splits.{split_name}"
         if split_name not in SPLIT_LABELS:
             raise ConfigError(f"{where}: split name must be one of {SPLIT_LABELS}")
-        _check_keys(
-            split_cfg,
-            where,
-            required=(
-                "num_sims",
-                "surface_points",
-                "field_points",
-                "radius_range",
-                "inlet_speed_range",
-                "circulation_range",
-            ),
-            optional=("ood",),
-        )
-        try:
-            gen_cfg = CylinderFlowConfig(
-                num_sims=int(split_cfg["num_sims"]),
-                surface_points=int(split_cfg["surface_points"]),
-                field_points=int(split_cfg["field_points"]),
-                radius_range=_parse_range(split_cfg["radius_range"], where),
-                inlet_speed_range=_parse_range(split_cfg["inlet_speed_range"], where),
-                circulation_range=_parse_range(split_cfg["circulation_range"], where),
-                seed=_split_seed(args.seed, index),
-                ood=bool(split_cfg.get("ood", False)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        gen_cfgs[split_name] = _read(CylinderFlowConfig, split_cfg, where, seed=_split_seed(args.seed, index))
+    out = Path(args.out)
+    for split_name, gen_cfg in gen_cfgs.items():
         dataset = generate_cylinder_flow(gen_cfg, split_label=split_name)
         write_dataset(dataset, out / split_name)
         print(f"wrote {len(dataset)} simulations to {out / split_name}")
@@ -176,13 +158,13 @@ def _cmd_train(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "train config", required=("spec", "train", "data"))
     _check_keys(config["data"], "train config: data", required=("train_dir",), optional=("val_dir",))
-    spec = _parse_spec(config["spec"], "train config: spec")
-    cfg = _parse_train(config["train"], args.seed, "train config: train")
+    spec = _read(PackedSpec, config["spec"], "train config: spec")
+    cfg = _read(TrainConfig, config["train"], "train config: train", seed=args.seed)
 
-    train_data = load_dataset(_resolve(base, config["data"]["train_dir"]))
+    train_data = load_dataset(_path(base, config["data"], "train_dir", "train config: data"))
     val_data = None
     if "val_dir" in config["data"]:
-        val_data = load_dataset(_resolve(base, config["data"]["val_dir"]))
+        val_data = load_dataset(_path(base, config["data"], "val_dir", "train config: data"))
     scaler = fit_scaler(train_data)
     params, history = train(spec, train_data, val_data, scaler, cfg)
 
@@ -209,30 +191,17 @@ def _cmd_cv(args) -> int:
         optional=("k", "subsample_fraction"),
     )
     _check_keys(config["data"], "cv config: data", required=("train_dir",))
-    base_spec = _parse_spec(config["base_spec"], "cv config: base_spec")
-    cfg = _parse_train(config["train"], args.seed, "cv config: train")
+    base_spec = _read(PackedSpec, config["base_spec"], "cv config: base_spec")
+    cfg = _read(TrainConfig, config["train"], "cv config: train", seed=args.seed)
     if not isinstance(config["grid"], list) or not config["grid"]:
         raise ConfigError("cv config: 'grid' must be a non-empty list")
-    grid = []
-    for i, row in enumerate(config["grid"]):
-        where = f"cv config: grid[{i}]"
-        _check_keys(row, where, required=("dropout", "alpha", "gamma", "learning_rate"))
-        if not isinstance(row["dropout"], bool):
-            raise ConfigError(f"{where}: 'dropout' must be true or false, got {row['dropout']!r}")
-        grid.append(
-            GridRow(
-                dropout=row["dropout"],
-                alpha=_convert(row, "alpha", int, where),
-                gamma=_convert(row, "gamma", int, where),
-                learning_rate=_convert(row, "learning_rate", float, where),
-            )
-        )
-    k = _convert(config, "k", int, "cv config") if "k" in config else 4
+    grid = [_read(GridRow, row, f"cv config: grid[{i}]") for i, row in enumerate(config["grid"])]
+    k = _value(int, config.get("k", 4), "cv config: 'k'")
     fraction = None
     if "subsample_fraction" in config:
-        fraction = _convert(config, "subsample_fraction", float, "cv config")
+        fraction = _value(float, config["subsample_fraction"], "cv config: 'subsample_fraction'")
 
-    dataset = load_dataset(_resolve(base, config["data"]["train_dir"]))
+    dataset = load_dataset(_path(base, config["data"], "train_dir", "cv config: data"))
     if fraction is not None:
         dataset = subsample(dataset, fraction, args.seed)
     result = cross_validate(dataset, grid, base_spec, cfg, k=k, jobs=args.jobs)
@@ -255,16 +224,16 @@ def _cmd_eval(args) -> int:
     _check_keys(config, "eval config", required=("model", "scaler", "data"))
     _check_keys(config["data"], "eval config: data", required=("dir",))
     try:
-        spec, plans, params = load_params(_resolve(base, config["model"]))
+        spec, plans, params = load_params(_path(base, config, "model", "eval config"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    scaler_path = _resolve(base, config["scaler"])
+    scaler_path = _path(base, config, "scaler", "eval config")
     with open(scaler_path, encoding="utf-8") as fh:
         try:
             scaler = ScalerPair.from_dict(json.load(fh))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{scaler_path}: invalid scaler ({exc})") from exc
-    dataset = load_dataset(_resolve(base, config["data"]["dir"]))
+    dataset = load_dataset(_path(base, config["data"], "dir", "eval config: data"))
 
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
     report, rows = evaluate_predictions(predictions, dataset)
@@ -280,36 +249,27 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "bench config", required=("cases", "train", "data"))
-    _check_keys(
-        config["data"],
-        "bench config: data",
-        required=("train_dir", "test_dir"),
-        optional=("test_ood_dir",),
-    )
-    cfg = _parse_train(config["train"], args.seed, "bench config: train")
+    data = config["data"]
+    _check_keys(data, "bench config: data", required=("train_dir", "test_dir"), optional=("test_ood_dir",))
+    cfg = _read(TrainConfig, config["train"], "bench config: train", seed=args.seed)
     if not isinstance(config["cases"], list) or not config["cases"]:
         raise ConfigError("bench config: 'cases' must be a non-empty list")
+    # A case's optimizer settings default to the train section's.
+    defaults = {"learning_rate": cfg.learning_rate, "weight_decay": cfg.weight_decay}
     cases = []
     for i, case_cfg in enumerate(config["cases"]):
         where = f"bench config: cases[{i}]"
-        _check_keys(
-            case_cfg, where, required=("name", "spec"), optional=("learning_rate", "weight_decay")
-        )
-        cases.append(
-            BenchCase(
-                name=str(case_cfg["name"]),
-                spec=_parse_spec(case_cfg["spec"], f"{where}: spec"),
-                learning_rate=float(case_cfg.get("learning_rate", cfg.learning_rate)),
-                weight_decay=float(case_cfg.get("weight_decay", cfg.weight_decay)),
-            )
-        )
+        if not isinstance(case_cfg, dict):
+            raise ConfigError(f"{where}: expected a JSON object")
+        cases.append(_read(BenchCase, {**defaults, **case_cfg}, where))
     if len({c.name for c in cases}) != len(cases):
         raise ConfigError("bench config: case names must be unique")
+    dirs = {key: _path(base, data, key, "bench config: data") for key in data}
 
-    train_split = load_dataset(_resolve(base, config["data"]["train_dir"]))
-    eval_splits = {"test": load_dataset(_resolve(base, config["data"]["test_dir"]))}
-    if "test_ood_dir" in config["data"]:
-        eval_splits["test_ood"] = load_dataset(_resolve(base, config["data"]["test_ood_dir"]))
+    train_split = load_dataset(dirs["train_dir"])
+    eval_splits = {"test": load_dataset(dirs["test_dir"])}
+    if "test_ood_dir" in dirs:
+        eval_splits["test_ood"] = load_dataset(dirs["test_ood_dir"])
 
     report = run_benchmark(cases, cfg, train_split, eval_splits)
     write_benchmark(report, args.out)

@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 __all__ = [
+    "DROPOUT_P",
     "PackedSpec",
     "LayerPlan",
     "Params",
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+DROPOUT_P = 0.2  # the only dropout probability; model headers still store it as "dropout_p"
 _ROW_BLOCK = 1024  # inference rows per block; below ~384 rows BLAS may round differently
 _MODEL_MAGIC = b"PKMLP1\x00\x00"
 
@@ -78,7 +80,6 @@ class PackedSpec:
     in_features: int = 7
     out_features: int = 4
     dropout_enabled: bool = False
-    dropout_p: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -93,16 +94,15 @@ class PackedSpec:
             raise ValueError(f"hidden widths must be positive, got {self.hidden_widths}")
         if self.in_features < 1 or self.out_features < 1:
             raise ValueError("in_features and out_features must be positive")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.dropout_enabled and self.dropout_p != 0.2:
-            raise ValueError("dropout probability is fixed at 0.2 when dropout is enabled")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
+        return {**asdict(self), "hidden_widths": list(self.hidden_widths), "dropout_p": DROPOUT_P}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PackedSpec":
+        """Read a spec from a model header; a stored ``dropout_p`` must be ``DROPOUT_P`` if dropout is on."""
+        if obj.get("dropout_enabled") and obj.get("dropout_p", DROPOUT_P) != DROPOUT_P:
+            raise ValueError(f"dropout probability is fixed at {DROPOUT_P} when dropout is enabled")
         return cls(
             num_estimators=int(obj["num_estimators"]),
             alpha=int(obj["alpha"]),
@@ -111,7 +111,6 @@ class PackedSpec:
             in_features=int(obj.get("in_features", 7)),
             out_features=int(obj.get("out_features", 4)),
             dropout_enabled=bool(obj.get("dropout_enabled", False)),
-            dropout_p=float(obj.get("dropout_p", 0.2)),
         )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .data import Dataset, ScalerPair, _pooled, apply_scaler, fit_scaler, kfold_split
 from .packed_net import (
+    DROPOUT_P,
     PackedSpec,
     Params,
     forward,
@@ -236,7 +237,7 @@ def train(
             idx = order[start : start + cfg.batch_points]
             masks = None
             if spec.dropout_enabled:
-                masks = make_dropout_masks(plans, len(idx), spec.dropout_p, rng)
+                masks = make_dropout_masks(plans, len(idx), DROPOUT_P, rng)
             loss, grads = loss_and_grad(params, plans, x[idx], y[idx], masks)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"loss = {loss}")

@@ -1,20 +1,27 @@
 """End-to-end CLI: configs, artifacts, determinism, exit codes."""
 
+import copy
 import csv
+import dataclasses
 import importlib
 import json
 import shutil
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packedflow import metrics
-from packedflow.cli import run_cli
-from packedflow.data import Dataset, ScalerPair, Simulation, load_dataset, write_dataset
+from packedflow.bench import BenchCase
+from packedflow.cli import ConfigError, _read, run_cli
+from packedflow.data import CylinderFlowConfig, Dataset, ScalerPair, Simulation, load_dataset, write_dataset
 from packedflow.metrics import coefficient_table, evaluate, predict_simulation
-from packedflow.packed_net import load_params
+from packedflow.packed_net import PackedSpec, load_params
+from packedflow.training import GridRow, TrainConfig
 
 
 def write_config(path, payload):
@@ -438,6 +445,122 @@ class TestExitCodes:
             },
         )
         assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 2
+
+
+SPEC = {"num_estimators": 2, "alpha": 1, "gamma": 1, "hidden_widths": [8]}
+TRAIN = {"learning_rate": 0.01, "max_epochs": 1, "batch_points": 64}
+
+
+def valid_configs(workspace):
+    """One valid config per subcommand, over the workspace's data and model."""
+    data = workspace / "data"
+    return {
+        "gen": {"splits": GEN_SPLITS},
+        "train": {"spec": SPEC, "train": TRAIN, "data": {"train_dir": str(data / "train")}},
+        "cv": {
+            "base_spec": SPEC,
+            "train": TRAIN,
+            "grid": [{"dropout": False, "alpha": 1, "gamma": 1, "learning_rate": 0.01}],
+            "k": 2,
+            "data": {"train_dir": str(data / "train")},
+        },
+        "eval": {
+            "model": str(workspace / "run" / "model.pkmlp"),
+            "scaler": str(workspace / "run" / "scaler.json"),
+            "data": {"dir": str(data / "test")},
+        },
+        "bench": {
+            "cases": [{"name": "packed", "spec": SPEC}],
+            "train": TRAIN,
+            "data": {"train_dir": str(data / "train"), "test_dir": str(data / "test")},
+        },
+    }
+
+
+def fault(command, path, value, where):
+    return pytest.param(command, path, value, where, id=f"{command}-{'.'.join(map(str, path))}-{value!r}")
+
+
+@pytest.mark.parametrize(
+    "command, path, value, where",
+    [
+        fault("gen", ("splits", "train", "num_sims"), None, "gen config: splits.train: 'num_sims'"),
+        fault("gen", ("splits", "train", "num_sims"), 2.7, "gen config: splits.train: 'num_sims'"),
+        fault("gen", ("splits", "test_ood", "ood"), "false", "gen config: splits.test_ood: 'ood'"),
+        fault("train", ("spec", "hidden_widths"), "64", "train config: spec: 'hidden_widths'"),
+        fault("train", ("spec", "alpha"), 2.9, "train config: spec: 'alpha'"),
+        fault("train", ("spec", "dropout_enabled"), "false", "train config: spec: 'dropout_enabled'"),
+        fault("cv", ("base_spec", "dropout_enabled"), "false", "cv config: base_spec: 'dropout_enabled'"),
+        fault("train", ("train", "max_epochs"), 1.5, "train config: train: 'max_epochs'"),
+        fault("train", ("train", "early_stop_enabled"), "false", "train config: train: 'early_stop_enabled'"),
+        fault("train", ("train", "learning_rate"), True, "train config: train: 'learning_rate'"),
+        fault("train", ("train", "learning_rate"), "0.001", "train config: train: 'learning_rate'"),
+        fault("cv", ("grid", 0, "alpha"), 2.5, "cv config: grid[0]: 'alpha'"),
+        fault("bench", ("cases", 0, "learning_rate"), "fast", "bench config: cases[0]: 'learning_rate'"),
+        fault("bench", ("cases", 0, "name"), 5, "bench config: cases[0]: 'name'"),
+        fault("train", ("data", "train_dir"), 5, "train config: data: 'train_dir'"),
+        fault("eval", ("data", "dir"), 5, "eval config: data: 'dir'"),
+    ],
+)
+def test_wrong_json_type_is_validation_error(workspace, tmp_path, capsys, command, path, value, where):
+    config = copy.deepcopy(valid_configs(workspace)[command])
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    config_path = write_config(tmp_path / f"{command}.json", config)
+    assert run_cli([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {where}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+VALID_SECTIONS = {
+    PackedSpec: {**SPEC, "in_features": 7, "out_features": 4, "dropout_enabled": False},
+    TrainConfig: {
+        "learning_rate": 0.01,
+        "weight_decay": 0.0,
+        "max_epochs": 3,
+        "batch_points": 64,
+        "early_stop_enabled": True,
+        "early_stop_threshold": 0.01,
+        "early_stop_window": 5,
+    },
+    CylinderFlowConfig: {**GEN_SPLITS["test_ood"]},
+    GridRow: {"dropout": True, "alpha": 2, "gamma": 2, "learning_rate": 0.001},
+    BenchCase: {"name": "packed", "spec": SPEC, "learning_rate": 0.01, "weight_decay": 0.0},
+}
+GIVEN = {TrainConfig: {"seed": 0}, CylinderFlowConfig: {"seed": 0}}
+
+
+def has_json_type(kind, value):
+    """Whether ``value`` is a JSON value of the type the field annotation ``kind`` names."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        return number
+    if kind is int:
+        return number and isinstance(value, int)
+    if kind in (bool, str):
+        return isinstance(value, kind)
+    return isinstance(value, dict if dataclasses.is_dataclass(kind) else list)
+
+
+@pytest.mark.parametrize("cls", list(VALID_SECTIONS), ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_wrong_json_type_names_its_key(cls, data):
+    section = VALID_SECTIONS[cls]
+    assert set(section) == {f.name for f in dataclasses.fields(cls)} - set(GIVEN.get(cls, {}))
+    assert isinstance(_read(cls, section, "section", **GIVEN.get(cls, {})), cls)
+    name = data.draw(st.sampled_from(sorted(section)), label="key")
+    kind = typing.get_type_hints(cls)[name]
+    value = data.draw(JSON_VALUES.filter(lambda v: not has_json_type(kind, v)), label="value")
+    with pytest.raises(ConfigError, match=f"^section: '{name}'"):
+        _read(cls, {**section, name: value}, "section", **GIVEN.get(cls, {}))
 
 
 def test_console_script_is_the_cli_entry_point():

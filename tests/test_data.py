@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 from helpers import field_dataset, field_simulation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from packedflow import data
 from packedflow.data import (
@@ -143,6 +146,25 @@ class TestSimulationCsv:
         loaded = load_simulation(tmp_path / "round.csv")
         np.testing.assert_allclose(loaded.points, source.points, rtol=0, atol=1e-12)
         np.testing.assert_allclose(loaded.targets, source.targets, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_round_trip_bit_exact_property(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 12), label="points")
+        values = data.draw(arrays(np.float64, (n, 11), elements=st.floats(allow_nan=False, allow_infinity=False)))
+        on_surface = data.draw(arrays(np.bool_, n), label="on_surface")
+        angle = data.draw(arrays(np.float64, n, elements=st.floats(-np.pi, np.pi)), label="angle")
+        points = values[:, :7].copy()
+        points[:, 4] = np.where(on_surface, 0.0, np.abs(points[:, 4]))
+        points[:, 5] = np.where(on_surface, np.cos(angle), 0.0)
+        points[:, 6] = np.where(on_surface, np.sin(angle), 0.0)
+        source = Simulation("round", points, values[:, 7:])
+        path = tmp_path_factory.mktemp("sim") / "round.csv"
+        write_simulation(source, path)
+        loaded = load_simulation(path)
+        assert loaded.name == "round"
+        assert loaded.points.tobytes() == source.points.tobytes()
+        assert loaded.targets.tobytes() == source.targets.tobytes()
 
     def test_dataset_round_trip(self, tmp_path):
         dataset = field_dataset(3, num_points=6, seed=1, split_label="test")

@@ -6,6 +6,7 @@ differences of the loss value.
 """
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -20,11 +21,12 @@ from helpers import (
     nudge_biases_off_kinks,
     relative_error,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packedflow.packed_net import (
     _ROW_BLOCK,
+    DROPOUT_P,
     LayerPlan,
     PackedSpec,
     Params,
@@ -62,9 +64,17 @@ class TestSpecValidation:
             PackedSpec(1, 1, 1, (8, 0))
 
     def test_dropout_probability_pinned(self):
-        PackedSpec(1, 1, 1, (8,), dropout_enabled=True, dropout_p=0.2)
-        with pytest.raises(ValueError):
-            PackedSpec(1, 1, 1, (8,), dropout_enabled=True, dropout_p=0.5)
+        assert DROPOUT_P == 0.2
+        with pytest.raises(TypeError):
+            PackedSpec(1, 1, 1, (8,), dropout_p=0.2)
+        off, on = (PackedSpec(1, 1, 1, (8,), dropout_enabled=enabled) for enabled in (False, True))
+        for spec in (off, on):
+            assert spec.to_dict()["dropout_p"] == 0.2
+            assert PackedSpec.from_dict(spec.to_dict()) == spec
+            assert PackedSpec.from_dict({k: v for k, v in spec.to_dict().items() if k != "dropout_p"}) == spec
+        assert PackedSpec.from_dict({**off.to_dict(), "dropout_p": 0.5}) == off
+        with pytest.raises(ValueError, match="fixed at 0.2"):
+            PackedSpec.from_dict({**on.to_dict(), "dropout_p": 0.5})
 
 
 class TestPlanLayers:
@@ -482,6 +492,42 @@ class TestSerialization:
         _, _, loaded = load_params(tmp_path / "model.pkmlp")
         save_params(tmp_path / "again.pkmlp", spec, loaded)
         assert (tmp_path / "again.pkmlp").read_bytes() == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.builds(
+            PackedSpec,
+            num_estimators=st.integers(1, 4),
+            alpha=st.integers(1, 3),
+            gamma=st.integers(1, 3),
+            hidden_widths=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+            in_features=st.integers(1, 8),
+            out_features=st.integers(1, 5),
+            dropout_enabled=st.booleans(),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_bit_exact_property(self, tmp_path_factory, spec, seed):
+        plans = plan_layers(spec)
+        params = init_params(plans, 0)
+        bits = np.frombuffer(np.random.default_rng(seed).bytes(params.flat.nbytes), dtype="<f8")
+        params.flat[:] = np.where(np.isfinite(bits), bits, 0.0)  # every finite double, subnormals and -0.0
+        path = tmp_path_factory.mktemp("model") / "model.pkmlp"
+        save_params(path, spec, params)
+        loaded_spec, loaded_plans, loaded = load_params(path)
+        assert (loaded_spec, loaded_plans) == (spec, plans)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_truncated_file_names_the_path(self, tmp_path_factory, data):
+        spec = PackedSpec(2, 2, 2, (6, 5), dropout_enabled=True)
+        path = tmp_path_factory.mktemp("model") / "model.pkmlp"
+        save_params(path, spec, init_params(plan_layers(spec), 3))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte "):
+            load_params(path)
 
     def test_round_trip_eval_equivalent(self, tmp_path):
         spec = PackedSpec(3, 2, 1, (12,))
