@@ -34,7 +34,6 @@ from .metrics import (
     evaluate_predictions,
     force_coefficients,
     mean_relative_error,
-    mse_per_channel,
     order_surface,
     predict_simulation,
     spearman,

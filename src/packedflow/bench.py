@@ -8,8 +8,6 @@ numbers within one report are.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import platform
 from dataclasses import dataclass, field, fields, replace
@@ -17,6 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .data import Dataset, ScalerPair, fit_scaler
+from .formats import write_csv, write_json
 from .metrics import EvalReport, evaluate
 from .packed_net import PackedSpec, Params, param_count, plan_layers
 from .training import TrainConfig, TrainHistory, train, write_history_csv
@@ -171,9 +170,7 @@ def write_benchmark(report: BenchReport, out_dir) -> None:
     """Emit one CSV and one aligned text table per split, raw per-epoch logs, and machine info."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "machine.json", "w", encoding="utf-8") as fh:
-        json.dump(report.machine, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "machine.json", report.machine)
 
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(exist_ok=True)
@@ -183,10 +180,7 @@ def write_benchmark(report: BenchReport, out_dir) -> None:
 
     for split_name in report.split_names:
         values = [[col.value(row, row.reports.get(split_name)) for col in _COLUMNS] for row in report.rows]
-        with open(out_dir / f"bench_{split_name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)  # floats as repr, None as an empty cell
-            writer.writerow(col.name for col in _COLUMNS)
-            writer.writerows(values)
+        write_csv(out_dir / f"bench_{split_name}.csv", [col.name for col in _COLUMNS], values)
         _write_text_table(split_name, values, out_dir / f"bench_{split_name}.txt")
 
 

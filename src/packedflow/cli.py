@@ -12,11 +12,8 @@ Exit codes: 0 success, 2 config/validation error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,6 +29,7 @@ from .data import (
     subsample,
     write_dataset,
 )
+from .formats import ConfigError, _check_keys, _read, _value, read_json, write_json
 from .metrics import evaluate_predictions, predict_simulation, write_coefficients_csv, write_report_json
 from .packed_net import PackedSpec, load_params, save_params
 from .training import (
@@ -44,70 +42,7 @@ from .training import (
     write_history_csv,
 )
 
-__all__ = ["run_cli", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
-
-
-def _check_keys(obj: dict, where: str, required, optional=()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
-
-
-def _read(cls, obj: dict, where: str, **given):
-    """A ``cls`` built from the JSON object ``obj``, or a ConfigError naming ``where``.
-
-    The keys of ``obj`` are the fields of ``cls`` other than those in
-    ``given``: a field with a default may be left out, one without must be set.
-    Each value must have exactly its field's JSON type (see ``_value``).
-    """
-    settable = [f for f in fields(cls) if f.name not in given]
-    required = [f.name for f in settable if f.default is MISSING and f.default_factory is MISSING]
-    _check_keys(obj, where, required, [f.name for f in settable])
-    kinds = get_type_hints(cls)
-    values = {name: _value(kinds[name], value, f"{where}: {name!r}") for name, value in obj.items()}
-    try:
-        return cls(**values, **given)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _value(kind, value, where: str):
-    """``value`` checked against the field annotation ``kind``, never coerced.
-
-    ``tuple[T, ...]`` takes a list of ``T`` and ``tuple[T, T]`` a list of two;
-    a dataclass takes an object, read by ``_read``.  A float field takes any
-    finite JSON number and returns it as a float.
-    """
-    if is_dataclass(kind):
-        return _read(kind, value, where)
-    if get_origin(kind) is tuple:
-        items = get_args(kind)
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {json.dumps(value)}")
-        if items[1:] == (Ellipsis,):
-            items = items[:1] * len(value)
-        elif len(value) != len(items):
-            raise ConfigError(f"{where}: expected a list of {len(items)}, got {json.dumps(value)}")
-        return tuple(_value(item, v, f"{where}[{i}]") for i, (item, v) in enumerate(zip(items, value)))
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    valid, expected = {
-        bool: (isinstance(value, bool), "true or false"),
-        int: (number and isinstance(value, int), "an integer"),
-        float: (number and abs(value) <= sys.float_info.max, "a finite number"),
-        str: (isinstance(value, str), "a string"),
-    }[kind]
-    if not valid:
-        raise ConfigError(f"{where}: expected {expected}, got {json.dumps(value)}")
-    return float(value) if kind is float else value
+__all__ = ["run_cli"]
 
 
 def _split_seed(seed: int, index: int) -> int:
@@ -117,12 +52,9 @@ def _split_seed(seed: int, index: int) -> int:
 def _load_config(path: str) -> tuple[dict, Path]:
     config_path = Path(path)
     try:
-        with open(config_path, encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = read_json(config_path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {config_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{config_path}: top level must be a JSON object")
     return config, config_path.parent
@@ -171,14 +103,10 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_params(out / "model.pkmlp", spec, params)
-    with open(out / "scaler.json", "w", encoding="utf-8") as fh:
-        json.dump(scaler.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "scaler.json", scaler.to_dict())
     write_history_csv(history, out / "history.csv")
-    print(
-        f"trained {history.num_epochs} epochs, final train loss {history.train_loss[-1]:.6g}; "
-        f"artifacts in {out}"
-    )
+    final = f", final train loss {history.train_loss[-1]:.6g}" if history.num_epochs else ""
+    print(f"trained {history.num_epochs} epochs{final}; artifacts in {out}")
     return 0
 
 
@@ -197,9 +125,13 @@ def _cmd_cv(args) -> int:
         raise ConfigError("cv config: 'grid' must be a non-empty list")
     grid = [_read(GridRow, row, f"cv config: grid[{i}]") for i, row in enumerate(config["grid"])]
     k = _value(int, config.get("k", 4), "cv config: 'k'")
+    if k < 2:
+        raise ConfigError(f"cv config: 'k' must be >= 2, got {k}")
     fraction = None
     if "subsample_fraction" in config:
         fraction = _value(float, config["subsample_fraction"], "cv config: 'subsample_fraction'")
+        if not 0.0 < fraction <= 1.0:
+            raise ConfigError(f"cv config: 'subsample_fraction' must be in (0, 1], got {fraction}")
 
     dataset = load_dataset(_path(base, config["data"], "train_dir", "cv config: data"))
     if fraction is not None:
@@ -223,16 +155,9 @@ def _cmd_eval(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "eval config", required=("model", "scaler", "data"))
     _check_keys(config["data"], "eval config: data", required=("dir",))
-    try:
-        spec, plans, params = load_params(_path(base, config, "model", "eval config"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _, plans, params = load_params(_path(base, config, "model", "eval config"))
     scaler_path = _path(base, config, "scaler", "eval config")
-    with open(scaler_path, encoding="utf-8") as fh:
-        try:
-            scaler = ScalerPair.from_dict(json.load(fh))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{scaler_path}: invalid scaler ({exc})") from exc
+    scaler = ScalerPair.from_dict(read_json(scaler_path), str(scaler_path))
     dataset = load_dataset(_path(base, config["data"], "dir", "eval config: data"))
 
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]

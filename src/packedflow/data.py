@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .formats import _read, write_json
+
 __all__ = [
     "CSV_COLUMNS",
     "SPLIT_LABELS",
@@ -157,21 +159,12 @@ class ScalerPair:
             raise ValueError("scaler std entries must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "input_mean": self.input_mean.tolist(),
-            "input_std": self.input_std.tolist(),
-            "target_mean": self.target_mean.tolist(),
-            "target_std": self.target_std.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name, _ in _SCALER_FIELDS}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ScalerPair":
-        if not isinstance(obj, dict):
-            raise ValueError("scaler must be a JSON object")
-        missing = [name for name, _ in _SCALER_FIELDS if name not in obj]
-        if missing:
-            raise ValueError(f"scaler is missing key {missing[0]!r}")
-        return cls(**{name: np.asarray(obj[name], dtype=np.float64) for name, _ in _SCALER_FIELDS})
+    def from_dict(cls, obj, where: str = "scaler") -> "ScalerPair":
+        """Read a scaler as ``to_dict`` writes it, strictly typed (a fault names ``where``)."""
+        return _read(cls, obj, where)
 
 
 def load_simulation(path) -> Simulation:
@@ -272,10 +265,7 @@ def write_dataset(dataset: Dataset, directory) -> None:
         file_name = f"{sim.name}.csv"
         write_simulation(sim, directory / file_name)
         file_names.append(file_name)
-    manifest = {"split_label": dataset.split_label, "simulations": file_names}
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(directory / MANIFEST_NAME, {"split_label": dataset.split_label, "simulations": file_names})
 
 
 def _pooled(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -10,21 +10,19 @@ are the meaningful cross-simulation quantities.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, ScalerPair, Simulation, apply_scaler
+from .formats import write_csv, write_json
 from .packed_net import Params, forward
 
 __all__ = [
     "SurfacePolyline",
     "ForceCoefficients",
     "EvalReport",
-    "mse_per_channel",
     "order_surface",
     "force_coefficients",
     "spearman",
@@ -85,16 +83,6 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def mse_per_channel(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Mean squared error per channel, pooled over rows."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    diff = pred - truth
-    return np.mean(diff * diff, axis=0)
 
 
 def order_surface(sim: Simulation) -> SurfacePolyline:
@@ -288,16 +276,8 @@ def evaluate(params: Params, plans, scaler: ScalerPair, dataset: Dataset) -> Eva
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict())
 
 
 def write_coefficients_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("sim", "drag_pred", "drag_true", "lift_pred", "lift_true"))
-        for name, drag_pred, drag_true, lift_pred, lift_true in rows:
-            writer.writerow(
-                (name, repr(drag_pred), repr(drag_true), repr(lift_pred), repr(lift_true))
-            )
+    write_csv(path, ("sim", "drag_pred", "drag_true", "lift_pred", "lift_true"), rows)

@@ -38,6 +38,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .formats import ConfigError, _read
+
 __all__ = [
     "DROPOUT_P",
     "PackedSpec",
@@ -99,19 +101,17 @@ class PackedSpec:
         return {**asdict(self), "hidden_widths": list(self.hidden_widths), "dropout_p": DROPOUT_P}
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "PackedSpec":
-        """Read a spec from a model header; a stored ``dropout_p`` must be ``DROPOUT_P`` if dropout is on."""
-        if obj.get("dropout_enabled") and obj.get("dropout_p", DROPOUT_P) != DROPOUT_P:
-            raise ValueError(f"dropout probability is fixed at {DROPOUT_P} when dropout is enabled")
-        return cls(
-            num_estimators=int(obj["num_estimators"]),
-            alpha=int(obj["alpha"]),
-            gamma=int(obj["gamma"]),
-            hidden_widths=tuple(int(w) for w in obj["hidden_widths"]),
-            in_features=int(obj.get("in_features", 7)),
-            out_features=int(obj.get("out_features", 4)),
-            dropout_enabled=bool(obj.get("dropout_enabled", False)),
-        )
+    def from_dict(cls, obj, where: str = "spec") -> "PackedSpec":
+        """Read a spec as ``to_dict`` writes it, strictly typed (a fault names ``where``).
+
+        A stored ``dropout_p`` is ignored with dropout off and must be ``DROPOUT_P`` with it on.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where}: expected a JSON object")
+        spec = _read(cls, {k: v for k, v in obj.items() if k != "dropout_p"}, where)
+        if spec.dropout_enabled and obj.get("dropout_p", DROPOUT_P) != DROPOUT_P:
+            raise ConfigError(f"{where}: dropout probability is fixed at {DROPOUT_P} when dropout is enabled")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -467,14 +467,14 @@ def save_params(path, spec: PackedSpec, params: Params) -> None:
 def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     """Read a model file written by :func:`save_params` (bit-exact).
 
-    A malformed file raises ``ValueError`` naming the path and the byte offset
+    A malformed file raises ``ConfigError`` naming the path and the byte offset
     of the fault; every length is checked before the bytes are read.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
 
-    def fault(offset: int, message: str) -> ValueError:
-        return ValueError(f"{path}: byte {offset}: {message}")
+    def fault(offset: int, message: str) -> ConfigError:
+        return ConfigError(f"{path}: byte {offset}: {message}")
 
     start = len(_MODEL_MAGIC) + 4
     if len(blob) < start:
@@ -495,8 +495,8 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
         raise fault(start, f"unsupported format version {header.get('format_version')}")
     try:
         spec = PackedSpec.from_dict(header["spec"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise fault(start, f"invalid spec ({exc!r})") from None
+    except ConfigError as exc:
+        raise fault(start, str(exc)) from None
     plans = plan_layers(spec)
     if [p.to_dict() for p in plans] != header["plans"]:
         raise fault(start, "layer plan table does not match the stored spec")

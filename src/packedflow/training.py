@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -11,6 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, ScalerPair, _pooled, apply_scaler, fit_scaler, kfold_split
+from .formats import write_csv
 from .packed_net import (
     DROPOUT_P,
     PackedSpec,
@@ -48,8 +48,6 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-CV_CSV_HEADER = ("dropout", "alpha", "gamma", "learning_rate", "validation_loss")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -118,6 +116,13 @@ class GridRow:
     alpha: int
     gamma: int
     learning_rate: float
+
+    def __post_init__(self):
+        for key in ("alpha", "gamma"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -338,32 +343,29 @@ def cross_validate(
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "train_loss", "val_loss", "wall_seconds"))
-        for epoch in range(history.num_epochs):
-            val = "" if history.val_loss is None else repr(history.val_loss[epoch])
-            writer.writerow(
-                (epoch, repr(history.train_loss[epoch]), val, repr(history.wall_seconds[epoch]))
-            )
+    val_loss = history.val_loss or [None] * history.num_epochs
+    write_csv(
+        path,
+        ("epoch", "train_loss", "val_loss", "wall_seconds"),
+        zip(range(history.num_epochs), history.train_loss, val_loss, history.wall_seconds),
+    )
 
 
 def write_cv_csv(result: CVResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CV_CSV_HEADER)
-        for row in result.rows:
-            writer.writerow(
-                (row.dropout, row.alpha, row.gamma, repr(row.learning_rate), repr(row.validation_loss))
-            )
+    write_csv(
+        path,
+        ("dropout", "alpha", "gamma", "learning_rate", "validation_loss"),
+        ((row.dropout, row.alpha, row.gamma, row.learning_rate, row.validation_loss) for row in result.rows),
+    )
 
 
 def write_cv_fold_csv(result: CVResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("row", "dropout", "alpha", "gamma", "learning_rate", "fold", "validation_loss"))
-        for i, row in enumerate(result.rows):
-            for fold_index, loss in enumerate(row.fold_losses):
-                writer.writerow(
-                    (i, row.dropout, row.alpha, row.gamma, repr(row.learning_rate), fold_index, repr(loss))
-                )
+    write_csv(
+        path,
+        ("row", "dropout", "alpha", "gamma", "learning_rate", "fold", "validation_loss"),
+        (
+            (i, row.dropout, row.alpha, row.gamma, row.learning_rate, fold, loss)
+            for i, row in enumerate(result.rows)
+            for fold, loss in enumerate(row.fold_losses)
+        ),
+    )

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packedflow import metrics
+from packedflow import cli, metrics
 from packedflow.bench import BenchCase
-from packedflow.cli import ConfigError, _read, run_cli
+from packedflow.cli import run_cli
 from packedflow.data import CylinderFlowConfig, Dataset, ScalerPair, Simulation, load_dataset, write_dataset
+from packedflow.formats import ConfigError, _read
 from packedflow.metrics import coefficient_table, evaluate, predict_simulation
 from packedflow.packed_net import PackedSpec, load_params
 from packedflow.training import GridRow, TrainConfig
@@ -48,6 +49,15 @@ def corrupt_model(blob, kind):
         "no-plans": (blob[:12] + header.replace(b'"plans"', b'"plan_"') + params, 12),
         "short-parameters": (blob[:-8], 12 + h),
     }[kind]
+
+
+def with_spec_value(blob, key, value):
+    """A copy of a model file whose header stores ``value`` under ``spec[key]``."""
+    (h,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + h])
+    header["spec"][key] = value
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + h :]
 
 
 GEN_SPLITS = {
@@ -138,6 +148,21 @@ class TestTrainCommand:
         )
         assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 0
         assert directory_snapshot(workspace / "data" / "train") == before
+
+    def test_zero_epochs_write_initial_model(self, workspace, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "train.json",
+            {
+                "spec": {"num_estimators": 2, "alpha": 1, "gamma": 1, "hidden_widths": [8]},
+                "train": {"learning_rate": 0.01, "max_epochs": 0},
+                "data": {"train_dir": str(workspace / "data" / "train")},
+            },
+        )
+        assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 0
+        assert "trained 0 epochs;" in capsys.readouterr().out
+        history = (tmp_path / "run" / "history.csv").read_bytes()
+        assert history == b"epoch,train_loss,val_loss,wall_seconds\r\n"
+        assert (tmp_path / "run" / "model.pkmlp").exists() and (tmp_path / "run" / "scaler.json").exists()
 
 
 class TestEvalCommand:
@@ -274,16 +299,31 @@ class TestCvCommand:
             pytest.param(0, "dropout", 0, "cv config: grid[0]: 'dropout'", id="dropout-number"),
             pytest.param(None, "k", "four", "cv config: 'k'", id="k"),
             pytest.param(None, "subsample_fraction", [0.5], "cv config: 'subsample_fraction'", id="fraction"),
+            pytest.param(0, "alpha", 0, "cv config: grid[0]: alpha must be >= 1", id="alpha-zero"),
+            pytest.param(1, "gamma", 0, "cv config: grid[1]: gamma must be >= 1", id="gamma-zero"),
+            pytest.param(1, "learning_rate", 0, "cv config: grid[1]: learning_rate must be", id="lr-zero"),
+            pytest.param(None, "k", 1, "cv config: 'k' must be >= 2", id="k-one"),
+            pytest.param(
+                None, "subsample_fraction", 0, "cv config: 'subsample_fraction' must be in", id="fraction-0"
+            ),
+            pytest.param(
+                None, "subsample_fraction", 1.5, "cv config: 'subsample_fraction' must be in", id="fraction>1"
+            ),
         ],
     )
-    def test_bad_grid_value_is_validation_error(self, workspace, tmp_path, capsys, row, key, value, where):
+    def test_bad_grid_value_is_validation_error(
+        self, workspace, tmp_path, capsys, monkeypatch, row, key, value, where
+    ):
         path = Path(self.cv_config(workspace, tmp_path / "cv.json"))
         config = json.loads(path.read_text())
         (config if row is None else config["grid"][row])[key] = value
         path.write_text(json.dumps(config))
+        loaded = []
+        monkeypatch.setattr(cli, "load_dataset", loaded.append)
         assert run_cli(["cv", "--config", str(path), "--out", str(tmp_path / "cv_out")]) == 2
         assert f"error: {where}" in capsys.readouterr().err
         assert not (tmp_path / "cv_out").exists()
+        assert loaded == []
 
 
 class TestBenchCommand:
@@ -354,6 +394,40 @@ class TestExitCodes:
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("input_std", ["1.0"] * 7, id="string"),
+            pytest.param("input_std", [True] * 7, id="boolean"),
+            pytest.param("target_mean", [0.0, 0.0, False, 0.0], id="one-boolean"),
+        ],
+    )
+    def test_mistyped_scaler_entry_is_validation_error(self, workspace, tmp_path, capsys, field, value):
+        scaler = json.loads((workspace / "run" / "scaler.json").read_text())
+        scaler[field] = value
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, scaler)
+        assert code == 2
+        assert f"error: {scaler_path}: '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("alpha", 2.9), ("dropout_enabled", "false"), ("hidden_widths", ["8"])]
+    )
+    def test_mistyped_model_spec_is_validation_error(self, workspace, tmp_path, capsys, key, value):
+        model_path = tmp_path / "model.pkmlp"
+        model_path.write_bytes(with_spec_value((workspace / "run" / "model.pkmlp").read_bytes(), key, value))
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(model_path),
+                "scaler": str(workspace / "run" / "scaler.json"),
+                "data": {"dir": str(workspace / "data" / "test")},
+            },
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
+        assert f"error: {model_path}: byte 12: spec: '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
         "kind", ["under-12-bytes", "long-header", "header-not-utf8", "array", "no-plans", "short-parameters"]
     )
     def test_corrupt_model_file_is_validation_error(self, workspace, tmp_path, capsys, kind):
@@ -418,6 +492,12 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_config_not_utf8_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        path.write_bytes(b'{"splits": "\xff"}')
+        assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {path}: invalid JSON" in capsys.readouterr().err
 
     def test_runtime_failure_returns_one(self, workspace, tmp_path):
         config = write_config(
@@ -533,6 +613,12 @@ VALID_SECTIONS = {
     CylinderFlowConfig: {**GEN_SPLITS["test_ood"]},
     GridRow: {"dropout": True, "alpha": 2, "gamma": 2, "learning_rate": 0.001},
     BenchCase: {"name": "packed", "spec": SPEC, "learning_rate": 0.01, "weight_decay": 0.0},
+    ScalerPair: {
+        "input_mean": [0.5] * 7,
+        "input_std": [1.0] * 7,
+        "target_mean": [0] * 4,  # JSON integers are numbers too
+        "target_std": [2] * 4,
+    },
 }
 GIVEN = {TrainConfig: {"seed": 0}, CylinderFlowConfig: {"seed": 0}}
 
@@ -561,6 +647,28 @@ def test_any_wrong_json_type_names_its_key(cls, data):
     value = data.draw(JSON_VALUES.filter(lambda v: not has_json_type(kind, v)), label="value")
     with pytest.raises(ConfigError, match=f"^section: '{name}'"):
         _read(cls, {**section, name: value}, "section", **GIVEN.get(cls, {}))
+
+
+class Reached(Exception):
+    """Raised by a stub of the first data or model read: the config before it was accepted."""
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "cv", "bench"])
+def test_shipped_config_is_accepted(tmp_path, monkeypatch, capsys, command):
+    config = str(Path(__file__).resolve().parents[1] / "configs" / f"{command}.json")
+    out = tmp_path / "out"
+    if command == "gen":
+        assert run_cli(["gen", "--config", config, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["test", "test_ood", "train"]
+        return
+
+    def reached(path):
+        raise Reached(path)
+
+    monkeypatch.setattr(cli, "load_params" if command == "eval" else "load_dataset", reached)
+    assert run_cli([command, "--config", config, "--out", str(out)]) == 1
+    assert "error: Reached: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_script_is_the_cli_entry_point():

@@ -235,6 +235,24 @@ class TestScaler:
         )
         np.testing.assert_allclose(back, data, rtol=0, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_inverse_after_forward_is_identity_up_to_rounding(self, data):
+        which, width = data.draw(st.sampled_from([("inputs", 7), ("targets", 4)]), label="which")
+        value = st.floats(-1e6, 1e6)
+        mean = data.draw(arrays(np.float64, width, elements=value), label="mean")
+        std = data.draw(arrays(np.float64, width, elements=st.floats(1e-3, 1e3)), label="std")
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), width), elements=value), label="x")
+        fields = {"input_mean": np.zeros(7), "input_std": np.ones(7), "target_mean": np.zeros(4)}
+        fields.update({"target_std": np.ones(4), f"{which[:-1]}_mean": mean, f"{which[:-1]}_std": std})
+        scaler = ScalerPair(**fields)
+        back = apply_scaler(scaler, apply_scaler(scaler, x, "forward", which), "inverse", which)
+        # Four roundings of at most half an ulp each, relative to |x| + |mean|, and
+        # an absolute error of half a subnormal step where (x - mean) / std is subnormal.
+        info = np.finfo(np.float64)
+        bound = 3 * info.eps * (np.abs(x) + np.abs(mean)) + (std + 1) * info.smallest_subnormal
+        assert (np.abs(back - x) <= bound).all()
+
     def test_transformed_training_data_standardized(self):
         dataset = field_dataset(3, num_points=50, seed=4)
         scaler = fit_scaler(dataset)
@@ -276,7 +294,7 @@ class TestScaler:
     def test_from_dict_names_missing_key(self):
         obj = ScalerPair(np.zeros(7), np.ones(7), np.zeros(4), np.ones(4)).to_dict()
         del obj["target_std"]
-        with pytest.raises(ValueError, match="missing key 'target_std'"):
+        with pytest.raises(ValueError, match=r"^scaler: missing keys \['target_std'\]$"):
             ScalerPair.from_dict(obj)
 
 

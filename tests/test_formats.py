@@ -1,0 +1,114 @@
+"""Report file formats: the exact bytes of every CSV and JSON report writer."""
+
+import pytest
+
+from packedflow.metrics import EvalReport, write_coefficients_csv, write_report_json
+from packedflow.training import (
+    CVResult,
+    CVRow,
+    TrainHistory,
+    write_cv_csv,
+    write_cv_fold_csv,
+    write_history_csv,
+)
+
+HISTORY = TrainHistory(
+    train_loss=[0.5, 0.30000000000000004, 1e-05],
+    val_loss=[1.0, 0.1, 2.5e-07],
+    wall_seconds=[0.125, 2.0, 3.0000000000000004],
+)
+CV_RESULT = CVResult(
+    rows=(
+        CVRow(False, 1, 1, 0.01, 0.30000000000000004, (0.2, 0.4000000000000001)),
+        CVRow(True, 4, 2, 1e-05, 12.5, (25.0, 0.0)),
+    )
+)
+COEFFICIENT_ROWS = [
+    ("sim_000", 0.1, -0.0, 1234567.0, 1e-20),
+    ("sim, quoted", -2.5, 0.30000000000000004, 3.0, -1e300),
+]
+REPORT = EvalReport(
+    mse_x_velocity=0.5,
+    mse_y_velocity=0.30000000000000004,
+    mse_pressure=1e-05,
+    mse_surface_pressure=2.0,
+    mse_turbulent_viscosity=0.0,
+    mean_relative_drag=3.3e15,
+    mean_relative_lift=0.125,
+    spearman_drag=None,
+    spearman_lift=-1.0,
+)
+
+
+@pytest.mark.parametrize(
+    "write, value, golden",
+    [
+        pytest.param(
+            write_history_csv,
+            HISTORY,
+            b"epoch,train_loss,val_loss,wall_seconds\r\n"
+            b"0,0.5,1.0,0.125\r\n"
+            b"1,0.30000000000000004,0.1,2.0\r\n"
+            b"2,1e-05,2.5e-07,3.0000000000000004\r\n",
+            id="history",
+        ),
+        pytest.param(
+            write_history_csv,
+            TrainHistory(train_loss=[0.5, 0.25], val_loss=None, wall_seconds=[1.5, 1e-06]),
+            b"epoch,train_loss,val_loss,wall_seconds\r\n0,0.5,,1.5\r\n1,0.25,,1e-06\r\n",
+            id="history-without-val",
+        ),
+        pytest.param(
+            write_history_csv,
+            TrainHistory(train_loss=[], val_loss=None, wall_seconds=[]),
+            b"epoch,train_loss,val_loss,wall_seconds\r\n",
+            id="history-zero-epochs",
+        ),
+        pytest.param(
+            write_cv_csv,
+            CV_RESULT,
+            b"dropout,alpha,gamma,learning_rate,validation_loss\r\n"
+            b"False,1,1,0.01,0.30000000000000004\r\n"
+            b"True,4,2,1e-05,12.5\r\n",
+            id="cv",
+        ),
+        pytest.param(
+            write_cv_fold_csv,
+            CV_RESULT,
+            b"row,dropout,alpha,gamma,learning_rate,fold,validation_loss\r\n"
+            b"0,False,1,1,0.01,0,0.2\r\n"
+            b"0,False,1,1,0.01,1,0.4000000000000001\r\n"
+            b"1,True,4,2,1e-05,0,25.0\r\n"
+            b"1,True,4,2,1e-05,1,0.0\r\n",
+            id="cv-folds",
+        ),
+        pytest.param(
+            write_coefficients_csv,
+            COEFFICIENT_ROWS,
+            b"sim,drag_pred,drag_true,lift_pred,lift_true\r\n"
+            b"sim_000,0.1,-0.0,1234567.0,1e-20\r\n"
+            b'"sim, quoted",-2.5,0.30000000000000004,3.0,-1e+300\r\n',
+            id="coefficients",
+        ),
+        pytest.param(
+            write_report_json,
+            REPORT,
+            b"{\n"
+            b'  "mean_relative_drag": 3300000000000000.0,\n'
+            b'  "mean_relative_lift": 0.125,\n'
+            b'  "mse_pressure": 1e-05,\n'
+            b'  "mse_surface_pressure": 2.0,\n'
+            b'  "mse_turbulent_viscosity": 0.0,\n'
+            b'  "mse_x_velocity": 0.5,\n'
+            b'  "mse_y_velocity": 0.30000000000000004,\n'
+            b'  "spearman_drag": null,\n'
+            b'  "spearman_lift": -1.0\n'
+            b"}\n",
+            id="eval-report",
+        ),
+    ],
+)
+def test_report_writer_bytes(tmp_path, write, value, golden):
+    path = tmp_path / "out"
+    write(value, path)
+    assert path.read_bytes() == golden

@@ -10,7 +10,6 @@ from packedflow.metrics import (
     evaluate_predictions,
     force_coefficients,
     mean_relative_error,
-    mse_per_channel,
     order_surface,
     predict_simulation,
     spearman,
@@ -43,22 +42,6 @@ def ring_dataset(num_sims, surface_points, circulation, seed, speed=10.0):
         radius=0.8,
         speed=speed,
     )
-
-
-class TestMsePerChannel:
-    def test_zero_for_equal(self):
-        data = np.random.default_rng(0).normal(size=(20, 4))
-        np.testing.assert_array_equal(mse_per_channel(data, data), np.zeros(4))
-
-    def test_unit_offset_single_channel(self):
-        truth = np.zeros((5, 4))
-        pred = truth.copy()
-        pred[:, 0] += 1.0
-        np.testing.assert_array_equal(mse_per_channel(pred, truth), [1.0, 0.0, 0.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            mse_per_channel(np.zeros((3, 4)), np.zeros((4, 4)))
 
 
 class TestOrderSurface:

@@ -43,6 +43,16 @@ from packedflow.packed_net import (
 )
 
 DEEP_THIN = (64, 64, 8, 64, 64, 64, 8, 64, 64)
+SPECS = st.builds(
+    PackedSpec,
+    num_estimators=st.integers(1, 4),
+    alpha=st.integers(1, 3),
+    gamma=st.integers(1, 3),
+    hidden_widths=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+    in_features=st.integers(1, 8),
+    out_features=st.integers(1, 5),
+    dropout_enabled=st.booleans(),
+)
 
 
 def random_case(spec, seed, batch=6):
@@ -115,6 +125,25 @@ class TestPlanLayers:
         for plan in plans:
             assert plan.in_width == plan.groups * plan.per_group_in
             assert plan.out_width == plan.groups * plan.per_group_out
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(SPECS)
+    def test_invariants_property(self, spec):
+        plans = plan_layers(spec)
+        m, step = spec.num_estimators, spec.num_estimators * spec.gamma
+        assert [p.groups for p in plans] == [m] + [step] * (len(plans) - 2) + [m]
+        assert [p.role for p in plans] == ["first"] + ["hidden"] * (len(plans) - 2) + ["last"]
+        assert len(plans) == len(spec.hidden_widths) + 1
+        assert plans[0].in_width == m * spec.in_features and plans[-1].out_width == m * spec.out_features
+        for plan, base in zip(plans, spec.hidden_widths):
+            assert plan.out_width % step == 0
+            assert spec.alpha * base <= plan.out_width < spec.alpha * base + step
+        for before, after in zip(plans, plans[1:]):
+            assert before.out_width == after.in_width
+        params = init_params(plans, 0)
+        blocks = sum(w.size + b.size for w, b in zip(params.weights, params.biases))
+        assert param_count(plans) == blocks == params.flat.size
 
 
 class TestInitParams:
@@ -494,19 +523,7 @@ class TestSerialization:
         assert (tmp_path / "again.pkmlp").read_bytes() == expected
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.builds(
-            PackedSpec,
-            num_estimators=st.integers(1, 4),
-            alpha=st.integers(1, 3),
-            gamma=st.integers(1, 3),
-            hidden_widths=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
-            in_features=st.integers(1, 8),
-            out_features=st.integers(1, 5),
-            dropout_enabled=st.booleans(),
-        ),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(SPECS, st.integers(0, 2**32 - 1))
     def test_round_trip_bit_exact_property(self, tmp_path_factory, spec, seed):
         plans = plan_layers(spec)
         params = init_params(plans, 0)
