@@ -54,7 +54,6 @@ from .packed_net import (
 )
 from .training import (
     AdamState,
-    CVResult,
     CVRow,
     GridRow,
     TrainConfig,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -136,17 +137,22 @@ def _cmd_cv(args) -> int:
     dataset = load_dataset(_path(base, config["data"], "train_dir", "cv config: data"))
     if fraction is not None:
         dataset = subsample(dataset, fraction, args.seed)
-    result = cross_validate(dataset, grid, base_spec, cfg, k=k, jobs=args.jobs)
+    if len(dataset) < k:
+        kept = f" left by 'subsample_fraction' {fraction}" if fraction is not None else ""
+        raise ConfigError(
+            f"cv config: 'k' must not exceed the {len(dataset)} training simulations{kept}, got {k}"
+        )
+    rows = cross_validate(dataset, grid, base_spec, cfg, k=k, jobs=args.jobs)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_cv_csv(result, out / "cv_results.csv")
-    write_cv_fold_csv(result, out / "cv_fold_losses.csv")
-    best = min(result.rows, key=lambda r: r.validation_loss)
+    write_cv_csv(rows, out / "cv_results.csv")
+    write_cv_fold_csv(rows, out / "cv_fold_losses.csv")
+    best = min(rows, key=lambda r: r.validation_loss)
+    setting = ", ".join(f"{f.name}={getattr(best, f.name)}" for f in fields(GridRow))
     print(
-        f"cross-validated {len(result.rows)} grid rows over {k} folds; best "
-        f"(dropout={best.dropout}, alpha={best.alpha}, gamma={best.gamma}, "
-        f"lr={best.learning_rate:g}) with validation loss {best.validation_loss:.6g}"
+        f"cross-validated {len(rows)} grid rows over {k} folds; "
+        f"best ({setting}) with validation loss {best.validation_loss:.6g}"
     )
     return 0
 

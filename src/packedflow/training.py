@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "TrainHistory",
     "GridRow",
     "CVRow",
-    "CVResult",
     "TrainingDivergedError",
     "init_adam_state",
     "adam_step",
@@ -126,18 +125,21 @@ class GridRow:
 
 
 @dataclass(frozen=True)
-class CVRow:
-    dropout: bool
-    alpha: int
-    gamma: int
-    learning_rate: float
-    validation_loss: float
+class CVRow(GridRow):
+    """A grid row with its held-out loss on each of the k folds."""
+
     fold_losses: tuple[float, ...]
 
+    @property
+    def validation_loss(self) -> float:
+        return sum(self.fold_losses) / len(self.fold_losses)
 
-@dataclass(frozen=True)
-class CVResult:
-    rows: tuple[CVRow, ...]
+
+_GRID_COLUMNS = tuple(f.name for f in fields(GridRow))
+
+
+def _grid_values(row: GridRow) -> tuple:
+    return tuple(getattr(row, name) for name in _GRID_COLUMNS)
 
 
 def init_adam_state(params: Params) -> AdamState:
@@ -262,15 +264,19 @@ def train(
     return params, TrainHistory(train_loss=losses, val_loss=val_losses, wall_seconds=wall)
 
 
-def _fold_loss(spec: PackedSpec, cfg: TrainConfig, fold_train: Dataset, fold_val: Dataset) -> float:
-    scaler = fit_scaler(fold_train)
-    params, _ = train(spec, fold_train, None, scaler, cfg)
-    return scaled_mse(params, plan_layers(spec), scaler, fold_val)
+def _fold_loss(task) -> float:
+    """Held-out standardized MSE of one (grid row, fold) task.
 
-
-def _cv_task(args):
-    row_index, fold_index, spec, cfg, fold_train, fold_val = args
-    return row_index, fold_index, _fold_loss(spec, cfg, fold_train, fold_val)
+    A failure is re-raised as a ``RuntimeError`` naming the row and the fold;
+    its one-string message survives the trip back from a pool worker.
+    """
+    row_index, row, fold_index, spec, cfg, fold_train, fold_val = task
+    try:
+        scaler = fit_scaler(fold_train)
+        params, _ = train(spec, fold_train, None, scaler, cfg)
+        return scaled_mse(params, plan_layers(spec), scaler, fold_val)
+    except Exception as exc:
+        raise RuntimeError(f"cv row {row_index} ({row}) failed on fold {fold_index}: {exc}") from exc
 
 
 def cross_validate(
@@ -280,66 +286,32 @@ def cross_validate(
     cfg: TrainConfig,
     k: int = 4,
     jobs: int = 1,
-) -> CVResult:
+) -> tuple[CVRow, ...]:
     """k-fold cross-validation over a hyperparameter grid.
 
     For each grid row the base spec's alpha/gamma/dropout and the learning
     rate are overridden, the scaler is refit on each fold's training portion,
     and the row's validation loss is the mean of the k held-out standardized
-    MSEs.  Rows keep grid order.
+    MSEs.  Rows keep grid order.  With ``jobs > 1`` the fold tasks run in a
+    process pool of at most one worker per task.
     """
     if not grid:
         raise ValueError("grid is empty")
     folds = kfold_split(dataset, k, cfg.seed)
-
     tasks = []
     for row_index, row in enumerate(grid):
-        spec = replace(
-            base_spec,
-            alpha=row.alpha,
-            gamma=row.gamma,
-            dropout_enabled=row.dropout,
-        )
+        spec = replace(base_spec, alpha=row.alpha, gamma=row.gamma, dropout_enabled=row.dropout)
         row_cfg = replace(cfg, learning_rate=row.learning_rate)
-        for fold_index, (fold_train, fold_val) in enumerate(folds):
-            tasks.append((row_index, fold_index, spec, row_cfg, fold_train, fold_val))
-
-    def annotate(task, exc):
-        row_index, fold_index = task[0], task[1]
-        raise RuntimeError(
-            f"cv row {row_index} ({grid[row_index]}) failed on fold {fold_index}: {exc}"
-        ) from exc
-
-    fold_losses = [[math.nan] * k for _ in grid]
+        tasks += [(row_index, row, f, spec, row_cfg, *fold) for f, fold in enumerate(folds)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_cv_task, task) for task in tasks]
-            for task, future in zip(tasks, futures):
-                try:
-                    row_index, fold_index, loss = future.result()
-                except Exception as exc:
-                    annotate(task, exc)
-                fold_losses[row_index][fold_index] = loss
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            losses = list(pool.map(_fold_loss, tasks))
     else:
-        for task in tasks:
-            try:
-                row_index, fold_index, loss = _cv_task(task)
-            except Exception as exc:
-                annotate(task, exc)
-            fold_losses[row_index][fold_index] = loss
-
-    rows = tuple(
-        CVRow(
-            dropout=row.dropout,
-            alpha=row.alpha,
-            gamma=row.gamma,
-            learning_rate=row.learning_rate,
-            validation_loss=sum(fold_losses[i]) / k,
-            fold_losses=tuple(fold_losses[i]),
-        )
+        losses = list(map(_fold_loss, tasks))
+    return tuple(
+        CVRow(*_grid_values(row), fold_losses=tuple(losses[i * k : (i + 1) * k]))
         for i, row in enumerate(grid)
     )
-    return CVResult(rows=rows)
 
 
 def write_history_csv(history: TrainHistory, path) -> None:
@@ -351,21 +323,21 @@ def write_history_csv(history: TrainHistory, path) -> None:
     )
 
 
-def write_cv_csv(result: CVResult, path) -> None:
+def write_cv_csv(rows: tuple[CVRow, ...], path) -> None:
     write_csv(
         path,
-        ("dropout", "alpha", "gamma", "learning_rate", "validation_loss"),
-        ((row.dropout, row.alpha, row.gamma, row.learning_rate, row.validation_loss) for row in result.rows),
+        (*_GRID_COLUMNS, "validation_loss"),
+        ((*_grid_values(row), row.validation_loss) for row in rows),
     )
 
 
-def write_cv_fold_csv(result: CVResult, path) -> None:
+def write_cv_fold_csv(rows: tuple[CVRow, ...], path) -> None:
     write_csv(
         path,
-        ("row", "dropout", "alpha", "gamma", "learning_rate", "fold", "validation_loss"),
+        ("row", *_GRID_COLUMNS, "fold", "validation_loss"),
         (
-            (i, row.dropout, row.alpha, row.gamma, row.learning_rate, fold, loss)
-            for i, row in enumerate(result.rows)
+            (i, *_grid_values(row), fold, loss)
+            for i, row in enumerate(rows)
             for fold, loss in enumerate(row.fold_losses)
         ),
     )

@@ -285,9 +285,34 @@ class TestCvCommand:
         for name, jobs in (("one", "1"), ("two", "1"), ("par", "2")):
             argv = ["cv", "--config", config, "--seed", "5", "--jobs", jobs, "--out", str(tmp_path / name)]
             assert run_cli(argv) == 0
-        one = (tmp_path / "one" / "cv_results.csv").read_bytes()
-        assert one == (tmp_path / "two" / "cv_results.csv").read_bytes()
-        assert one == (tmp_path / "par" / "cv_results.csv").read_bytes()
+        for table in ("cv_results.csv", "cv_fold_losses.csv"):
+            one = (tmp_path / "one" / table).read_bytes()
+            assert one == (tmp_path / "two" / table).read_bytes()
+            assert one == (tmp_path / "par" / table).read_bytes()
+
+    @pytest.mark.parametrize(
+        "k, fraction, where",
+        [
+            pytest.param(5, None, "the 4 training simulations, got 5", id="k-over-train-split"),
+            pytest.param(
+                3, 0.5, "the 2 training simulations left by 'subsample_fraction' 0.5, got 3", id="k-over-subsample"
+            ),
+        ],
+    )
+    def test_k_over_simulation_count_is_validation_error(
+        self, workspace, tmp_path, capsys, monkeypatch, k, fraction, where
+    ):
+        path = Path(self.cv_config(workspace, tmp_path / "cv.json", k=k))
+        if fraction is not None:
+            config = json.loads(path.read_text())
+            config["subsample_fraction"] = fraction
+            path.write_text(json.dumps(config))
+        trained = []
+        monkeypatch.setattr(cli, "cross_validate", lambda *args, **kwargs: trained.append(args))
+        assert run_cli(["cv", "--config", str(path), "--out", str(tmp_path / "cv_out")]) == 2
+        assert f"error: cv config: 'k' must not exceed {where}" in capsys.readouterr().err
+        assert not (tmp_path / "cv_out").exists()
+        assert trained == []
 
     @pytest.mark.parametrize(
         "row, key, value, where",

@@ -4,7 +4,6 @@ import pytest
 
 from packedflow.metrics import EvalReport, write_coefficients_csv, write_report_json
 from packedflow.training import (
-    CVResult,
     CVRow,
     TrainHistory,
     write_cv_csv,
@@ -17,11 +16,9 @@ HISTORY = TrainHistory(
     val_loss=[1.0, 0.1, 2.5e-07],
     wall_seconds=[0.125, 2.0, 3.0000000000000004],
 )
-CV_RESULT = CVResult(
-    rows=(
-        CVRow(False, 1, 1, 0.01, 0.30000000000000004, (0.2, 0.4000000000000001)),
-        CVRow(True, 4, 2, 1e-05, 12.5, (25.0, 0.0)),
-    )
+CV_RESULT = (
+    CVRow(False, 1, 1, 0.01, (0.2, 0.4000000000000001)),
+    CVRow(True, 4, 2, 1e-05, (25.0, 0.0)),
 )
 COEFFICIENT_ROWS = [
     ("sim_000", 0.1, -0.0, 1234567.0, 1e-20),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import field_dataset, linear_target_dataset
 
+from packedflow import training
 from packedflow.data import fit_scaler
 from packedflow.packed_net import PackedSpec, Params, init_params, plan_layers
 from packedflow.training import (
@@ -185,20 +186,20 @@ class TestCrossValidate:
 
     def test_rows_keep_grid_order(self, cv_setup):
         _, _, grid, _, result = cv_setup
-        assert [(r.dropout, r.alpha, r.gamma, r.learning_rate) for r in result.rows] == [
+        assert [(r.dropout, r.alpha, r.gamma, r.learning_rate) for r in result] == [
             (g.dropout, g.alpha, g.gamma, g.learning_rate) for g in grid
         ]
 
     def test_mean_equals_recomputed_fold_mean(self, cv_setup):
         _, _, _, _, result = cv_setup
-        for row in result.rows:
+        for row in result:
             assert len(row.fold_losses) == 3
             assert abs(row.validation_loss - sum(row.fold_losses) / 3) <= 1e-12
 
     def test_deterministic(self, cv_setup):
         dataset, base, grid, cfg, result = cv_setup
         again = cross_validate(dataset, grid, base, cfg, k=3)
-        for a, b in zip(result.rows, again.rows):
+        for a, b in zip(result, again):
             assert a == b
 
     def test_fold_losses_recomputable_from_parts(self, cv_setup):
@@ -216,15 +217,50 @@ class TestCrossValidate:
         scaler = fit_scaler(fold_train)
         params, _ = train(spec, fold_train, None, scaler, row_cfg)
         loss = scaled_mse(params, plan_layers(spec), scaler, fold_val)
-        assert loss == result.rows[0].fold_losses[1]
+        assert loss == result[0].fold_losses[1]
 
     def test_empty_grid_rejected(self, cv_setup):
         dataset, base, _, cfg, _ = cv_setup
         with pytest.raises(ValueError, match="grid"):
             cross_validate(dataset, [], base, cfg, k=3)
 
-    def test_failures_annotate_the_row(self, cv_setup):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_annotate_the_row(self, cv_setup, jobs):
         dataset, _, grid, cfg, _ = cv_setup
         mismatched = PackedSpec(4, 1, 1, (8,), in_features=5)
-        with pytest.raises(RuntimeError, match="cv row 0 .* fold 0"):
-            cross_validate(dataset, grid, mismatched, cfg, k=3)
+        with pytest.raises(RuntimeError, match="cv row 0 .* fold 0: layer 0: .* network expects 5"):
+            cross_validate(dataset, grid, mismatched, cfg, k=3, jobs=jobs)
+
+    def test_pool_has_at_most_one_worker_per_task(self, cv_setup, monkeypatch):
+        dataset, base, grid, cfg, result = cv_setup
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", InProcessPool)
+        assert cross_validate(dataset, grid, base, cfg, k=3, jobs=5000) == result
+        assert workers == [len(grid) * 3]
+
+    def test_in_process_folds_call_the_module_train(self, cv_setup, monkeypatch):
+        # Tracing that patches ``training.train`` must see every fold of a one-job run.
+        dataset, base, grid, cfg, result = cv_setup
+        calls = []
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", counting_train)
+        assert cross_validate(dataset, grid, base, cfg, k=3, jobs=1) == result
+        assert len(calls) == len(grid) * 3
