@@ -6,7 +6,8 @@ A simulation is one point cloud: per point 7 input features
 nonzero normal; they carry distance 0 and a unit normal.
 
 On disk a simulation is a CSV with header ``x,y,inlet_vx,inlet_vy,distance,
-nx,ny,vx,vy,p,nut`` (UTF-8, '.' decimal, one point per row); a dataset is a
+nx,ny,vx,vy,p,nut`` in any column order (UTF-8, optionally after a byte order
+mark; one point per row; each cell as ``float()`` reads it); a dataset is a
 directory of such files plus a ``manifest.json`` listing file names and the
 split label.
 """
@@ -14,8 +15,10 @@ split label.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +54,11 @@ _SURFACE_DISTANCE_TOL = 1e-9
 _NORMAL_NORM_TOL = 1e-6
 _STD_CLAMP = 1e-12
 MANIFEST_NAME = "manifest.json"
+# The bytes a simulation CSV body may hold for the one-call numpy parse.
+_NUMBER_BYTES = b"0123456789+-.eE,\r\n"
+_DIGIT = re.compile(rb"[0-9]")
+# Rows formatted per write: as fast as one whole-file string, with bounded memory.
+_WRITE_BLOCK_ROWS = 4096
 _SCALER_FIELDS = (("input_mean", 7), ("input_std", 7), ("target_mean", 4), ("target_std", 4))
 
 
@@ -170,58 +178,101 @@ class ScalerPair:
 def load_simulation(path) -> Simulation:
     """Parse one simulation CSV, validating schema and all invariants."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SimulationParseError(path, None, None, "empty file") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise SimulationParseError(path, 1, missing[0], f"missing column {missing[0]!r}")
-        extra = [c for c in header if c not in CSV_COLUMNS]
-        if extra:
-            raise SimulationParseError(path, 1, extra[0], f"unexpected column {extra[0]!r}")
-        column_order = [header.index(c) for c in CSV_COLUMNS]
-
-        rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise SimulationParseError(
-                    path, row_number, None, f"expected {len(CSV_COLUMNS)} fields, found {len(row)}"
-                )
-            values = []
-            for cell_index, column in zip(column_order, CSV_COLUMNS):
-                cell = row[cell_index]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise SimulationParseError(
-                        path, row_number, column, f"not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise SimulationParseError(path, row_number, column, f"non-finite value: {cell!r}")
-                values.append(value)
-            rows.append(values)
-    if not rows:
-        raise SimulationParseError(path, None, None, "no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    table = _read_table(path)
     try:
-        return Simulation(name=path.stem, points=data[:, :7], targets=data[:, 7:])
+        return Simulation(name=path.stem, points=table[:, :7], targets=table[:, 7:])
     except ValueError as exc:
         raise SimulationParseError(path, None, None, str(exc)) from exc
 
 
+def _column_order(path, header: list[str]) -> list[int]:
+    """Index in ``header`` of each of ``CSV_COLUMNS``; a fault names row 1 and the column."""
+    header = [h.strip() for h in header]
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise SimulationParseError(path, 1, missing[0], f"missing column {missing[0]!r}")
+    extra = [c for c in header if c not in CSV_COLUMNS]
+    if extra:
+        raise SimulationParseError(path, 1, extra[0], f"unexpected column {extra[0]!r}")
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise SimulationParseError(path, 1, repeated[0], f"duplicate column {repeated[0]!r}")
+    return [header.index(c) for c in CSV_COLUMNS]
+
+
+def _read_table(path: Path) -> np.ndarray:
+    """The values of a simulation CSV as an (N, 11) array in ``CSV_COLUMNS`` order.
+
+    A body of plain decimal numbers is parsed by one ``np.loadtxt`` call.  Its
+    header line holds no quote and no lone CR, so it is the first CSV record,
+    and the body holds only the bytes of ``_NUMBER_BYTES``, where ``loadtxt``
+    accepts no cell that ``float()`` rejects and reads the same bits.  Any other
+    file, or a body ``loadtxt`` rejects or reads as other than 11 finite
+    columns, goes through the row loop, which names the row and column of a fault.
+    """
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise SimulationParseError(path, None, None, f"not UTF-8 at byte {exc.start}") from None
+    head = text.partition("\n")[0]
+    body = raw.partition(b"\n")[2]
+    plain_head = '"' not in head and "\r" not in head[:-1]
+    if plain_head and _DIGIT.search(body) and not body.translate(None, _NUMBER_BYTES):
+        column_order = _column_order(path, next(csv.reader([head])))
+        try:
+            table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == len(CSV_COLUMNS) and np.isfinite(table).all():
+                return table[:, column_order]
+    return _read_rows(path, text)
+
+
+def _read_rows(path, text: str) -> np.ndarray:
+    """The table of a decoded simulation CSV, read by ``csv.reader`` and ``float()`` per cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SimulationParseError(path, None, None, "empty file") from None
+    column_order = _column_order(path, header)
+    rows = []
+    for row_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise SimulationParseError(
+                path, row_number, None, f"expected {len(CSV_COLUMNS)} fields, found {len(row)}"
+            )
+        values = []
+        for cell_index, column in zip(column_order, CSV_COLUMNS):
+            cell = row[cell_index]
+            try:
+                value = float(cell)
+            except ValueError:
+                raise SimulationParseError(
+                    path, row_number, column, f"not a number: {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise SimulationParseError(path, row_number, column, f"non-finite value: {cell!r}")
+            values.append(value)
+        rows.append(values)
+    if not rows:
+        raise SimulationParseError(path, None, None, "no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
 def write_simulation(sim: Simulation, path) -> None:
-    """Write a simulation CSV; floats use shortest round-trip decimal form."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write a simulation CSV; floats use shortest round-trip decimal form (``repr``)."""
+    table = np.hstack([sim.points, sim.targets])
+    row = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for feat, targ in zip(sim.points, sim.targets):
-            fh.write(",".join(repr(float(v)) for v in (*feat, *targ)) + "\n")
+        for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+            block = table[start : start + _WRITE_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_dataset(directory) -> Dataset:

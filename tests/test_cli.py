@@ -551,6 +551,33 @@ class TestExitCodes:
         )
         assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(b"x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p,nut\n0.\xe9", ": not UTF-8 at byte 51", id="not-utf8"),
+            pytest.param(
+                b"x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p,nut,x\n" + b"0," * 11 + b"0\n",
+                ", row 1, column 'x': duplicate column 'x'",
+                id="duplicate-column",
+            ),
+        ],
+    )
+    def test_malformed_simulation_csv_names_the_file(self, tmp_path, capsys, content, message):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "manifest.json").write_text('{"split_label": "train", "simulations": ["bad.csv"]}')
+        (data_dir / "bad.csv").write_bytes(content)
+        config = write_config(
+            tmp_path / "train.json",
+            {
+                "spec": {"num_estimators": 2, "alpha": 1, "gamma": 1, "hidden_widths": [8]},
+                "train": {"learning_rate": 0.01, "max_epochs": 1},
+                "data": {"train_dir": str(data_dir)},
+            },
+        )
+        assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {data_dir / 'bad.csv'}{message}" in capsys.readouterr().err
+
 
 SPEC = {"num_estimators": 2, "alpha": 1, "gamma": 1, "hidden_widths": [8]}
 TRAIN = {"learning_rate": 0.01, "max_epochs": 1, "batch_points": 64}

@@ -1,5 +1,6 @@
 """Data layer: CSV parsing, scalers, folds, subsampling, and the flow generator."""
 
+import codecs
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from packedflow import data
 from packedflow.data import (
+    CSV_COLUMNS,
     CylinderFlowConfig,
     Dataset,
     ScalerPair,
@@ -30,6 +32,47 @@ from packedflow.data import (
 )
 
 HEADER = "x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p,nut"
+ROW = "0.0,1.0,10.0,0.0,0.5,0.0,0.0,9.5,0.1,2.5,0.01"
+SURFACE_ROW = "1.0,0.0,10.0,0.0,0.0,1.0,0.0,0.0,0.0,50.0,0.0"
+
+
+def csv_file(tmp_path, text, name="sim.csv"):
+    """A simulation CSV holding exactly ``text`` (str as UTF-8, or bytes), line ends untouched."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return path
+
+
+def parse_error(path) -> str:
+    with pytest.raises(SimulationParseError) as info:
+        load_simulation(path)
+    return str(info.value)
+
+
+# Cells that float() and a numeric parser may read differently: separators, padding
+# (\x0c and \x85 are whitespace to float(), \x1c is not), quotes, comments and words.
+FUZZ_TOKENS = [*"0123456789+-.eE_ \t\xa0\x0c\x1c\x85\"#", "inf", "nan", "١"]
+
+
+@st.composite
+def fuzzed_csv(draw):
+    """Simulation CSV text of a few rows: plain numbers, some perhaps fuzzed, padded or made of number bytes."""
+    plain_cell = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    number_bytes_cell = st.lists(st.sampled_from("0123456789+-.eE"), max_size=6).map("".join)
+    fuzz_cell = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6).map("".join)
+    pad = st.sampled_from(["", " ", "\t", "\xa0", "\x0c", "\x1c", "\x1f", "\x85", "_"])
+    lead, trail = draw(pad, label="lead"), draw(pad, label="trail")  # one padding per file
+    padded_cell = plain_cell.map(lambda c: lead + c + trail)
+    kinds = [plain_cell, padded_cell, st.one_of(plain_cell, number_bytes_cell), st.one_of(plain_cell, fuzz_cell)]
+    cell = draw(st.sampled_from(kinds), label="cells")
+    header = list(draw(st.permutations(CSV_COLUMNS), label="header"))
+    if draw(st.integers(0, 9), label="quoted header") == 0:
+        header[0] = f'"{header[0]}"'
+    lines = [",".join(header)]
+    for fields in draw(st.lists(st.sampled_from([11, 11, 11, 11, 10, 12, 0]), min_size=1, max_size=5)):
+        lines.append(",".join(draw(st.lists(cell, min_size=fields, max_size=fields))))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    return end.join(lines) + draw(st.sampled_from([end, ""]), label="last line end")
 
 
 def small_flow_config(**overrides):
@@ -165,6 +208,127 @@ class TestSimulationCsv:
         assert loaded.name == "round"
         assert loaded.points.tobytes() == source.points.tobytes()
         assert loaded.targets.tobytes() == source.targets.tobytes()
+
+    @pytest.mark.parametrize("text", [HEADER, HEADER + "\n", HEADER + "\n\n\r\n\n"], ids=["no-newline", "newline", "blank-lines"])
+    def test_header_without_rows_has_no_data_rows(self, tmp_path, text):
+        path = csv_file(tmp_path, text)
+        assert parse_error(path) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("fields", [10, 12])
+    @pytest.mark.parametrize("good_rows", [0, 1])
+    def test_wrong_field_count_names_the_row(self, tmp_path, fields, good_rows):
+        # Every row short or long, too: a reader that picks 11 of the columns would accept that.
+        wrong = ",".join(["0.5"] * fields)
+        path = csv_file(tmp_path, HEADER + "\n" + (ROW + "\n") * good_rows + (wrong + "\n") * 3)
+        assert parse_error(path) == f"{path}, row {2 + good_rows}: expected 11 fields, found {fields}"
+
+    def test_permuted_header_gives_the_canonical_arrays(self, tmp_path):
+        order = [10, 4, 0, 7, 1, 9, 5, 2, 8, 6, 3]
+
+        def permuted(line):
+            cells = line.split(",")
+            return ",".join(cells[i] for i in order)
+
+        canonical = load_simulation(csv_file(tmp_path, "\n".join([HEADER, ROW, SURFACE_ROW]) + "\n", "a.csv"))
+        shuffled = load_simulation(csv_file(tmp_path, "\n".join(map(permuted, [HEADER, ROW, SURFACE_ROW])) + "\n", "b.csv"))
+        assert shuffled.points.tobytes() == canonical.points.tobytes()
+        assert shuffled.targets.tobytes() == canonical.targets.tobytes()
+
+    def test_blank_line_is_skipped_and_counted(self, tmp_path):
+        assert load_simulation(csv_file(tmp_path, f"{HEADER}\n{ROW}\n\n{SURFACE_ROW}\n")).num_points == 2
+        path = csv_file(tmp_path, f"{HEADER}\n{ROW}\n\n{ROW.replace('9.5', 'oops')}\n")
+        assert parse_error(path) == f"{path}, row 4, column 'vx': not a number: 'oops'"
+
+    def test_cells_take_float_grammar(self, tmp_path):
+        cells = ['"1.5"', "1_0", " 10.0\t", "١", "0.5", "0", "-0", "9.5e0", "+.1", "2.5", "0.01"]
+        sim = load_simulation(csv_file(tmp_path, HEADER + "\n" + ",".join(cells) + "\n"))
+        expected = [float(c.strip('"')) for c in cells]
+        assert sim.points[0].tolist() + sim.targets[0].tolist() == expected
+        assert sim.points[0, 6] == 0.0 and np.signbit(sim.points[0, 6])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends(self, tmp_path, end):
+        sim = load_simulation(csv_file(tmp_path, end.join([HEADER, ROW, SURFACE_ROW]) + end))
+        assert sim.points.tolist() == [[0.0, 1.0, 10.0, 0.0, 0.5, 0.0, 0.0], [1.0, 0.0, 10.0, 0.0, 0.0, 1.0, 0.0]]
+        assert sim.targets.tolist() == [[9.5, 0.1, 2.5, 0.01], [0.0, 0.0, 50.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("#" + ROW, "row 2, column 'x': not a number: '#0.0'"),
+            (ROW.replace("9.5", "9.5\x1c"), "row 2, column 'vx': not a number: '9.5\\x1c'"),
+            (ROW.replace("9.5", "\x1c9.5"), "row 2, column 'vx': not a number: '\\x1c9.5'"),
+            (ROW.replace("9.5", "1e999"), "row 2, column 'vx': non-finite value: '1e999'"),
+            (ROW.replace("9.5", ""), "row 2, column 'vx': not a number: ''"),
+        ],
+        ids=["comment", "trailing-x1c", "leading-x1c", "overflow", "empty"],
+    )
+    def test_cells_float_rejects(self, tmp_path, row, message):
+        path = csv_file(tmp_path, f"{HEADER}\n{ROW}\n".replace(ROW, row))
+        assert parse_error(path) == f"{path}, {message}"
+
+    def test_write_simulation_golden_bytes(self, tmp_path):
+        points = [[-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 0.0, 0.0], [1.0, 0.0, 10.0, 0.0, 0.0, 0.6, 0.8]]
+        targets = [[1.7976931348623157e308, -2.5, 0.1, 0.0], [-1e-300, 123456789.125, 50.0, 1e22]]
+        source = Simulation("golden", points, targets)
+        write_simulation(source, tmp_path / "golden.csv")
+        assert (tmp_path / "golden.csv").read_bytes() == (
+            b"x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p,nut\n"
+            b"-0.0,1e-05,1e+16,5e-324,0.30000000000000004,0.0,0.0,1.7976931348623157e+308,-2.5,0.1,0.0\n"
+            b"1.0,0.0,10.0,0.0,0.0,0.6,0.8,-1e-300,123456789.125,50.0,1e+22\n"
+        )
+        loaded = load_simulation(tmp_path / "golden.csv")
+        assert loaded.points.tobytes() == source.points.tobytes()
+        assert loaded.targets.tobytes() == source.targets.tobytes()
+
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    def test_non_utf8_names_the_byte(self, tmp_path, mark):
+        raw = mark + f"{HEADER}\n{ROW}\n".encode().replace(b"9.5", b"9\xe95")
+        path = csv_file(tmp_path, raw)
+        assert parse_error(path) == f"{path}: not UTF-8 at byte {raw.index(0xE9)}"
+
+    @pytest.mark.parametrize("row", [ROW, ROW.replace("9.5", '"9.5"')], ids=["numpy-path", "row-loop"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, row):
+        text = f"{HEADER}\n{row}\n"
+        plain = load_simulation(csv_file(tmp_path, text, "plain.csv"))
+        marked = load_simulation(csv_file(tmp_path, codecs.BOM_UTF8 + text.encode(), "marked.csv"))
+        assert marked.points.tobytes() == plain.points.tobytes()
+        assert marked.targets.tobytes() == plain.targets.tobytes()
+
+    @pytest.mark.parametrize("body", ["", ROW + ",0.0\n"], ids=["header-only", "with-rows"])
+    def test_duplicate_column_named_at_row_1(self, tmp_path, body):
+        path = csv_file(tmp_path, f"{HEADER},x\n{body}")
+        assert parse_error(path) == f"{path}, row 1, column 'x': duplicate column 'x'"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_written_file_skips_the_row_loop(self, tmp_path, monkeypatch, end):
+        source = generate_cylinder_flow(small_flow_config()).simulations[0]
+        write_simulation(source, tmp_path / "sim.csv")
+        (tmp_path / "sim.csv").write_bytes((tmp_path / "sim.csv").read_bytes().replace(b"\n", end.encode()))
+
+        def row_loop(path, text):
+            raise AssertionError(f"{path} went through the row loop")
+
+        monkeypatch.setattr(data, "_read_rows", row_loop)
+        loaded = load_simulation(tmp_path / "sim.csv")
+        assert loaded.points.tobytes() == source.points.tobytes()
+        assert loaded.targets.tobytes() == source.targets.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(fuzzed_csv())
+    def test_numpy_path_matches_row_loop(self, tmp_path_factory, text):
+        # load_simulation builds its Simulation from _read_table, so equal tables mean equal loads.
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome(read):
+            try:
+                table = read()
+            except SimulationParseError as exc:
+                return str(exc)
+            return table.shape, table.tobytes()
+
+        assert outcome(lambda: data._read_table(path)) == outcome(lambda: data._read_rows(path, text))
 
     def test_dataset_round_trip(self, tmp_path):
         dataset = field_dataset(3, num_points=6, seed=1, split_label="test")
