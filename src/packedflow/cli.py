@@ -1,10 +1,11 @@
 """Command-line pipeline: dataset generation, training, CV, evaluation, benchmarking.
 
 Each subcommand takes a strict JSON config (unknown keys and values of the
-wrong JSON type rejected, nothing coerced), a single ``--seed`` that feeds all
-randomness, ``--jobs`` for CV parallelism, and an output directory that
-receives every artifact.  Relative paths inside a config resolve against the
-config file's directory.
+wrong JSON type rejected, nothing coerced) and an output directory that
+receives every artifact, plus only the flags it reads: a single ``--seed``
+that feeds all randomness (every subcommand but ``eval``) and ``--jobs`` for
+CV parallelism (``cv`` only).  Relative paths inside a config resolve against
+the config file's directory.
 
 Exit codes: 0 success, 2 config/validation error, 1 runtime failure.
 """
@@ -212,12 +213,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# Subcommand -> (handler, help, the optional flags it reads besides --config and --out).
 _COMMANDS = {
-    "gen": (_cmd_gen, "generate synthetic cylinder-flow datasets"),
-    "train": (_cmd_train, "train one model and save model/scaler/history"),
-    "cv": (_cmd_cv, "cross-validate a hyperparameter grid"),
-    "eval": (_cmd_eval, "evaluate a saved model on a dataset split"),
-    "bench": (_cmd_bench, "train and evaluate a list of specs with timing"),
+    "gen": (_cmd_gen, "generate synthetic cylinder-flow datasets", ("--seed",)),
+    "train": (_cmd_train, "train one model and save model/scaler/history", ("--seed",)),
+    "cv": (_cmd_cv, "cross-validate a hyperparameter grid", ("--seed", "--jobs")),
+    "eval": (_cmd_eval, "evaluate a saved model on a dataset split", ()),
+    "bench": (_cmd_bench, "train and evaluate a list of specs with timing", ("--seed",)),
+}
+_FLAGS = {
+    "--seed": {"type": int, "default": 0, "help": "seed for all randomness"},
+    "--jobs": {"type": int, "default": 1, "help": "parallel workers for cv folds"},
 }
 
 
@@ -227,11 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Packed-ensemble MLP pipeline for 2-D flow-field regression.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="path to the JSON run config")
-        sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        sub.add_argument("--jobs", type=int, default=1, help="parallel workers for cv folds")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.add_argument("--out", default="out", help="output directory")
     return parser
 
@@ -242,11 +248,11 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError("--seed must be non-negative")
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
-        handler, _ = _COMMANDS[args.command]
+        handler, _, _ = _COMMANDS[args.command]
         return handler(args)
     except (ConfigError, SimulationParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -111,7 +111,8 @@ class Simulation:
         mask = self.surface_mask
         if np.abs(distance[mask]).max(initial=0.0) > _SURFACE_DISTANCE_TOL:
             raise ValueError(f"simulation {self.name!r}: surface points must have distance 0")
-        norms = np.hypot(self.points[mask, 5], self.points[mask, 6])
+        with np.errstate(over="ignore"):  # an overflowing norm is infinite, so not unit
+            norms = np.hypot(self.points[mask, 5], self.points[mask, 6])
         if norms.size and np.abs(norms - 1.0).max() > _NORMAL_NORM_TOL:
             raise ValueError(f"simulation {self.name!r}: surface normals must have unit norm")
 
@@ -376,24 +377,11 @@ def kfold_split(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Data
     n = len(dataset)
     if n < k:
         raise ValueError(f"need at least {k} simulations for {k} folds, have {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base, remainder = divmod(n, k)
-    folds = []
-    start = 0
-    for fold_index in range(k):
-        size = base + (1 if fold_index < remainder else 0)
-        val_idx = set(perm[start : start + size].tolist())
-        start += size
-        train_sims = tuple(s for i, s in enumerate(dataset.simulations) if i not in val_idx)
-        val_sims = tuple(s for i, s in enumerate(dataset.simulations) if i in val_idx)
-        folds.append(
-            (
-                Dataset(train_sims, split_label=dataset.split_label),
-                Dataset(val_sims, split_label=dataset.split_label),
-            )
-        )
-    return folds
+    # array_split puts the n % k folds one simulation bigger first.
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [
+        (_subset(dataset, np.delete(np.arange(n), fold)), _subset(dataset, np.sort(fold))) for fold in folds
+    ]
 
 
 def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -406,11 +394,12 @@ def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     n = len(dataset)
     keep = math.ceil(fraction * n)
-    rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.permutation(n)[:keep])
-    return Dataset(
-        tuple(dataset.simulations[i] for i in chosen), split_label=dataset.split_label
-    )
+    return _subset(dataset, np.sort(np.random.default_rng(seed).permutation(n)[:keep]))
+
+
+def _subset(dataset: Dataset, indices) -> Dataset:
+    """The simulations at ``indices``, in that order, under the dataset's split label."""
+    return Dataset(tuple(dataset.simulations[i] for i in indices), split_label=dataset.split_label)
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +479,10 @@ def _ood_range(lo: float, hi: float) -> tuple[float, float]:
 def _generate_one(
     name: str, config: CylinderFlowConfig, rng: np.random.Generator
 ) -> Simulation:
-    r_lo, r_hi = config.radius_range
-    u_lo, u_hi = config.inlet_speed_range
-    g_lo, g_hi = config.circulation_range
-    if config.ood:
-        r_lo, r_hi = _ood_range(r_lo, r_hi)
-        u_lo, u_hi = _ood_range(u_lo, u_hi)
-        g_lo, g_hi = _ood_range(g_lo, g_hi)
-    radius = rng.uniform(r_lo, r_hi)
-    inlet_speed = rng.uniform(u_lo, u_hi)
-    circulation = rng.uniform(g_lo, g_hi)
+    ranges = (config.radius_range, config.inlet_speed_range, config.circulation_range)
+    radius, inlet_speed, circulation = (
+        rng.uniform(*(_ood_range(*bounds) if config.ood else bounds)) for bounds in ranges
+    )
 
     # Surface ring: evenly spaced angles with a random phase.
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -526,16 +509,9 @@ def _generate_one(
     nu_t = 0.01 * distance * speed
 
     n = len(xy)
-    points = np.empty((n, 7))
-    points[:, 0:2] = xy
-    points[:, 2] = inlet_speed
-    points[:, 3] = 0.0
-    points[:, 4] = distance
-    points[:, 5:7] = normals
-    targets = np.empty((n, 4))
-    targets[:, 0:2] = velocity
-    targets[:, 2] = pressure
-    targets[:, 3] = nu_t
+    # Columns in CSV_COLUMNS order: x, y, inlet_vx, inlet_vy, distance, nx, ny | vx, vy, p, nut.
+    points = np.column_stack([xy, np.full(n, inlet_speed), np.zeros(n), distance, normals])
+    targets = np.column_stack([velocity, pressure, nu_t])
 
     order = rng.permutation(n)
     return Simulation(name=name, points=points[order], targets=targets[order])

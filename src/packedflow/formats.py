@@ -103,7 +103,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Write ``obj`` as JSON indented by 2, keys sorted, with a final newline."""
+    """Write ``obj`` as strict JSON indented by 2, keys sorted, with a final newline.
+
+    A NaN or an infinity raises ``ValueError`` before the file is opened.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -144,18 +144,9 @@ def force_coefficients(
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); tied values get the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the 1-based rank of each distinct value's last copy
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(xs, ys) -> float:
@@ -166,6 +157,8 @@ def spearman(xs, ys) -> float:
         raise ValueError(f"inputs must be equal-length 1-D, got {xs.shape} and {ys.shape}")
     if len(xs) < 2:
         raise ValueError("need at least 2 samples")
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        raise ValueError("cannot rank NaN values")
     rx = _average_ranks(xs)
     ry = _average_ranks(ys)
     dx = rx - rx.mean()
@@ -223,6 +216,8 @@ def evaluate_predictions(
         raise ValueError(
             f"{len(predictions)} prediction arrays for {len(dataset.simulations)} simulations"
         )
+    if not dataset.simulations:
+        raise ValueError("cannot evaluate an empty dataset")
     sq_sum = np.zeros(4)
     count = 0
     surface_sq_sum = 0.0
@@ -233,8 +228,12 @@ def evaluate_predictions(
             raise ValueError(
                 f"simulation {sim.name!r}: prediction shape {pred.shape} vs targets {sim.targets.shape}"
             )
-        diff = pred - sim.targets
-        sq_sum += (diff * diff).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = pred - sim.targets
+            sq = (diff * diff).sum(axis=0)
+        if not np.isfinite(sq).all():
+            raise ValueError(f"simulation {sim.name!r}: prediction is non-finite or too large to score")
+        sq_sum += sq
         count += sim.num_points
         surface_diff = diff[sim.surface_mask, 2]
         surface_sq_sum += float(surface_diff @ surface_diff)
@@ -242,18 +241,9 @@ def evaluate_predictions(
     mse = sq_sum / count
 
     table = coefficient_table(predictions, dataset)
-    names = [row[0] for row in table]
-    drag_pred = np.array([row[1] for row in table])
-    drag_true = np.array([row[2] for row in table])
-    lift_pred = np.array([row[3] for row in table])
-    lift_true = np.array([row[4] for row in table])
-
-    if len(dataset.simulations) >= 2:
-        spearman_drag = spearman(drag_pred, drag_true)
-        spearman_lift = spearman(lift_pred, lift_true)
-    else:
-        spearman_drag = None
-        spearman_lift = None
+    names, *columns = zip(*table)
+    drag_pred, drag_true, lift_pred, lift_true = (np.array(column) for column in columns)
+    ranked = len(table) >= 2
 
     report = EvalReport(
         mse_x_velocity=float(mse[0]),
@@ -263,8 +253,8 @@ def evaluate_predictions(
         mse_turbulent_viscosity=float(mse[3]),
         mean_relative_drag=mean_relative_error(drag_pred, drag_true, names),
         mean_relative_lift=mean_relative_error(lift_pred, lift_true, names),
-        spearman_drag=spearman_drag,
-        spearman_lift=spearman_lift,
+        spearman_drag=spearman(drag_pred, drag_true) if ranked else None,
+        spearman_lift=spearman(lift_pred, lift_true) if ranked else None,
     )
     return report, table
 

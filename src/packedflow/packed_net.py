@@ -213,41 +213,14 @@ def plan_layers(spec: PackedSpec) -> list[LayerPlan]:
     not applied there); interior layers use ``num_estimators * gamma`` groups.
     """
     m = spec.num_estimators
-    widths = [_widened_width(spec, h) for h in spec.hidden_widths]
-
-    plans = [
-        LayerPlan(
-            role="first",
-            in_width=m * spec.in_features,
-            out_width=widths[0],
-            groups=m,
-            per_group_in=spec.in_features,
-            per_group_out=widths[0] // m,
-        )
+    hidden = [_widened_width(spec, h) for h in spec.hidden_widths]
+    widths = [m * spec.in_features, *hidden, m * spec.out_features]
+    roles = ["first", *["hidden"] * (len(hidden) - 1), "last"]
+    groups = [m, *[m * spec.gamma] * (len(hidden) - 1), m]
+    return [
+        LayerPlan(role, w_in, w_out, g, w_in // g, w_out // g)
+        for role, w_in, w_out, g in zip(roles, widths[:-1], widths[1:], groups)
     ]
-    groups = m * spec.gamma
-    for w_in, w_out in zip(widths[:-1], widths[1:]):
-        plans.append(
-            LayerPlan(
-                role="hidden",
-                in_width=w_in,
-                out_width=w_out,
-                groups=groups,
-                per_group_in=w_in // groups,
-                per_group_out=w_out // groups,
-            )
-        )
-    plans.append(
-        LayerPlan(
-            role="last",
-            in_width=widths[-1],
-            out_width=m * spec.out_features,
-            groups=m,
-            per_group_in=widths[-1] // m,
-            per_group_out=spec.out_features,
-        )
-    )
-    return plans
 
 
 def param_count(plans: list[LayerPlan]) -> int:
@@ -266,17 +239,14 @@ def init_params(plans: list[LayerPlan], seed: int) -> Params:
     return Params(weights, biases)
 
 
-def make_dropout_masks(
-    plans: list[LayerPlan], batch_size: int, dropout_p: float, rng: np.random.Generator
-) -> list[np.ndarray]:
+def make_dropout_masks(plans: list[LayerPlan], batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Inverted-dropout masks (values 0 or 1/keep) for every activation layer.
 
-    One mask per layer except the last; masks already carry the 1/(1-p)
-    scaling so evaluation needs no rescaling.
+    Units drop with probability ``DROPOUT_P``.  One mask per layer except the
+    last; masks already carry the 1/(1-p) scaling so evaluation needs no
+    rescaling.
     """
-    if not 0.0 < dropout_p < 1.0:
-        raise ValueError(f"dropout_p must be in (0, 1), got {dropout_p}")
-    keep = 1.0 - dropout_p
+    keep = 1.0 - DROPOUT_P
     return [
         (rng.random((batch_size, plan.out_width)) < keep) / keep
         for plan in plans[:-1]

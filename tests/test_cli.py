@@ -175,7 +175,7 @@ class TestEvalCommand:
                 "data": {"dir": "data/test"},
             },
         )
-        argv = ["eval", "--config", eval_config, "--seed", "0", "--out", str(workspace / "report")]
+        argv = ["eval", "--config", eval_config, "--out", str(workspace / "report")]
         assert run_cli(argv) == 0
         with open(workspace / "report" / "eval_report.json") as fh:
             report_from_cli = json.load(fh)
@@ -206,7 +206,7 @@ class TestEvalCommand:
                 "data": {"dir": str(tmp_path / "echo")},
             },
         )
-        argv = ["eval", "--config", eval_config, "--seed", "0", "--out", str(tmp_path / "report")]
+        argv = ["eval", "--config", eval_config, "--out", str(tmp_path / "report")]
         assert run_cli(argv) == 0
         with open(tmp_path / "report" / "eval_report.json") as fh:
             report = json.load(fh)
@@ -500,6 +500,38 @@ class TestExitCodes:
         )
         assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
         assert str(data_dir / "manifest.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--jobs", "2"], ["gen", "--jobs", "1"], ["bench", "--jobs", "1"], ["eval", "--jobs", "1"],
+         ["eval", "--seed", "0"]],
+        ids=["train-jobs", "gen-jobs", "bench-jobs", "eval-jobs", "eval-seed"],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        config = write_config(tmp_path / "config.json", {})
+        assert run_cli([*argv, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unscorable_prediction_exits_1_naming_the_simulation(self, workspace, tmp_path, capsys):
+        # A finite field point far outside the training data: its squared error overflows float64.
+        dataset = load_dataset(workspace / "data" / "test")
+        sim = dataset.simulations[1]
+        points = sim.points.copy()
+        points[np.flatnonzero(~sim.surface_mask)[0], 0] = 1e300
+        far = Simulation(sim.name, points, sim.targets)
+        write_dataset(Dataset((dataset.simulations[0], far), split_label="test"), tmp_path / "data")
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(workspace / "run" / "model.pkmlp"),
+                "scaler": str(workspace / "run" / "scaler.json"),
+                "data": {"dir": str(tmp_path / "data")},
+            },
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 1
+        assert f"error: ValueError: simulation '{sim.name}': prediction is non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(["frobnicate"]) == 2

@@ -1,6 +1,7 @@
 """Data layer: CSV parsing, scalers, folds, subsampling, and the flow generator."""
 
 import codecs
+import hashlib
 import json
 
 import numpy as np
@@ -124,6 +125,11 @@ class TestSimulationInvariants:
         points[1, 5:7] = (0.5, 0.5)
         with pytest.raises(ValueError, match="unit norm"):
             Simulation("bad", points, sim.targets)
+
+    def test_overflowing_normal_norm_is_not_unit(self, tmp_path):
+        # hypot(1.7e308, 1.7e308) overflows; the row must fail the unit-norm check, with no warning
+        path = csv_file(tmp_path, f"{HEADER}\n1.0,0.0,10.0,0.0,0.0,1.7e308,1.7e308,0.0,0.0,50.0,0.0\n")
+        assert parse_error(path) == f"{path}: simulation 'sim': surface normals must have unit norm"
 
     def test_dataset_rejects_duplicate_names(self):
         sim = field_simulation("dup", 4, 0)
@@ -487,6 +493,24 @@ class TestKfold:
         sizes = sorted(len(val) for _, val in folds)
         assert sizes == [25, 26,26, 26]
 
+    @pytest.mark.parametrize(
+        "n,k,expected",
+        [
+            (12, 4, [[0, 2, 9], [7, 10, 11], [3, 5, 6], [1, 4, 8]]),
+            (10, 4, [[0, 2, 7], [5, 6, 9], [3, 4], [1, 8]]),
+            (7, 3, [[2, 5, 6], [3, 4], [0, 1]]),
+        ],
+    )
+    def test_golden_validation_folds(self, n, k, expected):
+        # The bigger folds come first; each fold keeps the dataset's order.
+        dataset = field_dataset(n, num_points=1, seed=0)
+        folds = kfold_split(dataset, k, seed=2)
+        assert [[s.name for s in val.simulations] for _, val in folds] == [
+            [f"train_{i:03d}" for i in fold] for fold in expected
+        ]
+        for (train, _), fold in zip(folds, expected):
+            assert [s.name for s in train.simulations] == [f"train_{i:03d}" for i in range(n) if i not in fold]
+
     def test_too_few_simulations(self):
         dataset = field_dataset(3, num_points=2, seed=0)
         with pytest.raises(ValueError):
@@ -593,6 +617,23 @@ class TestCylinderFlow:
             surface_xy = sim.points[sim.surface_mask, :2]
             radius = np.hypot(surface_xy[:, 0], surface_xy[:, 1]).mean()
             assert radius > config.radius_range[1]
+
+    @pytest.mark.parametrize(
+        "ood,expected",
+        [
+            (False, ["d239adeaa9219d519f26952fb7927707152de6293c8b8fad3c6b141d557097f5",
+                     "f7415636995cef204f1069da3b9b49f51a4aa5e14aa665ec8ac4ed44ac6e3269"]),
+            (True, ["4a5f639f6a5d51a88c71819217857226e2354990385e98311e4148e5c4999471",
+                    "cfbe317e75063c43bfc134d6f952a6d6570bd704b50f88cd74b44132799cd554"]),
+        ],
+        ids=["in-range", "ood"],
+    )
+    def test_golden_written_bytes(self, tmp_path, ood, expected):
+        digests = []
+        for sim in generate_cylinder_flow(small_flow_config(num_sims=2, ood=ood)).simulations:
+            write_simulation(sim, tmp_path / f"{sim.name}.csv")
+            digests.append(hashlib.sha256((tmp_path / f"{sim.name}.csv").read_bytes()).hexdigest())
+        assert digests == expected
 
     def test_pressure_is_bernoulli(self):
         dataset = generate_cylinder_flow(small_flow_config(seed=5))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from packedflow.formats import write_json
 from packedflow.metrics import EvalReport, write_coefficients_csv, write_report_json
 from packedflow.training import (
     CVRow,
@@ -109,3 +110,10 @@ def test_report_writer_bytes(tmp_path, write, value, golden):
     path = tmp_path / "out"
     write(value, path)
     assert path.read_bytes() == golden
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_rejects_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "out.json", {"nested": [1.0, {"x": value}]})
+    assert not (tmp_path / "out.json").exists()

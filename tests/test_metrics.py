@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
-from helpers import block_diagonal_forward, cylinder_dataset, field_simulation, naive_spearman
+from helpers import (
+    block_diagonal_forward,
+    cylinder_dataset,
+    field_simulation,
+    naive_average_ranks,
+    naive_spearman,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packedflow.data import Dataset, Simulation, fit_scaler
 from packedflow.metrics import (
     EvalReport,
+    _average_ranks,
     evaluate_predictions,
     force_coefficients,
     mean_relative_error,
@@ -153,6 +162,13 @@ class TestSpearman:
                 continue
             assert abs(spearman(xs, ys) - naive_spearman(xs, ys)) <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 0.5, 1.0, 1e300, np.inf]), min_size=1, max_size=40))
+    def test_ranks_equal_naive_oracle_bit_for_bit(self, values):
+        # Ties (including -0.0 == 0.0 and repeated infinities) share the mean of their rank range.
+        values = np.array(values)
+        assert _average_ranks(values).tobytes() == naive_average_ranks(values).tobytes()
+
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         xs, ys = rng.normal(size=30), rng.normal(size=30)
@@ -171,6 +187,10 @@ class TestSpearman:
     def test_short_input_rejected(self):
         with pytest.raises(ValueError, match="2 samples"):
             spearman([1.0], [2.0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
 
 
 class TestMeanRelativeError:
@@ -280,6 +300,18 @@ class TestEvaluate:
         assert report.spearman_drag is None
         assert report.spearman_lift is None
         assert report.mse_pressure == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflows"])
+    def test_unscorable_prediction_names_the_simulation(self, split, value):
+        predictions = [sim.targets.copy() for sim in split.simulations]
+        predictions[3][5, 0] = value
+        name = split.simulations[3].name
+        with pytest.raises(ValueError, match=f"^simulation '{name}': prediction is non-finite or too large to score$"):
+            evaluate_predictions(predictions, split)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate_predictions([], Dataset((), split_label="test"))
 
     def test_report_json_round_trip(self, split, tmp_path):
         import json

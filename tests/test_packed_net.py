@@ -126,6 +126,40 @@ class TestPlanLayers:
             assert plan.in_width == plan.groups * plan.per_group_in
             assert plan.out_width == plan.groups * plan.per_group_out
 
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (  # configs/bench.json, half_capacity
+                PackedSpec(8, 4, 1, DEEP_THIN),
+                [("first", 56, 256, 8, 7, 32), ("hidden", 256, 256, 8, 32, 32), ("hidden", 256, 32, 8, 32, 4),
+                 ("hidden", 32, 256, 8, 4, 32), ("hidden", 256, 256, 8, 32, 32), ("hidden", 256, 256, 8, 32, 32),
+                 ("hidden", 256, 32, 8, 32, 4), ("hidden", 32, 256, 8, 4, 32), ("hidden", 256, 256, 8, 32, 32),
+                 ("last", 256, 32, 8, 32, 4)],
+            ),
+            (  # configs/bench.json, deep_ensemble_equivalent
+                PackedSpec(8, 8, 1, DEEP_THIN),
+                [("first", 56, 512, 8, 7, 64), ("hidden", 512, 512, 8, 64, 64), ("hidden", 512, 64, 8, 64, 8),
+                 ("hidden", 64, 512, 8, 8, 64), ("hidden", 512, 512, 8, 64, 64), ("hidden", 512, 512, 8, 64, 64),
+                 ("hidden", 512, 64, 8, 64, 8), ("hidden", 64, 512, 8, 8, 64), ("hidden", 512, 512, 8, 64, 64),
+                 ("last", 512, 32, 8, 64, 4)],
+            ),
+            (  # configs/cv.json, base_spec
+                PackedSpec(4, 2, 2, (48, 128, 48)),
+                [("first", 28, 96, 4, 7, 24), ("hidden", 96, 256, 8, 12, 32), ("hidden", 256, 96, 8, 32, 12),
+                 ("last", 96, 16, 4, 24, 4)],
+            ),
+            (
+                PackedSpec(2, 3, 3, (10, 7, 5), in_features=3, out_features=2),
+                [("first", 6, 30, 2, 3, 15), ("hidden", 30, 24, 6, 5, 4), ("hidden", 24, 18, 6, 4, 3),
+                 ("last", 18, 4, 2, 9, 2)],
+            ),
+        ],
+        ids=["half_capacity", "deep_ensemble_equivalent", "cv_base", "gamma3"],
+    )
+    def test_golden_plan_tables(self, spec, expected):
+        keys = ("role", "in_width", "out_width", "groups", "per_group_in", "per_group_out")
+        assert [p.to_dict() for p in plan_layers(spec)] == [dict(zip(keys, row)) for row in expected]
+
 
     @settings(max_examples=100, deadline=None)
     @given(SPECS)
@@ -316,7 +350,7 @@ class TestForward:
 class TestDropout:
     def test_mask_values_are_inverted_scale(self):
         plans = plan_layers(PackedSpec(2, 2, 1, (16, 16)))
-        masks = make_dropout_masks(plans, 64, 0.2, np.random.default_rng(0))
+        masks = make_dropout_masks(plans, 64, np.random.default_rng(0))
         assert len(masks) == len(plans) - 1
         for mask in masks:
             values = np.unique(mask)
@@ -325,7 +359,7 @@ class TestDropout:
     def test_explicit_masks_reproduce_manual_computation(self):
         spec = PackedSpec(2, 1, 1, (6,), in_features=3, out_features=2)
         plans, params, x, _ = random_case(spec, 8)
-        masks = make_dropout_masks(plans, len(x), 0.2, np.random.default_rng(4))
+        masks = make_dropout_masks(plans, len(x), np.random.default_rng(4))
         out = forward(params, plans, x, dropout_masks=masks)
         a = np.tile(x, (1, 2))
         dense0 = block_diagonal_matrix(plans[0], params.weights[0])
@@ -345,7 +379,7 @@ class TestRegroup:
     def case(self, dropout):
         plans, params, x, y = random_case(self.SPEC, 31, batch=7)
         assert [p.groups for p in plans] == [2, 6, 6, 2]
-        masks = make_dropout_masks(plans, len(x), 0.2, np.random.default_rng(5)) if dropout else None
+        masks = make_dropout_masks(plans, len(x), np.random.default_rng(5)) if dropout else None
         dense_w = [block_diagonal_matrix(plan, w) for plan, w in zip(plans, params.weights)]
         return plans, params, x, y, masks, dense_w
 
@@ -386,7 +420,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 5000])
     def test_forward_matches_block_diagonal_matrices(self, n, dropout):
         plans, params, x, _ = random_case(self.SPEC, 17, batch=n)
-        masks = make_dropout_masks(plans, n, 0.2, np.random.default_rng(n)) if dropout else None
+        masks = make_dropout_masks(plans, n, np.random.default_rng(n)) if dropout else None
         expected = block_diagonal_forward(plans, params, x, masks)
         out = forward(params, plans, x, dropout_masks=masks)
         np.testing.assert_allclose(out.estimator_outputs, expected, rtol=1e-12, atol=1e-12)
@@ -401,7 +435,7 @@ class TestRowBlocks:
 
     def test_rejects_masks_for_another_batch(self):
         plans, params, x, _ = random_case(self.SPEC, 0, batch=2049)
-        masks = make_dropout_masks(plans, 2050, 0.2, np.random.default_rng(0))
+        masks = make_dropout_masks(plans, 2050, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dropout masks must have shapes"):
             forward(params, plans, x, dropout_masks=masks)
 
@@ -465,7 +499,7 @@ class TestLossAndGrad:
         spec = PackedSpec(4, 2, 2, (6, 8, 6), in_features=5, out_features=3)
         plans, params, x, y = random_case(spec, 1)
         masks = (
-            make_dropout_masks(plans, len(x), 0.2, np.random.default_rng(12)) if dropout else None
+            make_dropout_masks(plans, len(x), np.random.default_rng(12)) if dropout else None
         )
         nudge_biases_off_kinks(params, plans, x, masks)
         _, grads = loss_and_grad(params, plans, x, y, dropout_masks=masks)
