@@ -184,10 +184,15 @@ def mean_relative_error(pred, truth, names=None) -> float:
 
 
 def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulation) -> np.ndarray:
-    """Model prediction for one simulation in physical units."""
+    """Model prediction for one simulation in physical units.
+
+    A prediction too large for float64 in physical units becomes an infinity,
+    which :func:`evaluate_predictions` rejects naming the simulation.
+    """
     scaled = apply_scaler(scaler, sim.points, "forward", "inputs")
     out = forward(params, plans, scaled)
-    return apply_scaler(scaler, out.mean_output, "inverse", "targets")
+    with np.errstate(over="ignore"):
+        return apply_scaler(scaler, out.mean_output, "inverse", "targets")
 
 
 def coefficient_table(

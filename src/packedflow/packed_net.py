@@ -26,7 +26,13 @@ layout ``(batch, out_width)`` and are viewed group-major.  All math is float64.
 ``forward`` runs a batch in fixed row blocks of 1024 to 2047 rows (one block
 if it is shorter), so inference memory is bounded by the block, and every
 output equals that of a one-batch pass.  ReLU and dropout run in place, so
-each layer keeps one activation array, in training and in inference.
+each layer keeps one activation buffer, and the backward pass writes each
+layer's gradient over the activation it no longer needs.  These buffers live
+in a ``_Workspace`` made once per call and reused: by every row block of
+``forward``, and by every step of ``training.train``, whose short last batch
+uses the leading rows.  So each page is touched once per call, not once per
+block or step.  No result returned to a caller shares memory with a
+workspace, and every output has the bits it would have with fresh buffers.
 """
 
 from __future__ import annotations
@@ -239,18 +245,25 @@ def init_params(plans: list[LayerPlan], seed: int) -> Params:
     return Params(weights, biases)
 
 
-def make_dropout_masks(plans: list[LayerPlan], batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+def make_dropout_masks(
+    plans: list[LayerPlan], batch_size: int, rng: np.random.Generator, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Inverted-dropout masks (values 0 or 1/keep) for every activation layer.
 
-    Units drop with probability ``DROPOUT_P``.  One mask per layer except the
-    last; masks already carry the 1/(1-p) scaling so evaluation needs no
-    rescaling.
+    Units drop with probability ``DROPOUT_P``.  One ``(batch_size, out_width)``
+    mask per layer except the last; masks already carry the 1/(1-p) scaling so
+    evaluation needs no rescaling.  Given ``out``, C-contiguous float64 arrays
+    of those shapes, the masks are drawn into them and ``out`` is returned;
+    the rng stream and the values are the same either way.
     """
     keep = 1.0 - DROPOUT_P
-    return [
-        (rng.random((batch_size, plan.out_width)) < keep) / keep
-        for plan in plans[:-1]
-    ]
+    if out is None:
+        out = [np.empty((batch_size, plan.out_width)) for plan in plans[:-1]]
+    for mask in out:
+        rng.random(out=mask)
+        np.less(mask, keep, out=mask)
+        mask /= keep
+    return out
 
 
 def _layer_shapes(plans: list[LayerPlan]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -276,11 +289,51 @@ def _group_major(a: np.ndarray, groups: int) -> np.ndarray:
     return a.reshape(len(a), groups, a.shape[1] // groups).transpose(1, 0, 2)
 
 
-def _regroup(a: np.ndarray, groups: int) -> np.ndarray:
-    """Re-partition the channels of group-major ``a`` into ``groups`` contiguous groups."""
+class _Workspace:
+    """The buffers of network passes over at most ``rows`` rows, reused by every pass given it.
+
+    Each buffer is flat and sized for ``rows`` rows of its width; a pass over
+    fewer rows uses its leading values (see :func:`_leading`).  Per hidden
+    layer, ``acts`` holds the kept activation, then in the backward pass its
+    gradient; ``masks`` holds the dropout mask, and ``regrouped`` (where the
+    next layer's group count differs, else None) the channel-major copy the
+    next layer reads.  For training, ``out`` holds the last layer's output and
+    ``gate`` one layer's ReLU gate; ``forward`` leaves them untouched.
+    """
+
+    def __init__(self, plans: list[LayerPlan], rows: int, *, masks: bool = False):
+        self.widths = [plan.out_width for plan in plans[:-1]]
+        self.acts = [np.empty(rows * width) for width in self.widths]
+        self.masks = [np.empty(rows * width) for width in self.widths] if masks else None
+        self.regrouped = [
+            np.empty(rows * width) if plan.groups != above.groups else None
+            for width, plan, above in zip(self.widths, plans, plans[1:])
+        ]
+        self.out = np.empty(rows * plans[-1].out_width)
+        self.gate = np.empty(rows * max(self.widths, default=0), dtype=bool)
+
+    def mask_rows(self, n: int) -> list[np.ndarray]:
+        """The mask buffers' leading ``n`` rows, as ``make_dropout_masks``' ``out``."""
+        return [_leading(mask, (n, width)) for mask, width in zip(self.masks, self.widths)]
+
+
+def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading values of a flat workspace buffer, as a C-contiguous array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _regroup(a: np.ndarray, groups: int, out: np.ndarray | None) -> np.ndarray:
+    """Re-partition the channels of group-major ``a`` into ``groups`` contiguous groups.
+
+    Returns ``a`` itself if it already has ``groups`` groups; otherwise copies
+    it channel-major into the flat buffer ``out`` and views the copy group-major.
+    """
     if a.shape[0] == groups:
         return a
-    return _group_major(a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2]), groups)
+    g, n, w = a.shape
+    rows = _leading(out, (n, g * w))
+    rows.reshape(n, g, w)[...] = a.transpose(1, 0, 2)
+    return _group_major(rows, groups)
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -308,30 +361,31 @@ def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks
     return batch
 
 
-def _run_layers(params: Params, plans: list[LayerPlan], batch: np.ndarray, dropout_masks) -> tuple:
+def _run_layers(
+    params: Params, plans: list[LayerPlan], batch: np.ndarray, dropout_masks, ws: _Workspace, y: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The group-major forward pass shared by inference and training, on checked inputs.
 
-    Returns the last layer's output ``(num_estimators, batch, out_features)``,
-    each layer's group-major input and kept activation (ReLU then dropout, in
-    place), and the dropout masks viewed group-major.
+    Writes each hidden layer's kept activation (ReLU then dropout, in place)
+    into ``ws.acts`` and the last layer's output into ``y``, ``(num_estimators,
+    len(batch), out_features)``.  Returns each layer's group-major input and
+    each hidden layer's kept activation.
     """
-    masks = None
-    if dropout_masks is not None:
-        masks = [_group_major(m, plan.groups) for m, plan in zip(dropout_masks, plans)]
-
     x = batch[None]  # one input group, broadcast to every estimator of the first layer
     inputs, acts = [], []
     for i, plan in enumerate(plans):
-        z = x @ params.weights[i].transpose(0, 2, 1)
-        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
         inputs.append(x)
-        if i == len(plans) - 1:
-            return z, inputs, acts, masks
+        last = i == len(plans) - 1
+        z = y if last else _leading(ws.acts[i], (plan.groups, len(batch), plan.per_group_out))
+        np.matmul(x, params.weights[i].transpose(0, 2, 1), out=z)
+        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
+        if last:
+            return inputs, acts
         np.maximum(z, 0.0, out=z)
-        if masks is not None:
-            z *= masks[i]
+        if dropout_masks is not None:
+            z *= _group_major(dropout_masks[i], plan.groups)
         acts.append(z)
-        x = _regroup(z, plans[i + 1].groups)
+        x = _regroup(z, plans[i + 1].groups, ws.regrouped[i])
 
 
 def forward(
@@ -345,13 +399,16 @@ def forward(
     Every estimator sees the whole batch, and every layer except the last is
     followed by ReLU.  Without ``dropout_masks`` the pass is deterministic;
     with them (see :func:`make_dropout_masks`), each activation is multiplied
-    by its mask.  The rows run in blocks of :func:`_row_blocks`.
+    by its mask.  The rows run in blocks of :func:`_row_blocks`, all in one
+    workspace, and the last layer writes straight into the returned array.
     """
     batch = _checked_inputs(params, plans, batch, dropout_masks)
     y = np.empty((plans[-1].groups, len(batch), plans[-1].per_group_out))
-    for lo, hi in _row_blocks(len(batch)):
+    blocks = _row_blocks(len(batch))
+    ws = _Workspace(plans, max(hi - lo for lo, hi in blocks))
+    for lo, hi in blocks:
         masks = None if dropout_masks is None else [m[lo:hi] for m in dropout_masks]
-        y[:, lo:hi] = _run_layers(params, plans, batch[lo:hi], masks)[0]
+        _run_layers(params, plans, batch[lo:hi], masks, ws, y[:, lo:hi])
     return PerEstimatorOutput(estimator_outputs=y, mean_output=y.sum(axis=0) / len(y))
 
 
@@ -361,12 +418,14 @@ def loss_and_grad(
     batch: np.ndarray,
     targets: np.ndarray,
     dropout_masks: list[np.ndarray] | None = None,
+    workspace: _Workspace | None = None,
 ) -> tuple[float, Params]:
     """MSE of the ensemble-mean prediction and its exact parameter gradients.
 
     loss = mean over batch rows and output channels of (mean_output - target)^2.
     Gradients are computed by backpropagation through the same dropout masks
-    as the forward pass.
+    as the forward pass.  The pass runs in ``workspace``, made for at least
+    ``len(batch)`` rows, or in a fresh one.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if len(batch) == 0:
@@ -380,8 +439,11 @@ def loss_and_grad(
         raise ValueError("targets contain non-finite values")
 
     batch = _checked_inputs(params, plans, batch, dropout_masks)
-    y, inputs, acts, masks = _run_layers(params, plans, batch, dropout_masks)
-    m, n, out_features = y.shape
+    n = len(batch)
+    ws = _Workspace(plans, n) if workspace is None else workspace
+    m, out_features = plans[-1].groups, plans[-1].per_group_out
+    y = _leading(ws.out, (m, n, out_features))
+    inputs, acts = _run_layers(params, plans, batch, dropout_masks, ws, y)
     diff = y.sum(axis=0) / m - targets
     loss = float(np.mean(diff * diff))
 
@@ -389,18 +451,24 @@ def loss_and_grad(
     dmean = (2.0 / (n * out_features)) * diff
     dz = np.broadcast_to(dmean / m, y.shape)
 
+    # Walking down, the gradient of each hidden activation overwrites that activation
+    # once its ReLU gate is taken, and a regroup reuses the buffer the layer above
+    # read its input from.
     grads = Params.from_flat(np.empty(param_count(plans)), _layer_shapes(plans))
     for i in range(len(plans) - 1, -1, -1):
         plan = plans[i]
         if i < len(plans) - 1:
-            dz = _regroup(dz, plan.groups)  # a fresh array from the layer above, updated in place
-            if masks is not None:
-                dz *= masks[i]
-            dz *= acts[i] > 0.0  # kept and active: relu(z) * mask > 0 exactly where z > 0
+            dz = _regroup(dz, plan.groups, ws.regrouped[i])
+            if dropout_masks is not None:
+                dz *= _group_major(dropout_masks[i], plan.groups)
+            dz *= gate
         np.matmul(dz.transpose(0, 2, 1), inputs[i], out=grads.weights[i])
         np.sum(dz, axis=1, out=grads.biases[i].reshape(plan.groups, plan.per_group_out))
         if i:
-            dz = dz @ params.weights[i]
+            # Kept and active units: relu(z) * mask > 0.
+            gate = np.greater(acts[i - 1], 0.0, out=_leading(ws.gate, acts[i - 1].shape))
+            below = _leading(ws.acts[i - 1], (plan.groups, n, plan.per_group_in))
+            dz = np.matmul(dz, params.weights[i], out=below)
     return loss, grads
 
 

@@ -14,6 +14,7 @@ from .formats import write_csv
 from .packed_net import (
     PackedSpec,
     Params,
+    _Workspace,
     forward,
     init_params,
     loss_and_grad,
@@ -203,9 +204,11 @@ def pooled_scaled_arrays(dataset: Dataset, scaler: ScalerPair) -> tuple[np.ndarr
 
 def scaled_mse(params: Params, plans, scaler: ScalerPair, dataset: Dataset) -> float:
     """MSE of the ensemble mean, without dropout, on standardized targets."""
-    x, y = pooled_scaled_arrays(dataset, scaler)
-    out = forward(params, plans, x)
-    diff = out.mean_output - y
+    return _mse(params, plans, *pooled_scaled_arrays(dataset, scaler))
+
+
+def _mse(params: Params, plans, x: np.ndarray, y: np.ndarray) -> float:
+    diff = forward(params, plans, x).mean_output - y
     return float(np.mean(diff * diff))
 
 
@@ -229,11 +232,14 @@ def train(
     params = init_params(plans, cfg.seed)
     state = init_adam_state(params)
     x, y = pooled_scaled_arrays(train_data, scaler)
+    val = pooled_scaled_arrays(val_data, scaler) if val_data is not None else None
     n = len(x)
     rng = np.random.default_rng([cfg.seed, 1])
+    # One set of buffers for every step; a short last batch uses their leading rows.
+    ws = _Workspace(plans, min(n, cfg.batch_points), masks=spec.dropout_enabled)
 
     losses: list[float] = []
-    val_losses: list[float] | None = [] if val_data is not None else None
+    val_losses: list[float] | None = [] if val is not None else None
     wall: list[float] = []
     for epoch in range(cfg.max_epochs):
         started = time.perf_counter()
@@ -243,8 +249,8 @@ def train(
             idx = order[start : start + cfg.batch_points]
             masks = None
             if spec.dropout_enabled:
-                masks = make_dropout_masks(plans, len(idx), rng)
-            loss, grads = loss_and_grad(params, plans, x[idx], y[idx], masks)
+                masks = make_dropout_masks(plans, len(idx), rng, out=ws.mask_rows(len(idx)))
+            loss, grads = loss_and_grad(params, plans, x[idx], y[idx], masks, ws)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"loss = {loss}")
             try:
@@ -254,7 +260,7 @@ def train(
             weighted += loss * len(idx)
         losses.append(weighted / n)
         if val_losses is not None:
-            val_losses.append(scaled_mse(params, plans, scaler, val_data))
+            val_losses.append(_mse(params, plans, *val))
         wall.append(time.perf_counter() - started)
         if cfg.early_stop_enabled and early_stop(
             losses, cfg.early_stop_threshold, cfg.early_stop_window

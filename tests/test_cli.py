@@ -60,6 +60,27 @@ def with_spec_value(blob, key, value):
     return blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + h :]
 
 
+def eval_far_point(workspace, tmp_path, x):
+    """Run ``eval`` on the test split with one field point moved to ``x``; return its simulation."""
+    dataset = load_dataset(workspace / "data" / "test")
+    sim = dataset.simulations[1]
+    points = sim.points.copy()
+    points[np.flatnonzero(~sim.surface_mask)[0], 0] = x
+    far = Simulation(sim.name, points, sim.targets)
+    write_dataset(Dataset((dataset.simulations[0], far), split_label="test"), tmp_path / "data")
+    config = write_config(
+        tmp_path / "eval.json",
+        {
+            "model": str(workspace / "run" / "model.pkmlp"),
+            "scaler": str(workspace / "run" / "scaler.json"),
+            "data": {"dir": str(tmp_path / "data")},
+        },
+    )
+    assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 1
+    assert not (tmp_path / "report").exists()
+    return sim
+
+
 GEN_SPLITS = {
     "train": {
         "num_sims": 4,
@@ -515,23 +536,18 @@ class TestExitCodes:
 
     def test_unscorable_prediction_exits_1_naming_the_simulation(self, workspace, tmp_path, capsys):
         # A finite field point far outside the training data: its squared error overflows float64.
-        dataset = load_dataset(workspace / "data" / "test")
-        sim = dataset.simulations[1]
-        points = sim.points.copy()
-        points[np.flatnonzero(~sim.surface_mask)[0], 0] = 1e300
-        far = Simulation(sim.name, points, sim.targets)
-        write_dataset(Dataset((dataset.simulations[0], far), split_label="test"), tmp_path / "data")
-        config = write_config(
-            tmp_path / "eval.json",
-            {
-                "model": str(workspace / "run" / "model.pkmlp"),
-                "scaler": str(workspace / "run" / "scaler.json"),
-                "data": {"dir": str(tmp_path / "data")},
-            },
-        )
-        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 1
-        assert f"error: ValueError: simulation '{sim.name}': prediction is non-finite" in capsys.readouterr().err
-        assert not (tmp_path / "report").exists()
+        sim = eval_far_point(workspace, tmp_path, 1e300)
+        error = capsys.readouterr().err
+        assert f"error: ValueError: simulation '{sim.name}': prediction is non-finite" in error
+
+    def test_prediction_overflowing_its_inverse_scaling_exits_1_naming_the_simulation(
+        self, workspace, tmp_path, capsys
+    ):
+        # Farther still, the prediction overflows when scaled back to physical units; under
+        # the suite's warnings-as-errors that overflow must not surface as a RuntimeWarning.
+        sim = eval_far_point(workspace, tmp_path, 1e308)
+        error = capsys.readouterr().err
+        assert f"error: ValueError: simulation '{sim.name}': prediction is non-finite" in error
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(["frobnicate"]) == 2

@@ -24,6 +24,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packedflow import packed_net
 from packedflow.packed_net import (
     _ROW_BLOCK,
     DROPOUT_P,
@@ -32,6 +33,7 @@ from packedflow.packed_net import (
     Params,
     ShapeMismatchError,
     _row_blocks,
+    _Workspace,
     forward,
     init_params,
     load_params,
@@ -369,6 +371,71 @@ class TestDropout:
         np.testing.assert_allclose(
             out.mean_output, z.reshape(len(x), 2, 2).mean(axis=1), rtol=0, atol=1e-12
         )
+
+
+class TestWorkspace:
+    """One set of buffers serves every row block and every step; no result lives in it."""
+
+    SPEC = PackedSpec(2, 2, 3, (9, 13, 5), dropout_enabled=True)
+
+    @staticmethod
+    def arrays(ws):
+        for value in vars(ws).values():
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                if isinstance(item, np.ndarray):
+                    yield item
+
+    def test_masks_drawn_in_place_equal_fresh_ones(self):
+        plans = plan_layers(self.SPEC)
+        ws = _Workspace(plans, 50, masks=True)
+        fresh_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        fresh = make_dropout_masks(plans, 40, fresh_rng)
+        masks = make_dropout_masks(plans, 40, rng, out=ws.mask_rows(40))
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, masks))
+        assert all(np.shares_memory(mask, buf) for mask, buf in zip(masks, ws.masks))
+        assert fresh_rng.random() == rng.random()
+
+    def test_forward_output_is_not_in_its_workspace(self, monkeypatch):
+        made = []
+
+        class Recording(_Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(packed_net, "_Workspace", Recording)
+        plans, params, x, _ = random_case(self.SPEC, 3, batch=2 * _ROW_BLOCK + 5)
+        masks = make_dropout_masks(plans, len(x), np.random.default_rng(1))
+        out = forward(params, plans, x, dropout_masks=masks)
+        [ws] = made  # one workspace for both row blocks
+        for buf in self.arrays(ws):
+            assert not np.shares_memory(out.estimator_outputs, buf)
+            assert not np.shares_memory(out.mean_output, buf)
+        first = out.estimator_outputs.copy()
+        forward(params, plans, -x, dropout_masks=masks)
+        assert np.array_equal(out.estimator_outputs, first)
+
+    def test_gradients_are_not_in_the_workspace_and_survive_its_reuse(self):
+        plans, params, x, y = random_case(self.SPEC, 4, batch=60)
+        ws = _Workspace(plans, 60, masks=True)
+
+        def step(n, seed, workspace):
+            rng = np.random.default_rng(seed)
+            out = None if workspace is None else workspace.mask_rows(n)
+            masks = make_dropout_masks(plans, n, rng, out=out)
+            loss, grads = loss_and_grad(params, plans, x[:n], y[:n], masks, workspace)
+            return loss, grads.flat
+
+        loss, grads = step(60, 2, ws)
+        for buf in self.arrays(ws):
+            assert not np.shares_memory(grads, buf)
+        first = grads.copy()
+        # A shorter batch runs in the workspace's leading rows.
+        short = step(23, 5, ws)
+        assert np.array_equal(grads, first)
+        for (ws_loss, ws_grads), (n, seed) in [((loss, grads), (60, 2)), (short, (23, 5))]:
+            fresh_loss, fresh_grads = step(n, seed, None)
+            assert ws_loss == fresh_loss and np.array_equal(ws_grads, fresh_grads)
 
 
 class TestRegroup:

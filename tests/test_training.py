@@ -1,12 +1,13 @@
 """Optimizer, early stopping, training loop, and cross-validation harness."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from helpers import field_dataset, linear_target_dataset
+from helpers import cylinder_dataset, field_dataset, linear_target_dataset
 
-from packedflow import training
+from packedflow import packed_net, training
 from packedflow.data import fit_scaler
 from packedflow.packed_net import PackedSpec, Params, init_params, plan_layers
 from packedflow.training import (
@@ -161,12 +162,92 @@ class TestTrain:
         _, history = train(spec, dataset, None, fit_scaler(dataset), cfg)
         assert history.num_epochs == cfg.early_stop_window + 1
 
+    def test_validation_set_is_pooled_and_scaled_once(self, monkeypatch):
+        train_data = field_dataset(3, num_points=20, seed=2)
+        val_data = field_dataset(2, num_points=10, seed=9, split_label="test")
+        spec = PackedSpec(2, 1, 1, (8,))
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=4, batch_points=16, seed=0)
+        scaler = fit_scaler(train_data)
+        original, pooled = training.pooled_scaled_arrays, []
+
+        def counting(dataset, scaler):
+            pooled.append(dataset.split_label)
+            return original(dataset, scaler)
+
+        monkeypatch.setattr(training, "pooled_scaled_arrays", counting)
+        train(spec, train_data, val_data, scaler, cfg)
+        assert pooled == ["train", "test"]
+
+    def test_one_workspace_per_call(self, monkeypatch):
+        # Three epochs of three steps each (the last one short), all in one set of buffers.
+        dataset = field_dataset(2, num_points=20, seed=4)
+        spec = PackedSpec(2, 2, 3, (12, 12), dropout_enabled=True)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3, batch_points=16, seed=0)
+        built = []
+        init = packed_net._Workspace.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(packed_net._Workspace, "__init__", counting_init)
+        train(spec, dataset, None, fit_scaler(dataset), cfg)
+        assert [rows for _, rows in built] == [16]
+        train(spec, dataset, None, fit_scaler(dataset), cfg)
+        assert len(built) == 2
+
     def test_early_stop_disabled_runs_all_epochs(self):
         dataset = field_dataset(2, num_points=20, seed=4)
         spec = PackedSpec(2, 1, 1, (8,))
         cfg = TrainConfig(learning_rate=1e-9, max_epochs=8, seed=0)
         _, history = train(spec, dataset, None, fit_scaler(dataset), cfg)
         assert history.num_epochs == 8
+
+
+def sha256(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestTrainGolden:
+    """Trained parameters and loss histories, pinned bit for bit.
+
+    300 points in batches of 128 leave a short last batch of 44.  The digests
+    were recorded with fresh arrays for every step, so they also show that
+    reusing one workspace across steps changes no bit.
+    """
+
+    DIGESTS = {
+        (1, False): (
+            "69ca5beb967fe26cf32fcee37ed4610faa6acd671c2a9494d689974cc6205e40",
+            "48a3d1256fad9558d1b1c0693695a68804ddc88edb31beb58b8af7629b2e7754",
+            "5df9f5272f03c59bab812e03e1c4ca52cf544e1e03652376c0a9272c52b5615e",
+        ),
+        (1, True): (
+            "344402da5cb4ec9cb662d826ccda3191adc934bcaa87f981867e84cacfd7d24b",
+            "68d98000ed9db393e9baad76cd19172590fdf3447dcf14f76937def9b98facd9",
+            "8290830f1a900a89c473d171fff80bc3e7fe0e263ad6b7d80d7e8180125d02fb",
+        ),
+        (3, False): (
+            "372e818bf0d40bca800682c0a86ee16f0936d4eef16a5a309d5d31a181b3676c",
+            "c590e8819bd8d26a0df5fa2740bd6191b2ed4bd2ca1180999de2bf0e98a62e5a",
+            "64e2b2d140680a30459926701679b36a917a87ccbb514643a562b7d5c38dfb37",
+        ),
+        (3, True): (
+            "07934e48ac55901624f71cc47067ec1aafc935c615661d157c3d8c5741600498",
+            "b5fe542b78eb905b867ecc59d22689c00a20bf88153bd55b73e8ae909edcd6f4",
+            "d31b9fcf61dbc8d6b0c16db460119b5e23187bc4c349638fc3f6bde6be765c49",
+        ),
+    }
+
+    @pytest.mark.parametrize("gamma, dropout", DIGESTS)
+    def test_params_and_losses_match_recorded_digests(self, gamma, dropout):
+        data = cylinder_dataset(3, surface_points=40, field_points=60, seed=21)
+        val = cylinder_dataset(2, surface_points=24, field_points=24, seed=22, split_label="test")
+        spec = PackedSpec(2, 2, gamma, (12, 18, 12), dropout_enabled=dropout)
+        cfg = TrainConfig(learning_rate=0.003, weight_decay=1e-4, max_epochs=3, batch_points=128, seed=5)
+        params, history = train(spec, data, val, fit_scaler(data), cfg)
+        digests = (sha256(params.flat), sha256(history.train_loss), sha256(history.val_loss))
+        assert digests == self.DIGESTS[gamma, dropout]
 
 
 @pytest.fixture(scope="module")
