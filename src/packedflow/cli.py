@@ -32,7 +32,7 @@ from .data import (
     write_dataset,
 )
 from .formats import ConfigError, _check_keys, _read, _value, read_json, write_json
-from .metrics import evaluate_predictions, predict_simulation, write_coefficients_csv, write_report_json
+from .metrics import evaluate_predictions, null_reasons, predict_simulation, write_coefficients_csv, write_report_json
 from .packed_net import PackedSpec, load_params, save_params
 from .training import (
     GridRow,
@@ -174,6 +174,8 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out / "eval_report.json")
     write_coefficients_csv(rows, out / "coefficients.csv")
+    for field, reason in null_reasons(rows).items():
+        print(f"{field} is null: {reason}", file=sys.stderr)
     print(f"evaluated {len(dataset)} simulations; report in {out / 'eval_report.json'}")
     return 0
 

@@ -5,26 +5,25 @@ A simulation is one point cloud: per point 7 input features
 (vx, vy, p_over_rho, nu_t).  Surface points are exactly those with a
 nonzero normal; they carry distance 0 and a unit normal.
 
-On disk a simulation is a CSV with header ``x,y,inlet_vx,inlet_vy,distance,
-nx,ny,vx,vy,p,nut`` in any column order (UTF-8, optionally after a byte order
-mark; one point per row; each cell as ``float()`` reads it); a dataset is a
+On disk a simulation is a CSV in UTF-8, optionally after a byte order mark:
+a header line of the unquoted names ``x,y,inlet_vx,inlet_vy,distance,nx,ny,
+vx,vy,p,nut`` in any order, then one point per line, each cell a plain finite
+decimal made of the characters ``0-9 + - . e E``.  Lines end in LF or CRLF;
+blank lines are skipped but still counted in row numbers.  A dataset is a
 directory of such files plus a ``manifest.json`` listing file names and the
 split label.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .formats import _read, write_json
+from .formats import _read, read_json, write_json
 
 __all__ = [
     "CSV_COLUMNS",
@@ -54,9 +53,9 @@ _SURFACE_DISTANCE_TOL = 1e-9
 _NORMAL_NORM_TOL = 1e-6
 _STD_CLAMP = 1e-12
 MANIFEST_NAME = "manifest.json"
-# The bytes a simulation CSV body may hold for the one-call numpy parse.
-_NUMBER_BYTES = b"0123456789+-.eE,\r\n"
-_DIGIT = re.compile(rb"[0-9]")
+# The characters of a cell, and the bytes of a body whose CRLF line ends are read as LF.
+_NUMBER_CHARS = "0123456789+-.eE"
+_NUMBER_BYTES = (_NUMBER_CHARS + ",\n").encode()
 # Rows formatted per write: as fast as one whole-file string, with bounded memory.
 _WRITE_BLOCK_ROWS = 4096
 _SCALER_FIELDS = (("input_mean", 7), ("input_std", 7), ("target_mean", 4), ("target_std", 4))
@@ -188,7 +187,6 @@ def load_simulation(path) -> Simulation:
 
 def _column_order(path, header: list[str]) -> list[int]:
     """Index in ``header`` of each of ``CSV_COLUMNS``; a fault names row 1 and the column."""
-    header = [h.strip() for h in header]
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise SimulationParseError(path, 1, missing[0], f"missing column {missing[0]!r}")
@@ -204,23 +202,23 @@ def _column_order(path, header: list[str]) -> list[int]:
 def _read_table(path: Path) -> np.ndarray:
     """The values of a simulation CSV as an (N, 11) array in ``CSV_COLUMNS`` order.
 
-    A body of plain decimal numbers is parsed by one ``np.loadtxt`` call.  Its
-    header line holds no quote and no lone CR, so it is the first CSV record,
-    and the body holds only the bytes of ``_NUMBER_BYTES``, where ``loadtxt``
-    accepts no cell that ``float()`` rejects and reads the same bits.  Any other
-    file, or a body ``loadtxt`` rejects or reads as other than 11 finite
-    columns, goes through the row loop, which names the row and column of a fault.
+    One ``np.loadtxt`` call reads a non-blank body of ``_NUMBER_BYTES`` (CRLF read as
+    LF), accepting the cells ``float()`` accepts, with its bits.  A body it does not
+    read is scanned for its first fault, and one with none is blank.
     """
     raw = path.read_bytes()
     try:
         text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SimulationParseError(path, None, None, f"not UTF-8 at byte {exc.start}") from None
-    head = text.partition("\n")[0]
+    if not text:
+        raise SimulationParseError(path, None, None, "empty file")
+    header = [name.strip() for name in text.partition("\n")[0].split(",")]
+    column_order = _column_order(path, header)
     body = raw.partition(b"\n")[2]
-    plain_head = '"' not in head and "\r" not in head[:-1]
-    if plain_head and _DIGIT.search(body) and not body.translate(None, _NUMBER_BYTES):
-        column_order = _column_order(path, next(csv.reader([head])))
+    if b"\r" in body:  # read CRLF as LF; a lone CR stays and fails the byte check
+        body = body.replace(b"\r\n", b"\n")
+    if body and not body.isspace() and not body.translate(None, _NUMBER_BYTES):
         try:
             table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, quotechar=None, ndmin=2)
         except ValueError:
@@ -228,41 +226,28 @@ def _read_table(path: Path) -> np.ndarray:
         else:
             if table.shape[1] == len(CSV_COLUMNS) and np.isfinite(table).all():
                 return table[:, column_order]
-    return _read_rows(path, text)
+    raise _first_fault(path, header, text.partition("\n")[2])
 
 
-def _read_rows(path, text: str) -> np.ndarray:
-    """The table of a decoded simulation CSV, read by ``csv.reader`` and ``float()`` per cell."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SimulationParseError(path, None, None, "empty file") from None
-    column_order = _column_order(path, header)
-    rows = []
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
+def _first_fault(path, header: list[str], body: str) -> SimulationParseError:
+    """The first fault of a rejected body, row by row (the header is row 1, blank lines
+    count): a cell, in file order, that is not a finite plain decimal, else a field count."""
+    for row, line in enumerate(body.replace("\r\n", "\n").split("\n"), start=2):
+        if not line:
             continue
-        if len(row) != len(CSV_COLUMNS):
-            raise SimulationParseError(
-                path, row_number, None, f"expected {len(CSV_COLUMNS)} fields, found {len(row)}"
-            )
-        values = []
-        for cell_index, column in zip(column_order, CSV_COLUMNS):
-            cell = row[cell_index]
+        cells = line.split(",")
+        for column, cell in zip(header, cells):
             try:
                 value = float(cell)
             except ValueError:
-                raise SimulationParseError(
-                    path, row_number, column, f"not a number: {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise SimulationParseError(path, row_number, column, f"non-finite value: {cell!r}")
-            values.append(value)
-        rows.append(values)
-    if not rows:
-        raise SimulationParseError(path, None, None, "no data rows")
-    return np.asarray(rows, dtype=np.float64)
+                value = None
+            if value is not None and not math.isfinite(value):
+                return SimulationParseError(path, row, column, f"non-finite value: {cell!r}")
+            if value is None or cell.strip(_NUMBER_CHARS):
+                return SimulationParseError(path, row, column, f"not a number: {cell!r}")
+        if len(cells) != len(CSV_COLUMNS):
+            return SimulationParseError(path, row, None, f"expected {len(CSV_COLUMNS)} fields, found {len(cells)}")
+    return SimulationParseError(path, None, None, "no data rows")
 
 
 def write_simulation(sim: Simulation, path) -> None:
@@ -284,11 +269,7 @@ def load_dataset(directory) -> Dataset:
     def fault(message: str) -> SimulationParseError:
         return SimulationParseError(manifest_path, None, None, message)
 
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-            raise fault(f"invalid JSON ({exc})") from None
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise fault("top level must be a JSON object")
     for key in ("split_label", "simulations"):

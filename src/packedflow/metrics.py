@@ -31,6 +31,7 @@ __all__ = [
     "evaluate",
     "evaluate_predictions",
     "coefficient_table",
+    "null_reasons",
     "write_report_json",
     "write_coefficients_csv",
 ]
@@ -67,8 +68,8 @@ class ForceCoefficients:
 class EvalReport:
     """The metric suite for one model on one dataset split.
 
-    MSEs are in physical units (after inverse scaling); Spearman entries are
-    None when the split has fewer than two simulations.
+    MSEs are in physical units (after inverse scaling).  A drag or lift
+    entry is None where the split cannot support it (see :func:`null_reasons`).
     """
 
     mse_x_velocity: float
@@ -76,8 +77,8 @@ class EvalReport:
     mse_pressure: float
     mse_surface_pressure: float
     mse_turbulent_viscosity: float
-    mean_relative_drag: float
-    mean_relative_lift: float
+    mean_relative_drag: float | None
+    mean_relative_lift: float | None
     spearman_drag: float | None
     spearman_lift: float | None
 
@@ -209,6 +210,24 @@ def coefficient_table(
     return rows
 
 
+def null_reasons(table) -> dict[str, str]:
+    """Why the None drag and lift fields of the ``EvalReport`` on a :func:`coefficient_table` are None.
+
+    By field name: a reference coefficient of exactly 0.0 (drag-free potential
+    flow) leaves that quantity's relative error and rank correlation undefined,
+    and a rank correlation needs two simulations.
+    """
+    reasons = {}
+    for quantity, column in (("drag", 2), ("lift", 4)):
+        zero = [row[0] for row in table if row[column] == 0.0]
+        if zero:
+            reason = f"reference {quantity} is exactly 0.0 at: {', '.join(zero)}"
+            reasons[f"mean_relative_{quantity}"] = reasons[f"spearman_{quantity}"] = reason
+        elif len(table) < 2:
+            reasons[f"spearman_{quantity}"] = f"needs two simulations, the split has one: {table[0][0]}"
+    return reasons
+
+
 def evaluate_predictions(
     predictions: list[np.ndarray], dataset: Dataset
 ) -> tuple[EvalReport, list[tuple[str, float, float, float, float]]]:
@@ -248,7 +267,10 @@ def evaluate_predictions(
     table = coefficient_table(predictions, dataset)
     names, *columns = zip(*table)
     drag_pred, drag_true, lift_pred, lift_true = (np.array(column) for column in columns)
-    ranked = len(table) >= 2
+    undefined = null_reasons(table)
+
+    def unless_null(field, score, *args):
+        return None if field in undefined else score(*args)
 
     report = EvalReport(
         mse_x_velocity=float(mse[0]),
@@ -256,10 +278,10 @@ def evaluate_predictions(
         mse_pressure=float(mse[2]),
         mse_surface_pressure=surface_sq_sum / surface_count,
         mse_turbulent_viscosity=float(mse[3]),
-        mean_relative_drag=mean_relative_error(drag_pred, drag_true, names),
-        mean_relative_lift=mean_relative_error(lift_pred, lift_true, names),
-        spearman_drag=spearman(drag_pred, drag_true) if ranked else None,
-        spearman_lift=spearman(lift_pred, lift_true) if ranked else None,
+        mean_relative_drag=unless_null("mean_relative_drag", mean_relative_error, drag_pred, drag_true, names),
+        mean_relative_lift=unless_null("mean_relative_lift", mean_relative_error, lift_pred, lift_true, names),
+        spearman_drag=unless_null("spearman_drag", spearman, drag_pred, drag_true),
+        spearman_lift=unless_null("spearman_lift", spearman, lift_pred, lift_true),
     )
     return report, table
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import cylinder_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -262,6 +263,27 @@ class TestEvalCommand:
             written = [(r[0], *map(float, r[1:])) for r in list(csv.reader(fh))[1:]]
         assert written == coefficient_table(predictions, dataset)
 
+    def test_zero_reference_drag_gives_null_drag_metrics(self, workspace, tmp_path, capsys):
+        # Drag-free potential flow: generator seed 7 gives test_0004 a reference drag of exactly 0.0.
+        split = cylinder_dataset(6, surface_points=64, field_points=96, seed=7, split_label="test")
+        write_dataset(split, tmp_path / "data")
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(workspace / "run" / "model.pkmlp"),
+                "scaler": str(workspace / "run" / "scaler.json"),
+                "data": {"dir": str(tmp_path / "data")},
+            },
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 0
+        report = json.loads((tmp_path / "report" / "eval_report.json").read_text())
+        assert report["mean_relative_drag"] is None and report["spearman_drag"] is None
+        assert isinstance(report["mean_relative_lift"], float) and isinstance(report["spearman_lift"], float)
+        assert capsys.readouterr().err.splitlines() == [
+            "mean_relative_drag is null: reference drag is exactly 0.0 at: test_0004",
+            "spearman_drag is null: reference drag is exactly 0.0 at: test_0004",
+        ]
+
     def test_coefficient_csv_schema(self, workspace):
         with open(workspace / "report" / "coefficients.csv", newline="") as fh:
             header = next(csv.reader(fh))
@@ -495,13 +517,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "manifest",
         [
-            pytest.param("{not json", id="invalid-json"),
-            pytest.param("[]", id="not-object"),
-            pytest.param('{"split_label": "test"}', id="missing-key"),
-            pytest.param('{"split_label": "val", "simulations": ["sim.csv"]}', id="unknown-split"),
-            pytest.param('{"split_label": "test", "simulations": []}', id="empty-list"),
-            pytest.param('{"split_label": "test", "simulations": 5}', id="not-a-list"),
-            pytest.param('{"split_label": "test", "simulations": ["sim.csv", "sim.csv"]}', id="repeated"),
+            pytest.param(b"{not json", id="invalid-json"),
+            pytest.param(b'{"split_label": "test\xff", "simulations": ["sim.csv"]}', id="not-utf8"),
+            pytest.param(b"[]", id="not-object"),
+            pytest.param(b'{"split_label": "test"}', id="missing-key"),
+            pytest.param(b'{"split_label": "val", "simulations": ["sim.csv"]}', id="unknown-split"),
+            pytest.param(b'{"split_label": "test", "simulations": []}', id="empty-list"),
+            pytest.param(b'{"split_label": "test", "simulations": 5}', id="not-a-list"),
+            pytest.param(b'{"split_label": "test", "simulations": ["sim.csv", "sim.csv"]}', id="repeated"),
         ],
     )
     def test_malformed_manifest_is_validation_error(self, workspace, tmp_path, capsys, manifest):
@@ -510,7 +533,7 @@ class TestExitCodes:
         test_dir = workspace / "data" / "test"
         first = json.loads((test_dir / "manifest.json").read_text())["simulations"][0]
         shutil.copy(test_dir / first, data_dir / "sim.csv")
-        (data_dir / "manifest.json").write_text(manifest)
+        (data_dir / "manifest.json").write_bytes(manifest)
         config = write_config(
             tmp_path / "eval.json",
             {
@@ -607,6 +630,16 @@ class TestExitCodes:
                 b"x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p,nut,x\n" + b"0," * 11 + b"0\n",
                 ", row 1, column 'x': duplicate column 'x'",
                 id="duplicate-column",
+            ),
+            pytest.param(
+                b"x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p,nut\n" + b"1," * 3 + b'"1",' + b"1," * 6 + b"1\n",
+                ", row 2, column 'inlet_vy': not a number: '\"1\"'",
+                id="quoted-cell",
+            ),
+            pytest.param(
+                b"x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p,nut\n" + b"1," * 10 + b"1\r" + b"1," * 10 + b"1\r",
+                ", row 2, column 'nut': not a number: '1\\r1'",
+                id="lone-cr",
             ),
         ],
     )

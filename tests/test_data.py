@@ -3,6 +3,9 @@
 import codecs
 import hashlib
 import json
+import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,8 +53,8 @@ def parse_error(path) -> str:
     return str(info.value)
 
 
-# Cells that float() and a numeric parser may read differently: separators, padding
-# (\x0c and \x85 are whitespace to float(), \x1c is not), quotes, comments and words.
+# Cells near the grammar's edge: separators, padding (\x0c and \x85 are whitespace to
+# float(), \x1c is not), quotes, comments, words and a Unicode digit.
 FUZZ_TOKENS = [*"0123456789+-.eE_ \t\xa0\x0c\x1c\x85\"#", "inf", "nan", "١"]
 
 
@@ -74,6 +77,32 @@ def fuzzed_csv(draw):
         lines.append(",".join(draw(st.lists(cell, min_size=fields, max_size=fields))))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
     return end.join(lines) + draw(st.sampled_from([end, ""]), label="last line end")
+
+
+PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def expected_table(text):
+    """The grammar, written independently of the reader: the (N, 11) values of a CSV in
+    ``CSV_COLUMNS`` order, or the (row, column) of its first fault (column None for a row fault)."""
+    head, *lines = text.split("\n")
+    header = [name.strip() for name in head.split(",")]
+    if sorted(header) != sorted(CSV_COLUMNS):
+        return 1, None
+    rows = []
+    for row, line in enumerate(lines, start=2):
+        if row <= len(lines):  # an LF follows every line but the last, so this CR is a CRLF's
+            line = line.removesuffix("\r")
+        if not line:
+            continue
+        cells = line.split(",")
+        for column, cell in zip(header, cells):
+            if not PLAIN_DECIMAL.fullmatch(cell) or not math.isfinite(float(cell)):
+                return row, column
+        if len(cells) != len(CSV_COLUMNS):
+            return row, None
+        rows.append([float(cells[header.index(c)]) for c in CSV_COLUMNS])
+    return np.array(rows) if rows else (None, None)
 
 
 def small_flow_config(**overrides):
@@ -199,6 +228,7 @@ class TestSimulationCsv:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_round_trip_bit_exact_property(self, tmp_path_factory, data):
+        # A written file, also with CRLF line ends, is parsed without the fault scan.
         n = data.draw(st.integers(1, 12), label="points")
         values = data.draw(arrays(np.float64, (n, 11), elements=st.floats(allow_nan=False, allow_infinity=False)))
         on_surface = data.draw(arrays(np.bool_, n), label="on_surface")
@@ -210,7 +240,10 @@ class TestSimulationCsv:
         source = Simulation("round", points, values[:, 7:])
         path = tmp_path_factory.mktemp("sim") / "round.csv"
         write_simulation(source, path)
-        loaded = load_simulation(path)
+        end = data.draw(st.sampled_from([b"\n", b"\r\n"]), label="line end")
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        with mock.patch("packedflow.data._first_fault", side_effect=AssertionError("scanned")):
+            loaded = load_simulation(path)
         assert loaded.name == "round"
         assert loaded.points.tobytes() == source.points.tobytes()
         assert loaded.targets.tobytes() == source.targets.tobytes()
@@ -245,18 +278,40 @@ class TestSimulationCsv:
         path = csv_file(tmp_path, f"{HEADER}\n{ROW}\n\n{ROW.replace('9.5', 'oops')}\n")
         assert parse_error(path) == f"{path}, row 4, column 'vx': not a number: 'oops'"
 
-    def test_cells_take_float_grammar(self, tmp_path):
-        cells = ['"1.5"', "1_0", " 10.0\t", "١", "0.5", "0", "-0", "9.5e0", "+.1", "2.5", "0.01"]
+    def test_plain_decimal_cells_read_as_float(self, tmp_path):
+        cells = ["1.5", "10", "1.", ".5", "0.5", "0", "-0", "9.5e0", "+.1", "2.5E+0", "1e-2"]
         sim = load_simulation(csv_file(tmp_path, HEADER + "\n" + ",".join(cells) + "\n"))
-        expected = [float(c.strip('"')) for c in cells]
-        assert sim.points[0].tolist() + sim.targets[0].tolist() == expected
+        assert sim.points[0].tolist() + sim.targets[0].tolist() == [float(c) for c in cells]
         assert sim.points[0, 6] == 0.0 and np.signbit(sim.points[0, 6])
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "cell",
+        ['"9.5"', "9_5", " 9.5", "9.5\t", "٩", "9.5\x0c"],
+        ids=["quoted", "underscore", "leading-space", "trailing-tab", "unicode-digit", "form-feed"],
+    )
+    def test_cells_outside_the_grammar_are_not_numbers(self, tmp_path, cell):
+        # float() reads every one of these cells (after csv unquoting, for the quoted one).
+        path = csv_file(tmp_path, f"{HEADER}\n{SURFACE_ROW}\n{ROW.replace('9.5', cell)}\n")
+        assert parse_error(path) == f"{path}, row 3, column 'vx': not a number: {cell!r}"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_line_ends(self, tmp_path, end):
         sim = load_simulation(csv_file(tmp_path, end.join([HEADER, ROW, SURFACE_ROW]) + end))
         assert sim.points.tolist() == [[0.0, 1.0, 10.0, 0.0, 0.5, 0.0, 0.0], [1.0, 0.0, 10.0, 0.0, 0.0, 1.0, 0.0]]
         assert sim.targets.tolist() == [[9.5, 0.1, 2.5, 0.01], [0.0, 0.0, 50.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"{HEADER}\n{ROW}\r{SURFACE_ROW}\r", "row 2, column 'nut': not a number: '0.01\\r1.0'"),
+            (f"{HEADER}\n{ROW}\r", "row 2, column 'nut': not a number: '0.01\\r'"),
+            (f"{HEADER}\r{ROW}\r{SURFACE_ROW}\r", "row 1, column 'nut': missing column 'nut'"),
+        ],
+        ids=["body", "last-line", "whole-file"],
+    )
+    def test_lone_cr_is_not_a_line_end(self, tmp_path, text, message):
+        path = csv_file(tmp_path, text)
+        assert parse_error(path) == f"{path}, {message}"
 
     @pytest.mark.parametrize(
         "row, message",
@@ -293,13 +348,19 @@ class TestSimulationCsv:
         path = csv_file(tmp_path, raw)
         assert parse_error(path) == f"{path}: not UTF-8 at byte {raw.index(0xE9)}"
 
-    @pytest.mark.parametrize("row", [ROW, ROW.replace("9.5", '"9.5"')], ids=["numpy-path", "row-loop"])
+    @pytest.mark.parametrize("row", [ROW, ROW.replace("9.5", "9_5")], ids=["numpy-path", "scanned"])
     def test_byte_order_mark_is_skipped(self, tmp_path, row):
+        # A marked file loads, or fails at the same row and column, as the plain one does.
+        def outcome(path):
+            try:
+                sim = load_simulation(path)
+            except SimulationParseError as exc:
+                return exc.row, exc.column, str(exc).removeprefix(str(path))
+            return sim.points.tobytes(), sim.targets.tobytes()
+
         text = f"{HEADER}\n{row}\n"
-        plain = load_simulation(csv_file(tmp_path, text, "plain.csv"))
-        marked = load_simulation(csv_file(tmp_path, codecs.BOM_UTF8 + text.encode(), "marked.csv"))
-        assert marked.points.tobytes() == plain.points.tobytes()
-        assert marked.targets.tobytes() == plain.targets.tobytes()
+        plain = outcome(csv_file(tmp_path, text, "plain.csv"))
+        assert outcome(csv_file(tmp_path, codecs.BOM_UTF8 + text.encode(), "marked.csv")) == plain
 
     @pytest.mark.parametrize("body", ["", ROW + ",0.0\n"], ids=["header-only", "with-rows"])
     def test_duplicate_column_named_at_row_1(self, tmp_path, body):
@@ -308,33 +369,37 @@ class TestSimulationCsv:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_written_file_skips_the_row_loop(self, tmp_path, monkeypatch, end):
+        # The row loop is the row-by-row fault scan; a file write_simulation wrote has no fault.
         source = generate_cylinder_flow(small_flow_config()).simulations[0]
         write_simulation(source, tmp_path / "sim.csv")
         (tmp_path / "sim.csv").write_bytes((tmp_path / "sim.csv").read_bytes().replace(b"\n", end.encode()))
 
-        def row_loop(path, text):
+        def row_loop(path, header, body):
             raise AssertionError(f"{path} went through the row loop")
 
-        monkeypatch.setattr(data, "_read_rows", row_loop)
+        monkeypatch.setattr(data, "_first_fault", row_loop)
         loaded = load_simulation(tmp_path / "sim.csv")
         assert loaded.points.tobytes() == source.points.tobytes()
         assert loaded.targets.tobytes() == source.targets.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(fuzzed_csv())
-    def test_numpy_path_matches_row_loop(self, tmp_path_factory, text):
-        # load_simulation builds its Simulation from _read_table, so equal tables mean equal loads.
+    def test_fuzzed_file_loads_exactly_or_names_its_first_fault(self, tmp_path_factory, text):
+        # load_simulation builds its Simulation from _read_table, which alone decides the CSV.
         path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
         path.write_bytes(text.encode("utf-8"))
-
-        def outcome(read):
-            try:
-                table = read()
-            except SimulationParseError as exc:
-                return str(exc)
-            return table.shape, table.tobytes()
-
-        assert outcome(lambda: data._read_table(path)) == outcome(lambda: data._read_rows(path, text))
+        expected = expected_table(text)
+        try:
+            table = data._read_table(path)
+        except SimulationParseError as exc:
+            assert not isinstance(expected, np.ndarray), str(exc)
+            row, column = expected
+            assert exc.row == row, str(exc)
+            if row != 1:  # which header column a header fault names is the header check's choice
+                assert exc.column == column, str(exc)
+        else:
+            assert isinstance(expected, np.ndarray), f"loaded a file with a fault at {expected}"
+            assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
 
     def test_dataset_round_trip(self, tmp_path):
         dataset = field_dataset(3, num_points=6, seed=1, split_label="test")

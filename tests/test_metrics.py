@@ -19,6 +19,7 @@ from packedflow.metrics import (
     evaluate_predictions,
     force_coefficients,
     mean_relative_error,
+    null_reasons,
     order_surface,
     predict_simulation,
     spearman,
@@ -300,6 +301,26 @@ class TestEvaluate:
         assert report.spearman_drag is None
         assert report.spearman_lift is None
         assert report.mse_pressure == 0.0
+
+    def test_zero_reference_drag_nulls_the_drag_metrics(self):
+        # Drag-free potential flow: generator seed 7 gives test_0004 a reference drag of exactly 0.0.
+        split = cylinder_dataset(6, surface_points=64, field_points=96, seed=7, split_label="test")
+        report, table = evaluate_predictions([sim.targets for sim in split.simulations], split)
+        assert [row[0] for row in table if row[2] == 0.0] == ["test_0004"]
+        assert report.mean_relative_drag is None and report.spearman_drag is None
+        assert report.mean_relative_lift == 0.0 and report.spearman_lift == 1.0
+        reason = "reference drag is exactly 0.0 at: test_0004"
+        assert null_reasons(table) == {"mean_relative_drag": reason, "spearman_drag": reason}
+
+    def test_null_reasons_name_the_simulations(self):
+        table = [("a", 0.1, 0.0, 0.2, 0.5), ("b", 0.1, 0.0, 0.2, 0.0), ("c", 0.1, 0.3, 0.2, 0.4)]
+        drag, lift = "reference drag is exactly 0.0 at: a, b", "reference lift is exactly 0.0 at: b"
+        assert null_reasons(table) == {
+            "mean_relative_drag": drag, "spearman_drag": drag, "mean_relative_lift": lift, "spearman_lift": lift
+        }
+        alone = "needs two simulations, the split has one: c"
+        assert null_reasons(table[2:]) == {"spearman_drag": alone, "spearman_lift": alone}
+        assert null_reasons(table[2:] * 2) == {}
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflows"])
     def test_unscorable_prediction_names_the_simulation(self, split, value):
