@@ -25,13 +25,19 @@ layout ``(batch, out_width)`` and are viewed group-major.  All math is float64.
 
 ``forward`` runs a batch in fixed row blocks of 1024 to 2047 rows (one block
 if it is shorter), so inference memory is bounded by the block, and every
-output equals that of a one-batch pass.  ReLU and dropout run in place, so
-each layer keeps one activation buffer, and the backward pass writes each
-layer's gradient over the activation it no longer needs.  These buffers live
-in a ``_Workspace`` made once per call and reused: by every row block of
-``forward``, and by every step of ``training.train``, whose short last batch
-uses the leading rows.  So each page is touched once per call, not once per
-block or step.  No result returned to a caller shares memory with a
+output equals that of a one-batch pass.  Estimators share nothing before the
+final mean, so a pass may also run them in blocks, each block through every
+layer before the next starts.  Inference runs one estimator at a time, in
+slabs sized for one estimator, so a layer's output is still in cache when the
+bias add, the ReLU and the next layer read it; training runs all estimators
+in one block, which its backward pass needs.  Every per-group GEMM is the
+same call either way, so the outputs keep their bits.  ReLU and dropout run
+in place, so each layer keeps one activation buffer, and the backward pass
+writes each layer's gradient over the activation it no longer needs.  These
+buffers live in a ``_Workspace`` made once per call and reused: by every
+block of ``forward``, and by every step of ``training.train``, whose short
+last batch uses the leading rows.  So each page is touched once per call, not
+once per block or step.  No result returned to a caller shares memory with a
 workspace, and every output has the bits it would have with fresh buffers.
 """
 
@@ -292,25 +298,33 @@ def _group_major(a: np.ndarray, groups: int) -> np.ndarray:
 class _Workspace:
     """The buffers of network passes over at most ``rows`` rows, reused by every pass given it.
 
-    Each buffer is flat and sized for ``rows`` rows of its width; a pass over
-    fewer rows uses its leading values (see :func:`_leading`).  Per hidden
-    layer, ``acts`` holds the kept activation, then in the backward pass its
-    gradient; ``masks`` holds the dropout mask, and ``regrouped`` (where the
-    next layer's group count differs, else None) the channel-major copy the
-    next layer reads.  For training, ``out`` holds the last layer's output and
-    ``gate`` one layer's ReLU gate; ``forward`` leaves them untouched.
+    A pass runs ``estimators`` estimators at a time (all of them by default),
+    and each activation buffer is a slab sized for one such block: ``rows``
+    rows of that block's share of the layer width.  Buffers are flat; a pass
+    over fewer rows uses their leading values (see :func:`_leading`).  Per
+    hidden layer, ``acts`` holds the kept activation, then in the backward
+    pass its gradient; ``masks`` holds the full-width dropout mask, and
+    ``regrouped`` (where the next layer's group count differs, else None) the
+    channel-major copy the next layer reads.  For training, ``out`` holds the
+    last layer's output and ``gate`` one layer's ReLU gate; ``forward``
+    leaves them untouched.
     """
 
-    def __init__(self, plans: list[LayerPlan], rows: int, *, masks: bool = False):
+    def __init__(
+        self, plans: list[LayerPlan], rows: int, *, masks: bool = False, estimators: int | None = None
+    ):
+        m = plans[-1].groups
+        self.estimators = m if estimators is None else estimators
         self.widths = [plan.out_width for plan in plans[:-1]]
-        self.acts = [np.empty(rows * width) for width in self.widths]
+        slabs = [rows * (width // m) * self.estimators for width in self.widths]
+        self.acts = [np.empty(size) for size in slabs]
         self.masks = [np.empty(rows * width) for width in self.widths] if masks else None
         self.regrouped = [
-            np.empty(rows * width) if plan.groups != above.groups else None
-            for width, plan, above in zip(self.widths, plans, plans[1:])
+            np.empty(size) if plan.groups != above.groups else None
+            for size, plan, above in zip(slabs, plans, plans[1:])
         ]
-        self.out = np.empty(rows * plans[-1].out_width)
-        self.gate = np.empty(rows * max(self.widths, default=0), dtype=bool)
+        self.out = np.empty(rows * plans[-1].per_group_out * self.estimators)
+        self.gate = np.empty(max(slabs, default=0), dtype=bool)
 
     def mask_rows(self, n: int) -> list[np.ndarray]:
         """The mask buffers' leading ``n`` rows, as ``make_dropout_masks``' ``out``."""
@@ -366,26 +380,35 @@ def _run_layers(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The group-major forward pass shared by inference and training, on checked inputs.
 
-    Writes each hidden layer's kept activation (ReLU then dropout, in place)
-    into ``ws.acts`` and the last layer's output into ``y``, ``(num_estimators,
-    len(batch), out_features)``.  Returns each layer's group-major input and
-    each hidden layer's kept activation.
+    Runs the estimators in blocks of ``ws.estimators``, in order; each block
+    goes through every layer in the workspace's slabs before the next block
+    starts.  Writes each hidden layer's kept activation (ReLU then dropout, in
+    place) into ``ws.acts`` and the last layer's output into ``y``,
+    ``(num_estimators, len(batch), out_features)``.  Returns the last block's
+    group-major layer inputs and kept hidden activations: with one block, the
+    whole pass's, which the backward pass reads.
     """
-    x = batch[None]  # one input group, broadcast to every estimator of the first layer
-    inputs, acts = [], []
-    for i, plan in enumerate(plans):
-        inputs.append(x)
-        last = i == len(plans) - 1
-        z = y if last else _leading(ws.acts[i], (plan.groups, len(batch), plan.per_group_out))
-        np.matmul(x, params.weights[i].transpose(0, 2, 1), out=z)
-        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
-        if last:
-            return inputs, acts
-        np.maximum(z, 0.0, out=z)
-        if dropout_masks is not None:
-            z *= _group_major(dropout_masks[i], plan.groups)
-        acts.append(z)
-        x = _regroup(z, plans[i + 1].groups, ws.regrouped[i])
+    m, block = plans[-1].groups, ws.estimators
+    for first in range(0, m, block):
+        x = batch[None]  # one input group, broadcast to every estimator of the first layer
+        inputs, acts = [], []
+        for i, plan in enumerate(plans):
+            per_estimator = plan.groups // m
+            own = slice(first * per_estimator, (first + block) * per_estimator)
+            inputs.append(x)
+            last = i == len(plans) - 1
+            shape = (block * per_estimator, len(batch), plan.per_group_out)
+            z = y[first : first + block] if last else _leading(ws.acts[i], shape)
+            np.matmul(x, params.weights[i][own].transpose(0, 2, 1), out=z)
+            z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)[own]
+            if last:
+                break
+            np.maximum(z, 0.0, out=z)
+            if dropout_masks is not None:
+                z *= _group_major(dropout_masks[i], plan.groups)[own]
+            acts.append(z)
+            x = _regroup(z, block * (plans[i + 1].groups // m), ws.regrouped[i])
+    return inputs, acts
 
 
 def forward(
@@ -399,13 +422,14 @@ def forward(
     Every estimator sees the whole batch, and every layer except the last is
     followed by ReLU.  Without ``dropout_masks`` the pass is deterministic;
     with them (see :func:`make_dropout_masks`), each activation is multiplied
-    by its mask.  The rows run in blocks of :func:`_row_blocks`, all in one
-    workspace, and the last layer writes straight into the returned array.
+    by its mask.  The rows run in blocks of :func:`_row_blocks`, and each row
+    block one estimator at a time, all in one workspace with one estimator's
+    slabs; the last layer writes straight into the returned array.
     """
     batch = _checked_inputs(params, plans, batch, dropout_masks)
     y = np.empty((plans[-1].groups, len(batch), plans[-1].per_group_out))
     blocks = _row_blocks(len(batch))
-    ws = _Workspace(plans, max(hi - lo for lo, hi in blocks))
+    ws = _Workspace(plans, max(hi - lo for lo, hi in blocks), estimators=1)
     for lo, hi in blocks:
         masks = None if dropout_masks is None else [m[lo:hi] for m in dropout_masks]
         _run_layers(params, plans, batch[lo:hi], masks, ws, y[:, lo:hi])
@@ -425,7 +449,7 @@ def loss_and_grad(
     loss = mean over batch rows and output channels of (mean_output - target)^2.
     Gradients are computed by backpropagation through the same dropout masks
     as the forward pass.  The pass runs in ``workspace``, made for at least
-    ``len(batch)`` rows, or in a fresh one.
+    ``len(batch)`` rows of all estimators at once, or in a fresh one.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if len(batch) == 0:
@@ -463,7 +487,13 @@ def loss_and_grad(
                 dz *= _group_major(dropout_masks[i], plan.groups)
             dz *= gate
         np.matmul(dz.transpose(0, 2, 1), inputs[i], out=grads.weights[i])
-        np.sum(dz, axis=1, out=grads.biases[i].reshape(plan.groups, plan.per_group_out))
+        bias_grad = grads.biases[i].reshape(plan.groups, plan.per_group_out)
+        if plan.per_group_out > 1:
+            # Adds the rows in order, as np.sum does over a non-contiguous axis, so the
+            # bits agree; at width 1 np.sum adds pairwise, so it stays there.
+            np.einsum("gnd->gd", dz, out=bias_grad)
+        else:
+            np.sum(dz, axis=1, out=bias_grad)
         if i:
             # Kept and active units: relu(z) * mask > 0.
             gate = np.greater(acts[i - 1], 0.0, out=_leading(ws.gate, acts[i - 1].shape))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -87,11 +87,19 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Exponential moment estimates, aligned with the ``Params.flat`` they track."""
+    """Exponential moment estimates, aligned with the ``Params.flat`` they track.
+
+    ``adam_step`` updates the moments in place and computes in ``scratch``,
+    two more rows of that length, so a step allocates no array.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.first_moment.size))
 
 
 @dataclass
@@ -153,10 +161,13 @@ def adam_step(
     lr: float,
     weight_decay: float = 0.0,
 ) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update over the whole parameter vector.
+    """One bias-corrected Adam update over the whole parameter vector, in place.
 
     Weight decay enters as coupled L2 (gradient += weight_decay * param)
-    before the moment updates, and never touches biases.
+    before the moment updates, and never touches biases.  ``params`` and
+    ``state`` are updated in place and returned; ``grads`` is left unchanged.
+    A non-finite gradient raises ``ValueError`` before anything is written.
+    The values are those of the textbook formula, evaluated in the same order.
     """
     bad = grads.non_finite_layer()
     if bad is not None:
@@ -166,16 +177,25 @@ def adam_step(
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
 
-    decayed = grads.copy()
-    for g, w in zip(decayed.weights, params.weights):
-        g += weight_decay * w
-    g = decayed.flat
-    m_new = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
-    v_new = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = m_new / correction1
-    v_hat = v_new / correction2
-    flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return Params.from_flat(flat, params.shapes), AdamState(m_new, v_new, t)
+    g, tmp = state.scratch
+    np.copyto(g, grads.flat)
+    for g_w, w in zip(Params.from_flat(g, params.shapes).weights, params.weights):
+        g_w += np.multiply(weight_decay, w, out=tmp[: w.size].reshape(w.shape))
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v += tmp
+    m_hat = np.divide(m, correction1, out=tmp)
+    sqrt_v_hat = np.sqrt(np.divide(v, correction2, out=g), out=g)
+    sqrt_v_hat += ADAM_EPSILON
+    m_hat *= lr
+    m_hat /= sqrt_v_hat
+    params.flat -= m_hat
+    state.step_count = t
+    return params, state
 
 
 def early_stop(history: list[float], threshold: float = 0.01, window: int = 5) -> bool:

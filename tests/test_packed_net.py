@@ -33,6 +33,7 @@ from packedflow.packed_net import (
     Params,
     ShapeMismatchError,
     _row_blocks,
+    _run_layers,
     _Workspace,
     forward,
     init_params,
@@ -407,7 +408,11 @@ class TestWorkspace:
         plans, params, x, _ = random_case(self.SPEC, 3, batch=2 * _ROW_BLOCK + 5)
         masks = make_dropout_masks(plans, len(x), np.random.default_rng(1))
         out = forward(params, plans, x, dropout_masks=masks)
-        [ws] = made  # one workspace for both row blocks
+        [ws] = made  # one workspace for both row blocks and every estimator
+        # It holds one estimator's slabs: at most 1/M of a training workspace's activations.
+        training_ws = _Workspace(plans, max(hi - lo for lo, hi in _row_blocks(len(x))))
+        slab_bytes = [sum(b.nbytes for b in w.acts + w.regrouped if b is not None) for w in (ws, training_ws)]
+        assert slab_bytes[0] * self.SPEC.num_estimators <= slab_bytes[1]
         for buf in self.arrays(ws):
             assert not np.shares_memory(out.estimator_outputs, buf)
             assert not np.shares_memory(out.mean_output, buf)
@@ -436,6 +441,48 @@ class TestWorkspace:
         for (ws_loss, ws_grads), (n, seed) in [((loss, grads), (60, 2)), (short, (23, 5))]:
             fresh_loss, fresh_grads = step(n, seed, None)
             assert ws_loss == fresh_loss and np.array_equal(ws_grads, fresh_grads)
+
+
+def one_block_forward(params, plans, x, masks):
+    """``forward``'s row blocks, each running all estimators in one block, as training does."""
+    y = np.empty((plans[-1].groups, len(x), plans[-1].per_group_out))
+    blocks = _row_blocks(len(x))
+    ws = _Workspace(plans, max(hi - lo for lo, hi in blocks))
+    for lo, hi in blocks:
+        block_masks = None if masks is None else [m[lo:hi] for m in masks]
+        _run_layers(params, plans, x[lo:hi], block_masks, ws, y[:, lo:hi])
+    return y
+
+
+class TestEstimatorBlocks:
+    """``forward`` runs one estimator at a time; its bits equal those of the one-block pass."""
+
+    BY_GAMMA = [PackedSpec(3, 2, gamma, (9, 13, 5)) for gamma in (1, 2, 3)]
+    ONE_UNIT = PackedSpec(3, 1, 3, (1, 2, 1))  # 9 one-unit groups, regrouped from 3 and into 3
+
+    @staticmethod
+    def assert_same_bits(spec, seed, n, dropout):
+        plans, params, x, _ = random_case(spec, seed, batch=n)
+        masks = make_dropout_masks(plans, n, np.random.default_rng(seed)) if dropout else None
+        expected = one_block_forward(params, plans, x, masks)
+        out = forward(params, plans, x, dropout_masks=masks)
+        assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64))
+        mean = expected.sum(axis=0) / len(expected)
+        assert np.array_equal(out.mean_output.view(np.int64), mean.view(np.int64))
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("n", [1, 383, _ROW_BLOCK, 2 * _ROW_BLOCK + 5])
+    @pytest.mark.parametrize("spec", [*BY_GAMMA, ONE_UNIT], ids=["gamma1", "gamma2", "gamma3", "one-unit"])
+    def test_forward_equals_the_one_block_pass(self, spec, n, dropout):
+        plans = plan_layers(spec)
+        if spec is self.ONE_UNIT:
+            assert [(p.groups, p.per_group_out) for p in plans[:-1]] == [(3, 3), (9, 1), (9, 1)]
+        self.assert_same_bits(spec, 41, n, dropout)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SPECS, st.sampled_from([1, 2, 383, _ROW_BLOCK + 1]), st.integers(0, 2**16))
+    def test_forward_equals_the_one_block_pass_property(self, spec, n, seed):
+        self.assert_same_bits(spec, seed, n, spec.dropout_enabled)
 
 
 class TestRegroup:

@@ -11,6 +11,9 @@ from packedflow import packed_net, training
 from packedflow.data import fit_scaler
 from packedflow.packed_net import PackedSpec, Params, init_params, plan_layers
 from packedflow.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     GridRow,
     TrainConfig,
     TrainingDivergedError,
@@ -78,6 +81,71 @@ class TestAdamStep:
         params = scalar_params(1.0)
         with pytest.raises(ValueError, match="non-finite"):
             adam_step(params, scalar_grads(float("nan")), init_adam_state(params), lr=0.01)
+
+
+def reference_adam_step(flat, grads, m, v, t, lr, weight_decay, decayed):
+    """The pure Adam formula: fresh arrays, weight decay where ``decayed`` is set."""
+    g = grads.copy()
+    g[decayed] += weight_decay * flat[decayed]
+    t += 1
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v, t
+
+
+class TestAdamInPlace:
+    """``adam_step`` updates ``params`` and ``state`` in its own buffers, with the pure formula's bits."""
+
+    SPEC = PackedSpec(3, 2, 2, (9, 13, 5))
+
+    def case(self, seed=0):
+        plans = plan_layers(self.SPEC)
+        params = init_params(plans, seed)
+        decayed = params.zeros_like()
+        for w in decayed.weights:
+            w[...] = 1.0
+        return params, decayed.flat == 1.0, np.random.default_rng(seed + 1)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_200_steps_match_the_pure_formula(self, weight_decay):
+        params, decayed, rng = self.case()
+        state = init_adam_state(params)
+        flat, m, v, t = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat), 0
+        for step in range(200):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size) * (1e-3 if step % 2 else 10.0)
+            grads.flat[step % 5 :: 5] = -0.0 if step % 3 else 0.0
+            new_params, new_state = adam_step(params, grads, state, 0.01, weight_decay)
+            assert new_params is params and new_state is state
+            flat, m, v, t = reference_adam_step(flat, grads.flat, m, v, t, 0.01, weight_decay, decayed)
+        assert state.step_count == t == 200
+        for got, want in ((params.flat, flat), (state.first_moment, m), (state.second_moment, v)):
+            assert sha256(got) == sha256(want)
+
+    def test_gradients_are_left_unchanged(self):
+        params, _, rng = self.case(1)
+        state = init_adam_state(params)
+        grads = params.zeros_like()
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        before = grads.flat.copy()
+        for _ in range(2):
+            adam_step(params, grads, state, 0.01, weight_decay=0.5)
+        assert grads.flat.tobytes() == before.tobytes()
+
+    def test_rejected_step_writes_nothing(self):
+        params, _, rng = self.case(2)
+        state = init_adam_state(params)
+        grads = params.zeros_like()
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        adam_step(params, grads, state, 0.01, weight_decay=1e-3)
+        saved = [a.tobytes() for a in (params.flat, state.first_moment, state.second_moment)]
+        grads.weights[-1][0, 0, 0] = float("nan")
+        with pytest.raises(ValueError, match="non-finite gradient in layer 3"):
+            adam_step(params, grads, state, 0.01, weight_decay=1e-3)
+        assert [a.tobytes() for a in (params.flat, state.first_moment, state.second_moment)] == saved
+        assert state.step_count == 1
 
 
 class TestEarlyStop:
