@@ -53,9 +53,10 @@ _SURFACE_DISTANCE_TOL = 1e-9
 _NORMAL_NORM_TOL = 1e-6
 _STD_CLAMP = 1e-12
 MANIFEST_NAME = "manifest.json"
-# The characters of a cell, and the bytes of a body whose CRLF line ends are read as LF.
+# The characters of a cell, and the bytes of a plain body (where a CR only ends a CRLF).
 _NUMBER_CHARS = "0123456789+-.eE"
-_NUMBER_BYTES = (_NUMBER_CHARS + ",\n").encode()
+_NUMBER_BYTES = (_NUMBER_CHARS + ",\r\n").encode()
+_CHECK_BLOCK_BYTES = 1 << 16  # bytes of a body checked per copy
 # Rows formatted per write: as fast as one whole-file string, with bounded memory.
 _WRITE_BLOCK_ROWS = 4096
 _SCALER_FIELDS = (("input_mean", 7), ("input_std", 7), ("target_mean", 4), ("target_std", 4))
@@ -202,31 +203,50 @@ def _column_order(path, header: list[str]) -> list[int]:
 def _read_table(path: Path) -> np.ndarray:
     """The values of a simulation CSV as an (N, 11) array in ``CSV_COLUMNS`` order.
 
-    One ``np.loadtxt`` call reads a non-blank body of ``_NUMBER_BYTES`` (CRLF read as
-    LF), accepting the cells ``float()`` accepts, with its bits.  A body it does not
-    read is scanned for its first fault, and one with none is blank.
+    One ``np.loadtxt`` call reads a plain body (see :func:`_plain_body`; CRLF read as
+    LF), accepting the cells ``float()`` accepts, with its bits.  Such a body is ASCII,
+    so only the header is decoded, and ``loadtxt`` reads the body from the file's bytes
+    without a copy.  A body it does not read is decoded and scanned for its first
+    fault, and one with none is blank.
     """
     raw = path.read_bytes()
+    start = raw.find(b"\n") + 1 or len(raw)  # the body's first byte
+    body = _plain_body(raw, start)
     try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")
+        text = (raw[:start] if body is not None else raw).decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SimulationParseError(path, None, None, f"not UTF-8 at byte {exc.start}") from None
     if not text:
         raise SimulationParseError(path, None, None, "empty file")
     header = [name.strip() for name in text.partition("\n")[0].split(",")]
     column_order = _column_order(path, header)
-    body = raw.partition(b"\n")[2]
-    if b"\r" in body:  # read CRLF as LF; a lone CR stays and fails the byte check
-        body = body.replace(b"\r\n", b"\n")
-    if body and not body.isspace() and not body.translate(None, _NUMBER_BYTES):
+    if body is not None:
         try:
-            table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, quotechar=None, ndmin=2)
+            table = np.loadtxt(body, delimiter=",", comments=None, quotechar=None, ndmin=2)
         except ValueError:
             pass
         else:
             if table.shape[1] == len(CSV_COLUMNS) and np.isfinite(table).all():
                 return table[:, column_order]
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     raise _first_fault(path, header, text.partition("\n")[2])
+
+
+def _plain_body(raw: bytes, start: int) -> io.BytesIO | None:
+    """A reader over ``raw[start:]`` if it is non-blank, only ``_NUMBER_BYTES`` and every CR
+    in it ends a CRLF (which ``loadtxt`` reads as LF); else None.
+
+    The bytes are counted and checked in blocks, so no copy of the body is made.
+    """
+    crs = raw.count(b"\r", start)
+    if crs != raw.count(b"\r\n", start) or crs + raw.count(b"\n", start) == len(raw) - start:
+        return None  # a lone CR, or a blank body
+    for lo in range(start, len(raw), _CHECK_BLOCK_BYTES):
+        if raw[lo : lo + _CHECK_BLOCK_BYTES].translate(None, _NUMBER_BYTES):
+            return None
+    body = io.BytesIO(raw)
+    body.seek(start)
+    return body
 
 
 def _first_fault(path, header: list[str], body: str) -> SimulationParseError:

@@ -27,18 +27,23 @@ layout ``(batch, out_width)`` and are viewed group-major.  All math is float64.
 if it is shorter), so inference memory is bounded by the block, and every
 output equals that of a one-batch pass.  Estimators share nothing before the
 final mean, so a pass may also run them in blocks, each block through every
-layer before the next starts.  Inference runs one estimator at a time, in
-slabs sized for one estimator, so a layer's output is still in cache when the
-bias add, the ReLU and the next layer read it; training runs all estimators
-in one block, which its backward pass needs.  Every per-group GEMM is the
-same call either way, so the outputs keep their bits.  ReLU and dropout run
-in place, so each layer keeps one activation buffer, and the backward pass
-writes each layer's gradient over the activation it no longer needs.  These
-buffers live in a ``_Workspace`` made once per call and reused: by every
-block of ``forward``, and by every step of ``training.train``, whose short
-last batch uses the leading rows.  So each page is touched once per call, not
-once per block or step.  No result returned to a caller shares memory with a
-workspace, and every output has the bits it would have with fresh buffers.
+layer before the next starts, and a layer's output is still in cache when the
+bias add, the ReLU and the next layer read it.  Inference runs one estimator
+at a time, in slabs sized for one estimator.  Training runs blocks of
+:func:`_estimator_block` estimators, whose hidden activations fit in 4 MiB:
+every block's forward pass, then the loss from all outputs, then each block's
+backward pass.  Its workspace keeps every estimator's slabs, which backward
+reads, each block in its own range; a regroup copy keeps the full-width
+channel-major layout, each block in its own columns.  Every per-group GEMM
+gets the same operands, with the same strides, whatever the block, so the
+outputs keep their bits.  ReLU and dropout run in place, so each layer keeps
+one activation buffer, and the backward pass writes each layer's gradient
+over the activation it no longer needs.  These buffers live in a
+``_Workspace`` made once per call and reused: by every block of ``forward``,
+and by every step of ``training.train``, whose short last batch uses the
+leading rows.  So each page is touched once per call, not once per block or
+step.  No result returned to a caller shares memory with a workspace, and
+every output has the bits it would have with fresh buffers.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 DROPOUT_P = 0.2  # the only dropout probability; model headers still store it as "dropout_p"
 _ROW_BLOCK = 1024  # inference rows per block; below ~384 rows BLAS may round differently
+_BLOCK_BYTES = 4 << 20  # hidden activations one training block of estimators may hold
 _MODEL_MAGIC = b"PKMLP1\x00\x00"
 
 
@@ -298,22 +304,24 @@ def _group_major(a: np.ndarray, groups: int) -> np.ndarray:
 class _Workspace:
     """The buffers of network passes over at most ``rows`` rows, reused by every pass given it.
 
-    A pass runs ``estimators`` estimators at a time (all of them by default),
-    and each activation buffer is a slab sized for one such block: ``rows``
-    rows of that block's share of the layer width.  Buffers are flat; a pass
-    over fewer rows uses their leading values (see :func:`_leading`).  Per
-    hidden layer, ``acts`` holds the kept activation, then in the backward
-    pass its gradient; ``masks`` holds the full-width dropout mask, and
-    ``regrouped`` (where the next layer's group count differs, else None) the
-    channel-major copy the next layer reads.  For training, ``out`` holds the
-    last layer's output and ``gate`` one layer's ReLU gate; ``forward``
-    leaves them untouched.
+    The workspace holds slabs for ``estimators`` estimators (all of them by
+    default; ``forward`` makes one with one estimator's).  Each activation
+    buffer is flat and group-major: ``rows`` rows of those estimators' share
+    of the layer width, estimator by estimator.  A pass over fewer rows uses
+    their leading values (see :func:`_leading`).  Per hidden layer, ``acts``
+    holds the kept activation, then in the backward pass its gradient;
+    ``masks`` holds the full-width dropout mask, and ``regrouped`` (where the
+    next layer's group count differs, else None) the channel-major copy the
+    next layer reads, ``(rows, width)`` with each estimator in its own
+    columns.  For training, ``out`` holds the last layer's output and ``gate``
+    one block's ReLU gate of one layer; ``forward`` leaves them untouched.
     """
 
     def __init__(
         self, plans: list[LayerPlan], rows: int, *, masks: bool = False, estimators: int | None = None
     ):
         m = plans[-1].groups
+        self.rows = rows
         self.estimators = m if estimators is None else estimators
         self.widths = [plan.out_width for plan in plans[:-1]]
         slabs = [rows * (width // m) * self.estimators for width in self.widths]
@@ -336,18 +344,21 @@ def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _regroup(a: np.ndarray, groups: int, out: np.ndarray | None) -> np.ndarray:
+def _regroup(a: np.ndarray, groups: int, out: np.ndarray | None, slab: int, slabs: int) -> np.ndarray:
     """Re-partition the channels of group-major ``a`` into ``groups`` contiguous groups.
 
-    Returns ``a`` itself if it already has ``groups`` groups; otherwise copies
-    it channel-major into the flat buffer ``out`` and views the copy group-major.
+    Returns ``a`` itself if it already has ``groups`` groups.  Otherwise views
+    the flat buffer ``out`` as ``(rows, width)`` channel-major rows whose
+    columns hold ``slabs`` blocks of ``a``'s width, copies ``a`` into block
+    ``slab``'s columns, and views that copy group-major.  Its row stride is the
+    whole width, whichever block is copied, so every GEMM reading it gets the
+    operands of a one-block pass.
     """
     if a.shape[0] == groups:
         return a
     g, n, w = a.shape
-    rows = _leading(out, (n, g * w))
-    rows.reshape(n, g, w)[...] = a.transpose(1, 0, 2)
-    return _group_major(rows, groups)
+    _leading(out, (n, slabs, g, w))[:, slab] = a.transpose(1, 0, 2)
+    return _leading(out, (n, slabs, groups, g * w // groups))[:, slab].transpose(1, 0, 2)
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -355,6 +366,14 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     count = max(1, n // _ROW_BLOCK)
     edges = [n * j // count for j in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _estimator_block(plans: list[LayerPlan], rows: int) -> int:
+    """Estimators per training block: the largest divisor of M whose block's hidden
+    activations over ``rows`` rows fit in ``_BLOCK_BYTES`` (at least 1)."""
+    m = plans[-1].groups
+    per_estimator = 8 * rows * sum(plan.out_width for plan in plans[:-1]) // m
+    return max([b for b in range(1, m + 1) if m % b == 0 and b * per_estimator <= _BLOCK_BYTES], default=1)
 
 
 def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks) -> np.ndarray:
@@ -376,20 +395,30 @@ def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks
 
 
 def _run_layers(
-    params: Params, plans: list[LayerPlan], batch: np.ndarray, dropout_masks, ws: _Workspace, y: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    params: Params,
+    plans: list[LayerPlan],
+    batch: np.ndarray,
+    dropout_masks,
+    ws: _Workspace,
+    y: np.ndarray,
+    block: int,
+) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
     """The group-major forward pass shared by inference and training, on checked inputs.
 
-    Runs the estimators in blocks of ``ws.estimators``, in order; each block
-    goes through every layer in the workspace's slabs before the next block
-    starts.  Writes each hidden layer's kept activation (ReLU then dropout, in
-    place) into ``ws.acts`` and the last layer's output into ``y``,
-    ``(num_estimators, len(batch), out_features)``.  Returns the last block's
-    group-major layer inputs and kept hidden activations: with one block, the
-    whole pass's, which the backward pass reads.
+    Runs the estimators in blocks of ``block``, in order; each block goes
+    through every layer before the next starts.  A block works in its own slab
+    of each workspace buffer: the only one of a workspace that holds one
+    block, its own estimators' range of one that holds them all.  Writes each
+    hidden layer's kept activation (ReLU then dropout, in place) into
+    ``ws.acts`` and the last layer's output into ``y``, ``(num_estimators,
+    len(batch), out_features)``.  Returns each block's group-major layer
+    inputs and kept hidden activations, which the backward pass reads.
     """
-    m, block = plans[-1].groups, ws.estimators
+    m, n = plans[-1].groups, len(batch)
+    slabs = ws.estimators // block
+    passes = []
     for first in range(0, m, block):
+        slab = first // block % slabs
         x = batch[None]  # one input group, broadcast to every estimator of the first layer
         inputs, acts = [], []
         for i, plan in enumerate(plans):
@@ -397,8 +426,8 @@ def _run_layers(
             own = slice(first * per_estimator, (first + block) * per_estimator)
             inputs.append(x)
             last = i == len(plans) - 1
-            shape = (block * per_estimator, len(batch), plan.per_group_out)
-            z = y[first : first + block] if last else _leading(ws.acts[i], shape)
+            shape = (block * per_estimator, n, plan.per_group_out)
+            z = y[first : first + block] if last else _leading(ws.acts[i], (slabs, *shape))[slab]
             np.matmul(x, params.weights[i][own].transpose(0, 2, 1), out=z)
             z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)[own]
             if last:
@@ -407,8 +436,9 @@ def _run_layers(
             if dropout_masks is not None:
                 z *= _group_major(dropout_masks[i], plan.groups)[own]
             acts.append(z)
-            x = _regroup(z, block * (plans[i + 1].groups // m), ws.regrouped[i])
-    return inputs, acts
+            x = _regroup(z, block * (plans[i + 1].groups // m), ws.regrouped[i], slab, slabs)
+        passes.append((inputs, acts))
+    return passes
 
 
 def forward(
@@ -432,7 +462,7 @@ def forward(
     ws = _Workspace(plans, max(hi - lo for lo, hi in blocks), estimators=1)
     for lo, hi in blocks:
         masks = None if dropout_masks is None else [m[lo:hi] for m in dropout_masks]
-        _run_layers(params, plans, batch[lo:hi], masks, ws, y[:, lo:hi])
+        _run_layers(params, plans, batch[lo:hi], masks, ws, y[:, lo:hi], 1)
     return PerEstimatorOutput(estimator_outputs=y, mean_output=y.sum(axis=0) / len(y))
 
 
@@ -449,7 +479,10 @@ def loss_and_grad(
     loss = mean over batch rows and output channels of (mean_output - target)^2.
     Gradients are computed by backpropagation through the same dropout masks
     as the forward pass.  The pass runs in ``workspace``, made for at least
-    ``len(batch)`` rows of all estimators at once, or in a fresh one.
+    ``len(batch)`` rows of all estimators, or in a fresh one.  The estimators
+    run in blocks of :func:`_estimator_block`: every block's forward pass, then
+    the loss from all outputs, then every block's backward pass, each writing
+    only its own estimators' gradients.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if len(batch) == 0:
@@ -464,41 +497,51 @@ def loss_and_grad(
 
     batch = _checked_inputs(params, plans, batch, dropout_masks)
     n = len(batch)
-    ws = _Workspace(plans, n) if workspace is None else workspace
     m, out_features = plans[-1].groups, plans[-1].per_group_out
+    ws = _Workspace(plans, n) if workspace is None else workspace
+    if ws.rows < n or ws.estimators != m:
+        raise ValueError(
+            f"workspace holds {ws.rows} rows for {ws.estimators} of {m} estimators; "
+            f"the batch needs {n} rows for all {m}"
+        )
+    block = _estimator_block(plans, n)
+    slabs = m // block
     y = _leading(ws.out, (m, n, out_features))
-    inputs, acts = _run_layers(params, plans, batch, dropout_masks, ws, y)
+    passes = _run_layers(params, plans, batch, dropout_masks, ws, y, block)
     diff = y.sum(axis=0) / m - targets
     loss = float(np.mean(diff * diff))
 
     # d loss / d mean_output, then split equally across estimators.
-    dmean = (2.0 / (n * out_features)) * diff
-    dz = np.broadcast_to(dmean / m, y.shape)
+    dy = (2.0 / (n * out_features)) * diff / m
 
     # Walking down, the gradient of each hidden activation overwrites that activation
     # once its ReLU gate is taken, and a regroup reuses the buffer the layer above
-    # read its input from.
+    # read its input from; each block touches only its own slabs and gradients.
     grads = Params.from_flat(np.empty(param_count(plans)), _layer_shapes(plans))
-    for i in range(len(plans) - 1, -1, -1):
-        plan = plans[i]
-        if i < len(plans) - 1:
-            dz = _regroup(dz, plan.groups, ws.regrouped[i])
-            if dropout_masks is not None:
-                dz *= _group_major(dropout_masks[i], plan.groups)
-            dz *= gate
-        np.matmul(dz.transpose(0, 2, 1), inputs[i], out=grads.weights[i])
-        bias_grad = grads.biases[i].reshape(plan.groups, plan.per_group_out)
-        if plan.per_group_out > 1:
-            # Adds the rows in order, as np.sum does over a non-contiguous axis, so the
-            # bits agree; at width 1 np.sum adds pairwise, so it stays there.
-            np.einsum("gnd->gd", dz, out=bias_grad)
-        else:
-            np.sum(dz, axis=1, out=bias_grad)
-        if i:
-            # Kept and active units: relu(z) * mask > 0.
-            gate = np.greater(acts[i - 1], 0.0, out=_leading(ws.gate, acts[i - 1].shape))
-            below = _leading(ws.acts[i - 1], (plan.groups, n, plan.per_group_in))
-            dz = np.matmul(dz, params.weights[i], out=below)
+    for slab, (inputs, acts) in enumerate(passes):
+        dz = np.broadcast_to(dy, (block, n, out_features))
+        for i in range(len(plans) - 1, -1, -1):
+            plan = plans[i]
+            groups = block * (plan.groups // m)
+            own = slice(slab * groups, (slab + 1) * groups)
+            if i < len(plans) - 1:
+                dz = _regroup(dz, groups, ws.regrouped[i], slab, slabs)
+                if dropout_masks is not None:
+                    dz *= _group_major(dropout_masks[i], plan.groups)[own]
+                dz *= gate
+            np.matmul(dz.transpose(0, 2, 1), inputs[i], out=grads.weights[i][own])
+            bias_grad = grads.biases[i].reshape(plan.groups, plan.per_group_out)[own]
+            if plan.per_group_out > 1:
+                # Adds the rows in order, as np.sum does over a non-contiguous axis, so the
+                # bits agree; at width 1 np.sum adds pairwise, so it stays there.
+                np.einsum("gnd->gd", dz, out=bias_grad)
+            else:
+                np.sum(dz, axis=1, out=bias_grad)
+            if i:
+                # Kept and active units: relu(z) * mask > 0.
+                gate = np.greater(acts[i - 1], 0.0, out=_leading(ws.gate, acts[i - 1].shape))
+                below = _leading(ws.acts[i - 1], (slabs, groups, n, plan.per_group_in))[slab]
+                dz = np.matmul(dz, params.weights[i][own], out=below)
     return loss, grads
 
 

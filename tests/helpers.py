@@ -10,7 +10,7 @@ of the loss value alone.
 import numpy as np
 
 from packedflow.data import CylinderFlowConfig, Dataset, Simulation, generate_cylinder_flow
-from packedflow.packed_net import forward
+from packedflow.packed_net import Params, forward
 
 # ---------------------------------------------------------------------------
 # Dense reference MLP (plain matrices, ReLU, mean-squared loss)
@@ -82,6 +82,61 @@ def block_diagonal_forward(plans, params, x, masks=None):
             if masks is not None:
                 a = a * masks[i]
     return a.reshape(len(x), plans[-1].groups, -1).transpose(1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# One-block training step (the bit-exact reference for blocked steps)
+# ---------------------------------------------------------------------------
+
+
+def one_block_loss_and_grad(params, plans, x, y, masks=None):
+    """The grouped training step with all estimators in one block, in fresh arrays.
+
+    Every GEMM gets the operands, with the strides, of the library's one-block
+    pass: activations group-major and contiguous, a regroup copied channel-major
+    into a contiguous ``(rows, width)`` array.  Reductions are the library's too,
+    so the loss and gradients must equal ``loss_and_grad``'s bit for bit.
+    """
+    m, n, last = plans[-1].groups, len(x), len(plans) - 1
+
+    def by_group(rows, groups):  # (n, width) channel-major -> (groups, n, width // groups)
+        return rows.reshape(n, groups, -1).transpose(1, 0, 2)
+
+    def regroup(a, groups):
+        if len(a) == groups:
+            return a
+        return by_group(np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, -1), groups)
+
+    inputs, acts, a = [], [], x[None]
+    for i, plan in enumerate(plans):
+        inputs.append(a)
+        z = np.matmul(a, params.weights[i].transpose(0, 2, 1))
+        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+            if masks is not None:
+                z *= by_group(masks[i], plan.groups)
+            acts.append(z)
+            a = regroup(z, plans[i + 1].groups)
+    diff = z.sum(axis=0) / m - y
+    loss = float(np.mean(diff * diff))
+    dz = np.broadcast_to((2.0 / (n * plans[-1].per_group_out)) * diff / m, z.shape)
+    weights, biases = [None] * len(plans), [None] * len(plans)
+    for i in range(last, -1, -1):
+        plan = plans[i]
+        if i < last:
+            dz = regroup(dz, plan.groups)  # in place from here on: its strides reach the GEMMs
+            if masks is not None:
+                dz *= by_group(masks[i], plan.groups)
+            dz *= acts[i] > 0.0
+        weights[i] = np.matmul(dz.transpose(0, 2, 1), inputs[i])
+        if plan.per_group_out > 1:
+            biases[i] = np.einsum("gnd->gd", dz).ravel()
+        else:
+            biases[i] = np.sum(dz, axis=1).ravel()
+        if i:
+            dz = np.matmul(dz, params.weights[i])
+    return loss, Params(weights, biases)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -381,6 +382,23 @@ class TestSimulationCsv:
         loaded = load_simulation(tmp_path / "sim.csv")
         assert loaded.points.tobytes() == source.points.tobytes()
         assert loaded.targets.tobytes() == source.targets.tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_large_file_loads_without_copies_of_its_text(self, tmp_path, end):
+        # The body is parsed from the file's bytes: no decoded text and no copy of the body.
+        config = small_flow_config(num_sims=1, surface_points=2000, field_points=18000)
+        source = generate_cylinder_flow(config).simulations[0]
+        path = tmp_path / "sim.csv"
+        write_simulation(source, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        tracemalloc.start()
+        try:
+            loaded = load_simulation(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.points.tobytes() == source.points.tobytes()
+        assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
 
     @settings(max_examples=200, deadline=None)
     @given(fuzzed_csv())

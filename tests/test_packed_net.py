@@ -5,6 +5,7 @@ dense MLP, materialized block-diagonal matrices, and central finite
 differences of the loss value.
 """
 
+import dataclasses
 import json
 import re
 import struct
@@ -19,6 +20,7 @@ from helpers import (
     dense_loss_and_grads,
     fd_gradients,
     nudge_biases_off_kinks,
+    one_block_loss_and_grad,
     relative_error,
 )
 from hypothesis import given, settings
@@ -444,13 +446,13 @@ class TestWorkspace:
 
 
 def one_block_forward(params, plans, x, masks):
-    """``forward``'s row blocks, each running all estimators in one block, as training does."""
+    """``forward``'s row blocks, each running all estimators in one block."""
     y = np.empty((plans[-1].groups, len(x), plans[-1].per_group_out))
     blocks = _row_blocks(len(x))
     ws = _Workspace(plans, max(hi - lo for lo, hi in blocks))
     for lo, hi in blocks:
         block_masks = None if masks is None else [m[lo:hi] for m in masks]
-        _run_layers(params, plans, x[lo:hi], block_masks, ws, y[:, lo:hi])
+        _run_layers(params, plans, x[lo:hi], block_masks, ws, y[:, lo:hi], plans[-1].groups)
     return y
 
 
@@ -483,6 +485,73 @@ class TestEstimatorBlocks:
     @given(SPECS, st.sampled_from([1, 2, 383, _ROW_BLOCK + 1]), st.integers(0, 2**16))
     def test_forward_equals_the_one_block_pass_property(self, spec, n, seed):
         self.assert_same_bits(spec, seed, n, spec.dropout_enabled)
+
+
+class TestBlockedStep:
+    """``loss_and_grad`` runs the estimators in blocks; every block size gives the one-block bits."""
+
+    # Thin gamma = 3 layers: regroup copies laid out per block, not at the full width, change
+    # the leading dimension of the weight-gradient GEMMs and with it the last layer's bits.
+    THIN = PackedSpec(8, 1, 3, (30, 66, 69, 16), in_features=2, out_features=1)
+    WIDE = PackedSpec(6, 2, 2, (40, 24))
+
+    @staticmethod
+    def assert_same_bits(monkeypatch, plans, params, x, y, masks):
+        ref_loss, ref = one_block_loss_and_grad(params, plans, x, y, masks)
+        m = plans[-1].groups
+        for block in [b for b in range(1, m + 1) if m % b == 0]:
+            monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: block)
+            loss, grads = loss_and_grad(params, plans, x, y, masks)
+            assert np.float64(loss).view(np.int64) == np.float64(ref_loss).view(np.int64), block
+            assert np.array_equal(grads.flat.view(np.int64), ref.flat.view(np.int64)), block
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("n", [1, 383, 1024])
+    @pytest.mark.parametrize("spec", [THIN, WIDE], ids=["thin-gamma3", "wide-gamma2"])
+    def test_every_block_size_gives_the_one_block_bits(self, monkeypatch, spec, n, dropout):
+        plans, params, x, y = random_case(dataclasses.replace(spec, dropout_enabled=dropout), 7, batch=n)
+        masks = make_dropout_masks(plans, n, np.random.default_rng(8)) if dropout else None
+        self.assert_same_bits(monkeypatch, plans, params, x, y, masks)
+
+    @pytest.mark.parametrize("n", [1, 383])
+    def test_single_linear_layer(self, monkeypatch, n):
+        plans = [LayerPlan("last", 4 * 5, 4 * 3, 4, 5, 3)]
+        rng = np.random.default_rng(n)
+        params = Params([rng.normal(size=(4, 3, 5))], [rng.normal(size=12)])
+        assert packed_net._estimator_block(plans, n) == 4  # no hidden activation to bound
+        self.assert_same_bits(monkeypatch, plans, params, rng.normal(size=(n, 5)), rng.normal(size=(n, 3)), None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SPECS, st.sampled_from([1, 2, 383]), st.integers(0, 2**16))
+    def test_every_block_size_gives_the_one_block_bits_property(self, spec, n, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            plans, params, x, y = random_case(spec, seed, batch=n)
+            masks = make_dropout_masks(plans, n, np.random.default_rng(seed)) if spec.dropout_enabled else None
+            self.assert_same_bits(monkeypatch, plans, params, x, y, masks)
+
+    @pytest.mark.parametrize(
+        "spec, rows, block",
+        [
+            (PackedSpec(8, 8, 1, DEEP_THIN), 1024, 1),
+            (PackedSpec(8, 4, 1, DEEP_THIN), 1024, 2),
+            (PackedSpec(8, 4, 1, DEEP_THIN), 512, 4),
+            (PackedSpec(4, 2, 2, (48, 128, 48)), 1024, 4),
+            (PackedSpec(4, 2, 2, (48, 128, 48)), 7, 4),
+            (PackedSpec(4, 4, 4, (48, 128, 48)), 1024, 2),
+            (PackedSpec(6, 1, 1, (4096,)), 1024, 1),  # one estimator's slab alone is over budget
+        ],
+    )
+    def test_block_is_the_largest_divisor_within_the_budget(self, spec, rows, block):
+        assert packed_net._estimator_block(plan_layers(spec), rows) == block
+
+    def test_workspace_too_small_is_named(self):
+        plans, params, x, y = random_case(self.WIDE, 3, batch=50)
+        for ws, holds in [
+            (_Workspace(plans, 49), "49 rows for 6 of 6 estimators"),
+            (_Workspace(plans, 50, estimators=1), "50 rows for 1 of 6 estimators"),
+        ]:
+            with pytest.raises(ValueError, match=f"^workspace holds {holds}; the batch needs 50 rows for all 6$"):
+                loss_and_grad(params, plans, x, y, workspace=ws)
 
 
 class TestRegroup:
