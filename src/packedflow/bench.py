@@ -104,7 +104,9 @@ def run_benchmark(
 ) -> BenchReport:
     """Train each case once, evaluate on every split, and collect a report.
 
-    A failing case is recorded with its error and the remaining cases run.
+    Every case trains all of ``cfg``'s epochs with its own optimizer settings;
+    with early stopping on, each row records ``time_training``'s error.  A
+    failing case is recorded with its error and the remaining cases run.
     """
     if not cases:
         raise ValueError("no benchmark cases")
@@ -114,12 +116,7 @@ def run_benchmark(
         plans = plan_layers(case.spec)
         row = BenchRow(case)
         try:
-            case_cfg = replace(
-                cfg,
-                learning_rate=case.learning_rate,
-                weight_decay=case.weight_decay,
-                early_stop_enabled=False,
-            )
+            case_cfg = replace(cfg, learning_rate=case.learning_rate, weight_decay=case.weight_decay)
             _, params, row.history = time_training(case.spec, case_cfg, train_split, scaler)
             for split_name, split in eval_splits.items():
                 row.reports[split_name] = evaluate(params, plans, scaler, split)

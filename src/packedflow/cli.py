@@ -68,6 +68,11 @@ def _path(base: Path, obj: dict, key: str, where: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _read_spec(obj, where: str) -> PackedSpec:
+    """A config's spec section; its widths are the point schema's 7 inputs and 4 targets, not keys."""
+    return _read(PackedSpec, obj, where, in_features=7, out_features=4)
+
+
 def _cmd_gen(args) -> int:
     config, _ = _load_config(args.config)
     _check_keys(config, "gen config", required=("splits",))
@@ -92,7 +97,7 @@ def _cmd_train(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "train config", required=("spec", "train", "data"))
     _check_keys(config["data"], "train config: data", required=("train_dir",), optional=("val_dir",))
-    spec = _read(PackedSpec, config["spec"], "train config: spec")
+    spec = _read_spec(config["spec"], "train config: spec")
     cfg = _read(TrainConfig, config["train"], "train config: train", seed=args.seed)
 
     train_data = load_dataset(_path(base, config["data"], "train_dir", "train config: data"))
@@ -121,7 +126,7 @@ def _cmd_cv(args) -> int:
         optional=("k", "subsample_fraction"),
     )
     _check_keys(config["data"], "cv config: data", required=("train_dir",))
-    base_spec = _read(PackedSpec, config["base_spec"], "cv config: base_spec")
+    base_spec = _read_spec(config["base_spec"], "cv config: base_spec")
     cfg = _read(TrainConfig, config["train"], "cv config: train", seed=args.seed)
     if not isinstance(config["grid"], list) or not config["grid"]:
         raise ConfigError("cv config: 'grid' must be a non-empty list")
@@ -185,7 +190,8 @@ def _cmd_bench(args) -> int:
     _check_keys(config, "bench config", required=("cases", "train", "data"))
     data = config["data"]
     _check_keys(data, "bench config: data", required=("train_dir", "test_dir"), optional=("test_ood_dir",))
-    cfg = _read(TrainConfig, config["train"], "bench config: train", seed=args.seed)
+    # Compared runs train every epoch.
+    cfg = _read(TrainConfig, config["train"], "bench config: train", seed=args.seed, early_stop_enabled=False)
     if not isinstance(config["cases"], list) or not config["cases"]:
         raise ConfigError("bench config: 'cases' must be a non-empty list")
     # A case's optimizer settings default to the train section's.
@@ -195,7 +201,10 @@ def _cmd_bench(args) -> int:
         where = f"bench config: cases[{i}]"
         if not isinstance(case_cfg, dict):
             raise ConfigError(f"{where}: expected a JSON object")
-        cases.append(_read(BenchCase, {**defaults, **case_cfg}, where))
+        case_cfg = {**defaults, **case_cfg}
+        # A case without a spec is left to _read, which names the missing key.
+        given = {"spec": _read_spec(case_cfg.pop("spec"), f"{where}: 'spec'")} if "spec" in case_cfg else {}
+        cases.append(_read(BenchCase, case_cfg, where, **given))
     if len({c.name for c in cases}) != len(cases):
         raise ConfigError("bench config: case names must be unique")
     dirs = {key: _path(base, data, key, "bench config: data") for key in data}
@@ -256,7 +265,7 @@ def run_cli(argv=None) -> int:
             raise ConfigError("--jobs must be >= 1")
         handler, _, _ = _COMMANDS[args.command]
         return handler(args)
-    except (ConfigError, SimulationParseError, FileNotFoundError) as exc:
+    except (ConfigError, SimulationParseError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,24 +37,12 @@ __all__ = [
     "write_coefficients_csv",
 ]
 
-@dataclass(frozen=True)
-class SurfacePolyline:
+
+class SurfacePolyline(NamedTuple):
     """Surface points in closed-polygon order with per-point arc lengths."""
 
     indices: np.ndarray  # (S,) indices into the simulation's points
-    segment_lengths: np.ndarray  # (S,) half-sum of the two incident edges
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.ascontiguousarray(self.indices, dtype=np.int64))
-        object.__setattr__(
-            self, "segment_lengths", np.ascontiguousarray(self.segment_lengths, dtype=np.float64)
-        )
-        if (self.segment_lengths <= 0).any():
-            raise ValueError("segment lengths must be positive")
-
-    @property
-    def perimeter(self) -> float:
-        return float(self.segment_lengths.sum())
+    segment_lengths: np.ndarray  # (S,) half-sum of the two incident edges, all positive
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,8 @@ def order_surface(sim: Simulation) -> SurfacePolyline:
 
     The result is treated as a closed polygon; each point's effective arc
     length is half the sum of its two incident edge lengths, so the lengths
-    sum to the polygon perimeter.  Valid for star-shaped sections.
+    sum to the polygon perimeter.  Valid for star-shaped sections with no
+    three coincident points, whose middle one would get length 0.
     """
     surface_indices = np.flatnonzero(sim.surface_mask)
     if len(surface_indices) < 3:
@@ -107,6 +97,8 @@ def order_surface(sim: Simulation) -> SurfacePolyline:
     coords = xy[order]
     edges = np.hypot(*(np.roll(coords, -1, axis=0) - coords).T)  # edge i -> i+1, cyclic
     lengths = 0.5 * (edges + np.roll(edges, 1))
+    if (lengths <= 0).any():
+        raise ValueError(f"simulation {sim.name!r}: coincident surface points, segment lengths must be positive")
     return SurfacePolyline(indices=ordered, segment_lengths=lengths)
 
 

@@ -59,14 +59,14 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings; early stopping, where enabled, is ``early_stop``'s fixed 1%-for-5-epochs rule."""
+
     learning_rate: float
     weight_decay: float = 0.0
     max_epochs: int = 100
     batch_points: int = 4096
     seed: int = 0
     early_stop_enabled: bool = False
-    early_stop_threshold: float = 0.01
-    early_stop_window: int = 5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -79,10 +79,6 @@ class TrainConfig:
             raise ValueError(f"batch_points must be positive, got {self.batch_points}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.early_stop_threshold < 1.0:
-            raise ValueError(f"early_stop_threshold must be in (0, 1), got {self.early_stop_threshold}")
-        if self.early_stop_window < 1:
-            raise ValueError(f"early_stop_window must be >= 1, got {self.early_stop_window}")
 
 
 @dataclass
@@ -282,9 +278,7 @@ def train(
         if val_losses is not None:
             val_losses.append(_mse(params, plans, *val))
         wall.append(time.perf_counter() - started)
-        if cfg.early_stop_enabled and early_stop(
-            losses, cfg.early_stop_threshold, cfg.early_stop_window
-        ):
+        if cfg.early_stop_enabled and early_stop(losses):
             break
     return params, TrainHistory(train_loss=losses, val_loss=val_losses, wall_seconds=wall)
 

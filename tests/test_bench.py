@@ -130,6 +130,18 @@ class TestRunBenchmark:
         assert broken.error is not None and "features" in broken.error
         assert report.rows[1].error is None
 
+    def test_early_stopping_config_fails_every_row(self):
+        split = cylinder_dataset(3, surface_points=16, field_points=16, seed=2)
+        cases = [
+            BenchCase("tiny", PackedSpec(2, 1, 1, (8,)), learning_rate=0.01),
+            BenchCase("wide", PackedSpec(2, 2, 1, (8,)), learning_rate=0.01),
+        ]
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=2, batch_points=64, seed=5, early_stop_enabled=True)
+        report = run_benchmark(cases, cfg, split, {"test": split})
+        expected = "ValueError: benchmark timing requires early_stop_enabled=False"
+        assert [row.error for row in report.rows] == [expected, expected]
+        assert all(row.history is None and not row.reports for row in report.rows)
+
     def test_csv_columns_include_physics_metrics(self, outputs):
         _, out_dir = outputs
         with open(out_dir / "bench_test.csv", newline="") as fh:

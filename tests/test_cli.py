@@ -557,6 +557,43 @@ class TestExitCodes:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, error",
+        [
+            pytest.param("model", "Is a directory", id="model-is-directory"),
+            pytest.param("scaler", "Is a directory", id="scaler-is-directory"),
+            pytest.param("data", "Not a directory", id="data-dir-is-file"),
+            pytest.param(None, "Is a directory", id="config-is-directory"),
+        ],
+    )
+    def test_path_of_the_wrong_kind_is_validation_error(self, workspace, tmp_path, capsys, key, error):
+        config = valid_configs(workspace)["eval"]
+        if key == "data":
+            config["data"]["dir"] = config["scaler"]
+        elif key is not None:
+            config[key] = str(tmp_path)
+        config_path = str(tmp_path) if key is None else write_config(tmp_path / "eval.json", config)
+        assert run_cli(["eval", "--config", config_path, "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and error in err
+        assert (config["scaler"] if key == "data" else str(tmp_path)) in err
+        assert not (tmp_path / "report").exists()
+
+    def test_coincident_surface_points_name_their_simulation(self, workspace, tmp_path, capsys):
+        dataset = load_dataset(workspace / "data" / "test")
+        sim = dataset.simulations[1]
+        points = sim.points.copy()
+        surface = np.flatnonzero(sim.surface_mask)[:3]
+        points[surface, :2] = points[surface[0], :2]
+        coincident = Simulation(sim.name, points, sim.targets)
+        write_dataset(Dataset((dataset.simulations[0], coincident), split_label="test"), tmp_path / "data")
+        config = valid_configs(workspace)["eval"]
+        config["data"]["dir"] = str(tmp_path / "data")
+        config_path = write_config(tmp_path / "eval.json", config)
+        assert run_cli(["eval", "--config", config_path, "--out", str(tmp_path / "report")]) == 1
+        assert f"error: ValueError: simulation '{sim.name}': coincident surface points" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
     def test_unscorable_prediction_exits_1_naming_the_simulation(self, workspace, tmp_path, capsys):
         # A finite field point far outside the training data: its squared error overflows float64.
         sim = eval_far_point(workspace, tmp_path, 1e300)
@@ -740,8 +777,6 @@ VALID_SECTIONS = {
         "max_epochs": 3,
         "batch_points": 64,
         "early_stop_enabled": True,
-        "early_stop_threshold": 0.01,
-        "early_stop_window": 5,
     },
     CylinderFlowConfig: {**GEN_SPLITS["test_ood"]},
     GridRow: {"dropout": True, "alpha": 2, "gamma": 2, "learning_rate": 0.001},
@@ -802,6 +837,56 @@ def test_shipped_config_is_accepted(tmp_path, monkeypatch, capsys, command):
     assert run_cli([command, "--config", config, "--out", str(out)]) == 1
     assert "error: Reached: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def removed(command, path, key, value, where):
+    return pytest.param(command, path, key, value, where, id=f"{command}-{'.'.join(map(str, path))}-{key}")
+
+
+@pytest.mark.parametrize(
+    "command, path, key, value, where",
+    [
+        removed("train", ("train",), "early_stop_threshold", 0.01, "train config: train"),
+        removed("train", ("train",), "early_stop_window", 5, "train config: train"),
+        removed("cv", ("train",), "early_stop_threshold", 0.01, "cv config: train"),
+        removed("cv", ("train",), "early_stop_window", 5, "cv config: train"),
+        removed("bench", ("train",), "early_stop_threshold", 0.01, "bench config: train"),
+        removed("bench", ("train",), "early_stop_window", 5, "bench config: train"),
+        removed("bench", ("train",), "early_stop_enabled", False, "bench config: train"),
+        removed("train", ("spec",), "in_features", 7, "train config: spec"),
+        removed("train", ("spec",), "out_features", 4, "train config: spec"),
+        removed("cv", ("base_spec",), "in_features", 7, "cv config: base_spec"),
+        removed("cv", ("base_spec",), "out_features", 4, "cv config: base_spec"),
+        removed("bench", ("cases", 0, "spec"), "in_features", 7, "bench config: cases[0]: 'spec'"),
+        removed("bench", ("cases", 0, "spec"), "out_features", 4, "bench config: cases[0]: 'spec'"),
+    ],
+)
+def test_fixed_rule_is_not_a_config_key(workspace, tmp_path, monkeypatch, capsys, command, path, key, value, where):
+    # Even the fixed value itself is rejected: the early-stop rule, bench's every-epoch runs
+    # and the point schema's widths are not settable.
+    config = copy.deepcopy(valid_configs(workspace)[command])
+    section = config
+    for step in path:
+        section = section[step]
+    section[key] = value
+    config_path = write_config(tmp_path / f"{command}.json", config)
+
+    def reached(path):
+        raise Reached(path)
+
+    monkeypatch.setattr(cli, "load_dataset", reached)
+    assert run_cli([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {where}: unknown keys [{key!r}]\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_case_without_spec_names_the_missing_key(workspace, tmp_path, capsys):
+    config = valid_configs(workspace)["bench"]
+    config["cases"] = [{"name": "packed"}]
+    config_path = write_config(tmp_path / "bench.json", config)
+    assert run_cli(["bench", "--config", config_path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: bench config: cases[0]: missing keys ['spec']\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_script_is_the_cli_entry_point():
