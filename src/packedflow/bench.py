@@ -33,12 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One benchmark row: a spec plus its optimizer hyperparameters."""
+    """One benchmark row: a name that is one file-name component, a spec and its optimizer settings."""
 
     name: str
     spec: PackedSpec
     learning_rate: float
     weight_decay: float = 0.0
+
+    def __post_init__(self):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"name {self.name!r} must be one file-name component")
 
 
 @dataclass

@@ -85,11 +85,10 @@ def _cmd_gen(args) -> int:
         if split_name not in SPLIT_LABELS:
             raise ConfigError(f"{where}: split name must be one of {SPLIT_LABELS}")
         gen_cfgs[split_name] = _read(CylinderFlowConfig, split_cfg, where, seed=_split_seed(args.seed, index))
-    out = Path(args.out)
     for split_name, gen_cfg in gen_cfgs.items():
         dataset = generate_cylinder_flow(gen_cfg, split_label=split_name)
-        write_dataset(dataset, out / split_name)
-        print(f"wrote {len(dataset)} simulations to {out / split_name}")
+        write_dataset(dataset, args.out / split_name)
+        print(f"wrote {len(dataset)} simulations to {args.out / split_name}")
     return 0
 
 
@@ -107,13 +106,12 @@ def _cmd_train(args) -> int:
     scaler = fit_scaler(train_data)
     params, history = train(spec, train_data, val_data, scaler, cfg)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_params(out / "model.pkmlp", spec, params)
-    write_json(out / "scaler.json", scaler.to_dict())
-    write_history_csv(history, out / "history.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    save_params(args.out / "model.pkmlp", spec, params)
+    write_json(args.out / "scaler.json", scaler.to_dict())
+    write_history_csv(history, args.out / "history.csv")
     final = f", final train loss {history.train_loss[-1]:.6g}" if history.num_epochs else ""
-    print(f"trained {history.num_epochs} epochs{final}; artifacts in {out}")
+    print(f"trained {history.num_epochs} epochs{final}; artifacts in {args.out}")
     return 0
 
 
@@ -134,26 +132,22 @@ def _cmd_cv(args) -> int:
     k = _value(int, config.get("k", 4), "cv config: 'k'")
     if k < 2:
         raise ConfigError(f"cv config: 'k' must be >= 2, got {k}")
-    fraction = None
-    if "subsample_fraction" in config:
-        fraction = _value(float, config["subsample_fraction"], "cv config: 'subsample_fraction'")
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigError(f"cv config: 'subsample_fraction' must be in (0, 1], got {fraction}")
+    fraction = _value(float, config.get("subsample_fraction", 1.0), "cv config: 'subsample_fraction'")
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"cv config: 'subsample_fraction' must be in (0, 1], got {fraction}")
 
     dataset = load_dataset(_path(base, config["data"], "train_dir", "cv config: data"))
-    if fraction is not None:
-        dataset = subsample(dataset, fraction, args.seed)
+    dataset = subsample(dataset, fraction, args.seed)
     if len(dataset) < k:
-        kept = f" left by 'subsample_fraction' {fraction}" if fraction is not None else ""
+        kept = f" left by 'subsample_fraction' {fraction}" if fraction < 1.0 else ""
         raise ConfigError(
             f"cv config: 'k' must not exceed the {len(dataset)} training simulations{kept}, got {k}"
         )
     rows = cross_validate(dataset, grid, base_spec, cfg, k=k, jobs=args.jobs)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_cv_csv(rows, out / "cv_results.csv")
-    write_cv_fold_csv(rows, out / "cv_fold_losses.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_cv_csv(rows, args.out / "cv_results.csv")
+    write_cv_fold_csv(rows, args.out / "cv_fold_losses.csv")
     best = min(rows, key=lambda r: r.validation_loss)
     setting = ", ".join(f"{f.name}={getattr(best, f.name)}" for f in fields(GridRow))
     print(
@@ -175,13 +169,12 @@ def _cmd_eval(args) -> int:
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
     report, rows = evaluate_predictions(predictions, dataset)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_json(report, out / "eval_report.json")
-    write_coefficients_csv(rows, out / "coefficients.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_report_json(report, args.out / "eval_report.json")
+    write_coefficients_csv(rows, args.out / "coefficients.csv")
     for field, reason in null_reasons(rows).items():
         print(f"{field} is null: {reason}", file=sys.stderr)
-    print(f"evaluated {len(dataset)} simulations; report in {out / 'eval_report.json'}")
+    print(f"evaluated {len(dataset)} simulations; report in {args.out / 'eval_report.json'}")
     return 0
 
 
@@ -249,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="path to the JSON run config")
         for flag in flags:
             sub.add_argument(flag, **_FLAGS[flag])
-        sub.add_argument("--out", default="out", help="output directory")
+        sub.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     return parser
 
 
@@ -263,6 +256,10 @@ def run_cli(argv=None) -> int:
             raise ConfigError("--seed must be non-negative")
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
+        # The nearest path that exists, --out itself or an ancestor, must be a directory.
+        existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         handler, _, _ = _COMMANDS[args.command]
         return handler(args)
     except (ConfigError, SimulationParseError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:

@@ -158,27 +158,18 @@ class LayerPlan:
 class Params:
     """Per-layer weights and biases, stored as views into one contiguous float64 vector.
 
-    ``flat`` holds every layer's weights then biases, in layer order, exactly
-    as the model file stores them.  ``weights[i]`` has shape ``(groups,
-    per_group_out, per_group_in)`` and ``biases[i]`` shape ``(out_width,)``.
-    The constructor copies the given arrays into a new ``flat``.  Change values
-    in place (``weights[i][...] = ...``): a list item rebound to a new array no
-    longer reaches ``flat``, which is what ``save_params`` writes.
+    ``Params(flat, shapes)`` wraps ``flat`` without copying, given each layer's (weight
+    shape, bias shape), and raises ``ValueError`` unless they cover it exactly.  ``flat``
+    holds every layer's weights then biases, in layer order, as the model file stores
+    them; ``weights[i]`` has shape ``(groups, per_group_out, per_group_in)`` and
+    ``biases[i]`` shape ``(out_width,)``.  Change values in place: a list item rebound
+    to a new array no longer reaches ``flat``, which is what ``save_params`` writes.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        pairs = list(zip(weights, biases, strict=True))
-        flat = np.concatenate([np.ravel(a) for pair in pairs for a in pair], dtype=np.float64)
-        self._bind(flat, [(np.shape(w), np.shape(b)) for w, b in pairs])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes) -> "Params":
-        """Wrap ``flat`` without copying, given each layer's (weight shape, bias shape)."""
-        params = cls.__new__(cls)
-        params._bind(flat, shapes)
-        return params
-
-    def _bind(self, flat: np.ndarray, shapes) -> None:
+    def __init__(self, flat: np.ndarray, shapes):
+        count = sum(math.prod(w_shape) + math.prod(b_shape) for w_shape, b_shape in shapes)
+        if count != flat.size:
+            raise ValueError(f"layer shapes cover {count} values, buffer holds {flat.size}")
         self.flat = flat
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -188,18 +179,10 @@ class Params:
                 size = math.prod(shape)
                 views.append(flat[offset : offset + size].reshape(shape))
                 offset += size
-        if offset != flat.size:
-            raise ValueError(f"layer shapes cover {offset} values, buffer holds {flat.size}")
 
     @property
     def shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return [(w.shape, b.shape) for w, b in zip(self.weights, self.biases)]
-
-    def copy(self) -> "Params":
-        return Params.from_flat(self.flat.copy(), self.shapes)
-
-    def zeros_like(self) -> "Params":
-        return Params.from_flat(np.zeros_like(self.flat), self.shapes)
 
     def non_finite_layer(self) -> int | None:
         """Index of the first layer holding a NaN or an infinity; None if all are finite."""
@@ -249,12 +232,11 @@ def param_count(plans: list[LayerPlan]) -> int:
 def init_params(plans: list[LayerPlan], seed: int) -> Params:
     """He-style uniform init with fan-in = per-group input width; biases zero."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for plan in plans:
+    params = Params(np.zeros(param_count(plans)), _layer_shapes(plans))
+    for plan, weights in zip(plans, params.weights):
         bound = np.sqrt(6.0 / plan.per_group_in)
-        weights.append(rng.uniform(-bound, bound, size=(plan.groups, plan.per_group_out, plan.per_group_in)))
-        biases.append(np.zeros(plan.out_width))
-    return Params(weights, biases)
+        weights[...] = rng.uniform(-bound, bound, size=weights.shape)
+    return params
 
 
 def make_dropout_masks(
@@ -517,7 +499,7 @@ def loss_and_grad(
     # Walking down, the gradient of each hidden activation overwrites that activation
     # once its ReLU gate is taken, and a regroup reuses the buffer the layer above
     # read its input from; each block touches only its own slabs and gradients.
-    grads = Params.from_flat(np.empty(param_count(plans)), _layer_shapes(plans))
+    grads = Params(np.empty(param_count(plans)), _layer_shapes(plans))
     for slab, (inputs, acts) in enumerate(passes):
         dz = np.broadcast_to(dy, (block, n, out_features))
         for i in range(len(plans) - 1, -1, -1):
@@ -579,7 +561,8 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     """Read a model file written by :func:`save_params` (bit-exact).
 
     A malformed file raises ``ConfigError`` naming the path and the byte offset
-    of the fault; every length is checked before the bytes are read.
+    of the fault; every length is checked before the bytes are read.  A NaN or an
+    infinity among the parameters (``save_params`` writes none) is such a fault.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -617,4 +600,9 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     if len(blob) - offset > expected:
         raise fault(offset + expected, f"{len(blob) - offset - expected} trailing bytes after parameter data")
     flat = np.frombuffer(blob, dtype="<f8", count=param_count(plans), offset=offset)
-    return spec, plans, Params.from_flat(flat.astype(np.float64), _layer_shapes(plans))
+    params = Params(flat.astype(np.float64), _layer_shapes(plans))
+    bad = params.non_finite_layer()
+    if bad is not None:
+        first = int(np.argmin(np.isfinite(params.flat)))
+        raise fault(offset + 8 * first, f"layer {bad}: non-finite parameter value")
+    return spec, plans, params

@@ -175,7 +175,7 @@ def adam_step(
 
     g, tmp = state.scratch
     np.copyto(g, grads.flat)
-    for g_w, w in zip(Params.from_flat(g, params.shapes).weights, params.weights):
+    for g_w, w in zip(Params(g, params.shapes).weights, params.weights):
         g_w += np.multiply(weight_decay, w, out=tmp[: w.size].reshape(w.shape))
     m, v = state.first_moment, state.second_moment
     m *= ADAM_BETA1

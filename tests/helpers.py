@@ -12,6 +12,13 @@ import numpy as np
 from packedflow.data import CylinderFlowConfig, Dataset, Simulation, generate_cylinder_flow
 from packedflow.packed_net import Params, forward
 
+
+def packed_params(weights, biases):
+    """A ``Params`` over a new buffer holding copies of the per-layer arrays, in file order."""
+    flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases, strict=True) for a in pair])
+    return Params(flat.astype(np.float64), [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)])
+
+
 # ---------------------------------------------------------------------------
 # Dense reference MLP (plain matrices, ReLU, mean-squared loss)
 # ---------------------------------------------------------------------------
@@ -136,7 +143,7 @@ def one_block_loss_and_grad(params, plans, x, y, masks=None):
             biases[i] = np.sum(dz, axis=1).ravel()
         if i:
             dz = np.matmul(dz, params.weights[i])
-    return loss, Params(weights, biases)
+    return loss, packed_params(weights, biases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Benchmark harness: timing contract, parameter-count structure, report files."""
 
 import csv
+import re
 
 import pytest
 from helpers import cylinder_dataset, field_dataset
@@ -70,6 +71,17 @@ class TestParamCountStructure:
             for gamma in (1, 2, 4)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+class TestBenchCase:
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "sub/dir", "sub\\dir", "nul\0"])
+    def test_name_must_be_one_file_name_component(self, name):
+        with pytest.raises(ValueError, match=f"^name {re.escape(repr(name))} must be one file-name component$"):
+            BenchCase(name, PackedSpec(2, 1, 1, (8,)), learning_rate=0.01)
+
+    @pytest.mark.parametrize("name", ["half_capacity", "deep_ensemble_equivalent", "pe.8", "...", "a b"])
+    def test_one_file_name_component_is_a_name(self, name):
+        assert BenchCase(name, PackedSpec(2, 1, 1, (8,)), learning_rate=0.01).name == name
 
 
 class TestTimeTraining:

@@ -337,6 +337,7 @@ class TestCvCommand:
         "k, fraction, where",
         [
             pytest.param(5, None, "the 4 training simulations, got 5", id="k-over-train-split"),
+            pytest.param(5, 1.0, "the 4 training simulations, got 5", id="k-over-whole-subsample"),
             pytest.param(
                 3, 0.5, "the 2 training simulations left by 'subsample_fraction' 0.5, got 3", id="k-over-subsample"
             ),
@@ -821,6 +822,16 @@ class Reached(Exception):
     """Raised by a stub of the first data or model read: the config before it was accepted."""
 
 
+def stub_reads(monkeypatch, *names):
+    """Make each named first read of data, flow or model raise ``Reached``."""
+
+    def reached(*args, **kwargs):
+        raise Reached(args)
+
+    for name in names:
+        monkeypatch.setattr(cli, name, reached)
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "cv", "bench"])
 def test_shipped_config_is_accepted(tmp_path, monkeypatch, capsys, command):
     config = str(Path(__file__).resolve().parents[1] / "configs" / f"{command}.json")
@@ -830,10 +841,7 @@ def test_shipped_config_is_accepted(tmp_path, monkeypatch, capsys, command):
         assert sorted(p.name for p in out.iterdir()) == ["test", "test_ood", "train"]
         return
 
-    def reached(path):
-        raise Reached(path)
-
-    monkeypatch.setattr(cli, "load_params" if command == "eval" else "load_dataset", reached)
+    stub_reads(monkeypatch, "load_params" if command == "eval" else "load_dataset")
     assert run_cli([command, "--config", config, "--out", str(out)]) == 1
     assert "error: Reached: " in capsys.readouterr().err
     assert not out.exists()
@@ -870,11 +878,7 @@ def test_fixed_rule_is_not_a_config_key(workspace, tmp_path, monkeypatch, capsys
         section = section[step]
     section[key] = value
     config_path = write_config(tmp_path / f"{command}.json", config)
-
-    def reached(path):
-        raise Reached(path)
-
-    monkeypatch.setattr(cli, "load_dataset", reached)
+    stub_reads(monkeypatch, "load_dataset")
     assert run_cli([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", f"error: {where}: unknown keys [{key!r}]\n")
     assert not (tmp_path / "out").exists()
@@ -887,6 +891,62 @@ def test_bench_case_without_spec_names_the_missing_key(workspace, tmp_path, caps
     assert run_cli(["bench", "--config", config_path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: bench config: cases[0]: missing keys ['spec']\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "cv", "bench"])
+def test_out_that_cannot_be_a_directory_is_validation_error(
+    workspace, tmp_path, monkeypatch, capsys, command, below
+):
+    config_path = write_config(tmp_path / f"{command}.json", valid_configs(workspace)[command])
+    (tmp_path / "afile").write_text("kept\n")
+    out = tmp_path / "afile" / "sub" if below else tmp_path / "afile"
+    stub_reads(monkeypatch, "generate_cylinder_flow", "load_dataset", "load_params")
+    before = directory_snapshot(tmp_path)
+    assert run_cli([command, "--config", config_path, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --out {out}: {tmp_path / 'afile'} is not a directory\n")
+    assert directory_snapshot(tmp_path) == before
+
+
+def test_out_below_new_directories_is_accepted(workspace, tmp_path, monkeypatch, capsys):
+    config_path = write_config(tmp_path / "train.json", valid_configs(workspace)["train"])
+    stub_reads(monkeypatch, "load_dataset")
+    assert run_cli(["train", "--config", config_path, "--out", str(tmp_path / "new" / "deeper")]) == 1
+    assert "error: Reached: " in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "sub/dir", "sub\\dir", "nul\0"])
+def test_bench_case_name_that_is_not_one_file_name_component_is_validation_error(
+    workspace, tmp_path, monkeypatch, capsys, name
+):
+    config = valid_configs(workspace)["bench"]
+    config["cases"].append({"name": name, "spec": SPEC})
+    config_path = write_config(tmp_path / "bench.json", config)
+    stub_reads(monkeypatch, "load_dataset")
+    before = directory_snapshot(tmp_path)
+    assert run_cli(["bench", "--config", config_path, "--out", str(tmp_path / "a" / "b")]) == 2
+    message = f"error: bench config: cases[1]: name {name!r} must be one file-name component\n"
+    assert capsys.readouterr() == ("", message)
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "a").exists()
+
+
+def test_model_with_a_non_finite_parameter_is_validation_error(workspace, tmp_path, monkeypatch, capsys):
+    blob = bytearray((workspace / "run" / "model.pkmlp").read_bytes())
+    (h,) = struct.unpack_from("<I", blob, 8)
+    offset = 12 + h + 8 * 5  # the 6th parameter value, a layer 0 weight
+    blob[offset : offset + 8] = struct.pack("<d", float("nan"))
+    model_path = tmp_path / "model.pkmlp"
+    model_path.write_bytes(bytes(blob))
+    config = valid_configs(workspace)["eval"]
+    config["model"] = str(model_path)
+    config_path = write_config(tmp_path / "eval.json", config)
+    stub_reads(monkeypatch, "load_dataset")
+    before = directory_snapshot(tmp_path)
+    assert run_cli(["eval", "--config", config_path, "--out", str(tmp_path / "report")]) == 2
+    message = f"error: {model_path}: byte {offset}: layer 0: non-finite parameter value\n"
+    assert capsys.readouterr() == ("", message)
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "report").exists()
 
 
 def test_console_script_is_the_cli_entry_point():

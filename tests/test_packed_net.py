@@ -21,12 +21,14 @@ from helpers import (
     fd_gradients,
     nudge_biases_off_kinks,
     one_block_loss_and_grad,
+    packed_params,
     relative_error,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packedflow import packed_net
+from packedflow.formats import ConfigError
 from packedflow.packed_net import (
     _ROW_BLOCK,
     DROPOUT_P,
@@ -212,6 +214,20 @@ class TestInitParams:
         assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(SPECS, st.integers(0, 2**32 - 1))
+    def test_bits_match_layer_by_layer_draws(self, spec, seed):
+        # Each layer's weights drawn in layer order, then concatenated with zero biases.
+        plans = plan_layers(spec)
+        rng = np.random.default_rng(seed)
+        pieces = []
+        for plan in plans:
+            bound = np.sqrt(6.0 / plan.per_group_in)
+            weights = rng.uniform(-bound, bound, size=(plan.groups, plan.per_group_out, plan.per_group_in))
+            pieces += [weights.ravel(), np.zeros(plan.out_width)]
+        assert init_params(plans, seed).flat.tobytes() == np.concatenate(pieces).tobytes()
+
+
 class TestParamsBuffer:
     def test_views_share_one_flat_buffer_in_file_order(self):
         plans = plan_layers(PackedSpec(3, 2, 3, (9, 13)))
@@ -224,17 +240,18 @@ class TestParamsBuffer:
         in_order = np.concatenate([a.ravel() for pair in zip(params.weights, params.biases) for a in pair])
         assert np.array_equal(in_order, params.flat)
 
-    def test_copies_own_their_buffers(self):
-        plans = plan_layers(PackedSpec(2, 1, 1, (6,)))
-        params = init_params(plans, 0)
-        weights = [w.copy() for w in params.weights]
-        rebuilt = Params(weights, [b.copy() for b in params.biases])
-        for other in (rebuilt, params.copy(), params.zeros_like()):
-            assert not np.shares_memory(other.flat, params.flat)
-            for w, b in zip(other.weights, other.biases):
-                assert np.shares_memory(w, other.flat) and np.shares_memory(b, other.flat)
-        assert not np.shares_memory(rebuilt.flat, weights[0])
-        assert np.array_equal(rebuilt.flat, params.flat)
+    def test_the_constructor_wraps_the_given_buffer(self):
+        plans = plan_layers(PackedSpec(2, 1, 1, (6,)))  # weights 2x3x7 and 2x4x3, biases 6 and 8
+        shapes = [((2, 3, 7), (6,)), ((2, 4, 3), (8,))]
+        flat = np.zeros(param_count(plans))
+        params = Params(flat, shapes)
+        assert params.flat is flat and params.shapes == shapes == init_params(plans, 0).shapes
+        params.weights[1][0, 0, 0] = 5.0
+        params.biases[1][-1] = 6.0
+        assert np.flatnonzero(flat).tolist() == [48, 79] and flat[[48, 79]].tolist() == [5.0, 6.0]
+        for size in (79, 81):
+            with pytest.raises(ValueError, match=f"^layer shapes cover 80 values, buffer holds {size}$"):
+                Params(np.zeros(size), shapes)
 
 
 class TestParamCount:
@@ -270,7 +287,8 @@ class TestParamCount:
 class TestForward:
     def test_zero_params_zero_output(self):
         plans = plan_layers(PackedSpec(3, 2, 2, (8, 8)))
-        params = init_params(plans, 0).zeros_like()
+        params = init_params(plans, 0)
+        params.flat[:] = 0.0
         x = np.random.default_rng(0).normal(size=(5, 7))
         out = forward(params, plans, x)
         assert np.all(out.estimator_outputs == 0.0)
@@ -311,7 +329,7 @@ class TestForward:
         plans, params, x, _ = random_case(spec, 17)
         baseline = forward(params, plans, x).estimator_outputs
         target = 2
-        perturbed = params.copy()
+        perturbed = Params(params.flat.copy(), params.shapes)
         rng = np.random.default_rng(99)
         for i, plan in enumerate(plans):
             groups_per_estimator = plan.groups // spec.num_estimators
@@ -517,7 +535,7 @@ class TestBlockedStep:
     def test_single_linear_layer(self, monkeypatch, n):
         plans = [LayerPlan("last", 4 * 5, 4 * 3, 4, 5, 3)]
         rng = np.random.default_rng(n)
-        params = Params([rng.normal(size=(4, 3, 5))], [rng.normal(size=12)])
+        params = packed_params([rng.normal(size=(4, 3, 5))], [rng.normal(size=12)])
         assert packed_net._estimator_block(plans, n) == 4  # no hidden activation to bound
         self.assert_same_bits(monkeypatch, plans, params, rng.normal(size=(n, 5)), rng.normal(size=(n, 3)), None)
 
@@ -655,7 +673,7 @@ class TestLossAndGrad:
         # one affine layer, one sample: dL/dW = 2 (Wx + b - t) x^T / out_features
         plan = [LayerPlan("last", 5, 3, 1, 5, 3)]
         rng = np.random.default_rng(2)
-        params = Params([rng.normal(size=(1, 3, 5))], [rng.normal(size=3)])
+        params = packed_params([rng.normal(size=(1, 3, 5))], [rng.normal(size=3)])
         x = rng.normal(size=(1, 5))
         t = rng.normal(size=(1, 3))
         _, grads = loss_and_grad(params, plan, x, t)
@@ -785,6 +803,21 @@ class TestSerialization:
         (tmp_path / "trailing.pkmlp").write_bytes(blob + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
             load_params(tmp_path / "trailing.pkmlp")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index, layer", [(0, 0), (5, 0), (47, 0), (48, 1), (79, 1)])
+    def test_load_rejects_non_finite_params_at_the_first(self, tmp_path, value, index, layer):
+        spec = PackedSpec(2, 1, 1, (6,))  # layer 0 holds values 0-47, layer 1 values 48-79
+        path = tmp_path / "model.pkmlp"
+        save_params(path, spec, init_params(plan_layers(spec), 0))
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 8 * 80
+        for i in (index, 79):  # a later non-finite value is not the one named
+            blob[start + 8 * i : start + 8 * i + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        message = f"{path}: byte {start + 8 * index}: layer {layer}: non-finite parameter value"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_params(path)
 
     def test_rejects_non_finite_params(self, tmp_path):
         spec = PackedSpec(2, 1, 1, (6,))

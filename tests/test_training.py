@@ -27,11 +27,11 @@ from packedflow.training import (
 
 
 def scalar_params(weight=1.0, bias=0.0):
-    return Params([np.array([[[weight]]])], [np.array([bias])])
+    return Params(np.array([weight, bias]), [((1, 1, 1), (1,))])
 
 
 def scalar_grads(weight_grad, bias_grad=0.0):
-    return Params([np.array([[[weight_grad]]])], [np.array([bias_grad])])
+    return scalar_params(weight_grad, bias_grad)
 
 
 class TestAdamStep:
@@ -103,7 +103,7 @@ class TestAdamInPlace:
     def case(self, seed=0):
         plans = plan_layers(self.SPEC)
         params = init_params(plans, seed)
-        decayed = params.zeros_like()
+        decayed = Params(np.zeros_like(params.flat), params.shapes)
         for w in decayed.weights:
             w[...] = 1.0
         return params, decayed.flat == 1.0, np.random.default_rng(seed + 1)
@@ -114,7 +114,7 @@ class TestAdamInPlace:
         state = init_adam_state(params)
         flat, m, v, t = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat), 0
         for step in range(200):
-            grads = params.zeros_like()
+            grads = Params(np.zeros_like(params.flat), params.shapes)
             grads.flat[:] = rng.normal(size=grads.flat.size) * (1e-3 if step % 2 else 10.0)
             grads.flat[step % 5 :: 5] = -0.0 if step % 3 else 0.0
             new_params, new_state = adam_step(params, grads, state, 0.01, weight_decay)
@@ -127,7 +127,7 @@ class TestAdamInPlace:
     def test_gradients_are_left_unchanged(self):
         params, _, rng = self.case(1)
         state = init_adam_state(params)
-        grads = params.zeros_like()
+        grads = Params(np.zeros_like(params.flat), params.shapes)
         grads.flat[:] = rng.normal(size=grads.flat.size)
         before = grads.flat.copy()
         for _ in range(2):
@@ -137,7 +137,7 @@ class TestAdamInPlace:
     def test_rejected_step_writes_nothing(self):
         params, _, rng = self.case(2)
         state = init_adam_state(params)
-        grads = params.zeros_like()
+        grads = Params(np.zeros_like(params.flat), params.shapes)
         grads.flat[:] = rng.normal(size=grads.flat.size)
         adam_step(params, grads, state, 0.01, weight_decay=1e-3)
         saved = [a.tobytes() for a in (params.flat, state.first_moment, state.second_moment)]
