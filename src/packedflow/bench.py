@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .data import Dataset, ScalerPair, fit_scaler
-from .formats import write_csv, write_json
+from .formats import is_file_name, write_csv, write_json
 from .metrics import EvalReport, evaluate
 from .packed_net import PackedSpec, Params, param_count, plan_layers
 from .training import TrainConfig, TrainHistory, train, write_history_csv
@@ -41,7 +41,7 @@ class BenchCase:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+        if not is_file_name(self.name):
             raise ValueError(f"name {self.name!r} must be one file-name component")
 
 

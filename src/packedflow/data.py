@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import _read, read_json, write_json
+from .formats import _read, is_file_name, read_json, write_json
 
 __all__ = [
     "CSV_COLUMNS",
@@ -305,6 +305,8 @@ def load_dataset(directory) -> Dataset:
         stem = Path(name).stem  # the simulation name
         if stem in first_entry:
             raise fault(f"entry {name!r} repeats the simulation name {stem!r} of entry {first_entry[stem]!r}")
+        if not is_file_name(name):
+            raise fault(f"entry {name!r} must be one file-name component, a file in this directory")
         first_entry[stem] = name
     sims = tuple(load_simulation(directory / name) for name in names)
     return Dataset(simulations=sims, split_label=manifest["split_label"])

@@ -15,11 +15,16 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["ConfigError", "read_json", "write_csv", "write_json"]
+__all__ = ["ConfigError", "is_file_name", "read_json", "write_csv", "write_json"]
 
 
 class ConfigError(ValueError):
     """A malformed or inconsistent config, model file or scaler; the CLI exits 2."""
+
+
+def is_file_name(name: str) -> bool:
+    """Whether ``name`` is one file-name component: not empty, ``.`` or ``..``, and no ``/``, ``\\`` or NUL."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
 def read_json(path):

@@ -26,16 +26,14 @@ layout ``(batch, out_width)`` and are viewed group-major.  All math is float64.
 ``forward`` runs a batch in fixed row blocks of 1024 to 2047 rows (one block
 if it is shorter), so inference memory is bounded by the block, and every
 output equals that of a one-batch pass.  Estimators share nothing before the
-final mean, so a pass may also run them in blocks, each block through every
-layer before the next starts, and a layer's output is still in cache when the
-bias add, the ReLU and the next layer read it.  Inference runs one estimator
-at a time, in slabs sized for one estimator.  Training runs blocks of
-:func:`_estimator_block` estimators, whose hidden activations fit in 4 MiB:
-every block's forward pass, then the loss from all outputs, then each block's
-backward pass.  Its workspace keeps every estimator's slabs, which backward
-reads, each block in its own range; a regroup copy keeps the full-width
-channel-major layout, each block in its own columns.  Every per-group GEMM
-gets the same operands, with the same strides, whatever the block, so the
+final mean, so both passes run them in blocks of :func:`_estimator_block`
+estimators, whose hidden activations fit in 4 MiB, each block through every
+layer before the next starts: a layer's output is still in cache when the
+bias add, the ReLU and the next layer read it.  A forward workspace holds one
+block's slabs.  A training workspace holds every estimator's, which the
+backward pass reads, and its regroup copies keep the full-width
+channel-major layout, each block in its own columns, so every per-group GEMM
+gets the operands and strides of a one-block pass.  Whatever the block, the
 outputs keep their bits.  ReLU and dropout run in place, so each layer keeps
 one activation buffer, and the backward pass writes each layer's gradient
 over the activation it no longer needs.  These buffers live in a
@@ -287,7 +285,7 @@ class _Workspace:
     """The buffers of network passes over at most ``rows`` rows, reused by every pass given it.
 
     The workspace holds slabs for ``estimators`` estimators (all of them by
-    default; ``forward`` makes one with one estimator's).  Each activation
+    default; ``forward`` makes one with one block's).  Each activation
     buffer is flat and group-major: ``rows`` rows of those estimators' share
     of the layer width, estimator by estimator.  A pass over fewer rows uses
     their leading values (see :func:`_leading`).  Per hidden layer, ``acts``
@@ -351,7 +349,7 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def _estimator_block(plans: list[LayerPlan], rows: int) -> int:
-    """Estimators per training block: the largest divisor of M whose block's hidden
+    """Estimators per block of either pass: the largest divisor of M whose block's hidden
     activations over ``rows`` rows fit in ``_BLOCK_BYTES`` (at least 1)."""
     m = plans[-1].groups
     per_estimator = 8 * rows * sum(plan.out_width for plan in plans[:-1]) // m
@@ -434,17 +432,19 @@ def forward(
     Every estimator sees the whole batch, and every layer except the last is
     followed by ReLU.  Without ``dropout_masks`` the pass is deterministic;
     with them (see :func:`make_dropout_masks`), each activation is multiplied
-    by its mask.  The rows run in blocks of :func:`_row_blocks`, and each row
-    block one estimator at a time, all in one workspace with one estimator's
+    by its mask.  Rows run in blocks of :func:`_row_blocks`, estimators in
+    blocks of :func:`_estimator_block`, all in one workspace with one block's
     slabs; the last layer writes straight into the returned array.
     """
     batch = _checked_inputs(params, plans, batch, dropout_masks)
     y = np.empty((plans[-1].groups, len(batch), plans[-1].per_group_out))
     blocks = _row_blocks(len(batch))
-    ws = _Workspace(plans, max(hi - lo for lo, hi in blocks), estimators=1)
+    rows = max(hi - lo for lo, hi in blocks)
+    block = _estimator_block(plans, rows)
+    ws = _Workspace(plans, rows, estimators=block)
     for lo, hi in blocks:
         masks = None if dropout_masks is None else [m[lo:hi] for m in dropout_masks]
-        _run_layers(params, plans, batch[lo:hi], masks, ws, y[:, lo:hi], 1)
+        _run_layers(params, plans, batch[lo:hi], masks, ws, y[:, lo:hi], block)
     return PerEstimatorOutput(estimator_outputs=y, mean_output=y.sum(axis=0) / len(y))
 
 

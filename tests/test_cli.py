@@ -358,6 +358,23 @@ class TestCvCommand:
         assert not (tmp_path / "cv_out").exists()
         assert trained == []
 
+    def test_manifest_entry_outside_the_split_is_validation_error(self, workspace, tmp_path, capsys, monkeypatch):
+        train_dir = tmp_path / "train"
+        for split in ("train", "test"):
+            shutil.copytree(workspace / "data" / split, tmp_path / split)
+        manifest = json.loads((train_dir / "manifest.json").read_text())
+        manifest["simulations"][0] = "../test/test_0000.csv"
+        (train_dir / "manifest.json").write_text(json.dumps(manifest))
+        path = Path(self.cv_config(workspace, tmp_path / "cv.json"))
+        config = json.loads(path.read_text())
+        config["data"]["train_dir"] = str(train_dir)
+        path.write_text(json.dumps(config))
+        monkeypatch.setattr(cli, "cross_validate", lambda *args, **kwargs: pytest.fail("trained"))
+        assert run_cli(["cv", "--config", str(path), "--out", str(tmp_path / "cv_out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{train_dir / 'manifest.json'}: entry '../test/test_0000.csv' must be one" in err
+        assert not (tmp_path / "cv_out").exists()
+
     @pytest.mark.parametrize(
         "row, key, value, where",
         [
@@ -526,6 +543,8 @@ class TestExitCodes:
             pytest.param(b'{"split_label": "test", "simulations": []}', id="empty-list"),
             pytest.param(b'{"split_label": "test", "simulations": 5}', id="not-a-list"),
             pytest.param(b'{"split_label": "test", "simulations": ["sim.csv", "sim.csv"]}', id="repeated"),
+            pytest.param(b'{"split_label": "test", "simulations": ["../sim.csv"]}', id="parent-dir"),
+            pytest.param(b'{"split_label": "test", "simulations": ["DATA_DIR/sim.csv"]}', id="absolute"),
         ],
     )
     def test_malformed_manifest_is_validation_error(self, workspace, tmp_path, capsys, manifest):
@@ -534,7 +553,8 @@ class TestExitCodes:
         test_dir = workspace / "data" / "test"
         first = json.loads((test_dir / "manifest.json").read_text())["simulations"][0]
         shutil.copy(test_dir / first, data_dir / "sim.csv")
-        (data_dir / "manifest.json").write_bytes(manifest)
+        shutil.copy(test_dir / first, tmp_path / "sim.csv")  # so an entry outside data_dir would load
+        (data_dir / "manifest.json").write_bytes(manifest.replace(b"DATA_DIR", str(data_dir).encode()))
         config = write_config(
             tmp_path / "eval.json",
             {

@@ -167,6 +167,16 @@ class TestSimulationInvariants:
             Dataset((sim, sim), split_label="train")
 
 
+@pytest.fixture
+def no_csv_reads(monkeypatch):
+    """Fail the test if a simulation CSV is read: a manifest fault must be found first."""
+
+    def read(path):
+        raise AssertionError(f"read {path} before the manifest was checked")
+
+    monkeypatch.setattr(data, "load_simulation", read)
+
+
 class TestSimulationCsv:
     def test_parses_two_rows(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -436,20 +446,26 @@ class TestSimulationCsv:
         ],
     )
     def test_repeated_manifest_entry_rejected_before_reading(
-        self, tmp_path, monkeypatch, entries, repeated, stem
+        self, tmp_path, no_csv_reads, entries, repeated, stem
     ):
         write_dataset(field_dataset(2, num_points=6, split_label="test"), tmp_path / "ds")
         manifest_path = tmp_path / "ds" / "manifest.json"
         manifest_path.write_text(json.dumps({"split_label": "test", "simulations": entries}))
-
-        def no_csv_reads(path):
-            raise AssertionError(f"read {path} before the manifest was checked")
-
-        monkeypatch.setattr(data, "load_simulation", no_csv_reads)
         with pytest.raises(SimulationParseError) as info:
             load_dataset(tmp_path / "ds")
         assert str(info.value).startswith(f"{manifest_path}: ")
         assert f"entry {repeated!r} repeats the simulation name {stem!r}" in str(info.value)
+
+    @pytest.mark.parametrize("entry", ["../train/train_000.csv", "sub/x.csv", "", ".."])
+    def test_entry_outside_the_directory_rejected_before_reading(self, tmp_path, no_csv_reads, entry):
+        write_dataset(field_dataset(2, num_points=6, split_label="train"), tmp_path / "train")
+        write_dataset(field_dataset(2, num_points=6, split_label="test"), tmp_path / "test")
+        manifest_path = tmp_path / "test" / "manifest.json"
+        manifest_path.write_text(json.dumps({"split_label": "test", "simulations": ["test_000.csv", entry]}))
+        with pytest.raises(SimulationParseError) as info:
+            load_dataset(tmp_path / "test")
+        assert str(info.value).startswith(f"{manifest_path}: ")
+        assert f"entry {entry!r} must be one file-name component" in str(info.value)
 
 
 class TestScaler:

@@ -429,10 +429,11 @@ class TestWorkspace:
         masks = make_dropout_masks(plans, len(x), np.random.default_rng(1))
         out = forward(params, plans, x, dropout_masks=masks)
         [ws] = made  # one workspace for both row blocks and every estimator
-        # It holds one estimator's slabs: at most 1/M of a training workspace's activations.
-        training_ws = _Workspace(plans, max(hi - lo for lo, hi in _row_blocks(len(x))))
+        # It holds one estimator block's slabs: block/M of a training workspace's activations.
+        rows = max(hi - lo for lo, hi in _row_blocks(len(x)))
+        training_ws = _Workspace(plans, rows)
         slab_bytes = [sum(b.nbytes for b in w.acts + w.regrouped if b is not None) for w in (ws, training_ws)]
-        assert slab_bytes[0] * self.SPEC.num_estimators <= slab_bytes[1]
+        assert slab_bytes[0] * self.SPEC.num_estimators == slab_bytes[1] * packed_net._estimator_block(plans, rows)
         for buf in self.arrays(ws):
             assert not np.shares_memory(out.estimator_outputs, buf)
             assert not np.shares_memory(out.mean_output, buf)
@@ -475,34 +476,38 @@ def one_block_forward(params, plans, x, masks):
 
 
 class TestEstimatorBlocks:
-    """``forward`` runs one estimator at a time; its bits equal those of the one-block pass."""
+    """``forward`` runs the estimators in blocks; every block size gives the one-block bits."""
 
-    BY_GAMMA = [PackedSpec(3, 2, gamma, (9, 13, 5)) for gamma in (1, 2, 3)]
+    BY_GAMMA = [PackedSpec(6, 2, gamma, (9, 13, 5)) for gamma in (1, 2, 3)]
     ONE_UNIT = PackedSpec(3, 1, 3, (1, 2, 1))  # 9 one-unit groups, regrouped from 3 and into 3
 
     @staticmethod
-    def assert_same_bits(spec, seed, n, dropout):
+    def assert_same_bits(monkeypatch, spec, seed, n, dropout):
         plans, params, x, _ = random_case(spec, seed, batch=n)
         masks = make_dropout_masks(plans, n, np.random.default_rng(seed)) if dropout else None
         expected = one_block_forward(params, plans, x, masks)
-        out = forward(params, plans, x, dropout_masks=masks)
-        assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64))
         mean = expected.sum(axis=0) / len(expected)
-        assert np.array_equal(out.mean_output.view(np.int64), mean.view(np.int64))
+        m = plans[-1].groups
+        for block in [b for b in range(1, m + 1) if m % b == 0]:
+            monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: block)
+            out = forward(params, plans, x, dropout_masks=masks)
+            assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64)), block
+            assert np.array_equal(out.mean_output.view(np.int64), mean.view(np.int64)), block
 
     @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("n", [1, 383, _ROW_BLOCK, 2 * _ROW_BLOCK + 5])
     @pytest.mark.parametrize("spec", [*BY_GAMMA, ONE_UNIT], ids=["gamma1", "gamma2", "gamma3", "one-unit"])
-    def test_forward_equals_the_one_block_pass(self, spec, n, dropout):
+    def test_forward_equals_the_one_block_pass(self, monkeypatch, spec, n, dropout):
         plans = plan_layers(spec)
         if spec is self.ONE_UNIT:
             assert [(p.groups, p.per_group_out) for p in plans[:-1]] == [(3, 3), (9, 1), (9, 1)]
-        self.assert_same_bits(spec, 41, n, dropout)
+        self.assert_same_bits(monkeypatch, spec, 41, n, dropout)
 
     @settings(max_examples=40, deadline=None)
     @given(SPECS, st.sampled_from([1, 2, 383, _ROW_BLOCK + 1]), st.integers(0, 2**16))
     def test_forward_equals_the_one_block_pass_property(self, spec, n, seed):
-        self.assert_same_bits(spec, seed, n, spec.dropout_enabled)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_same_bits(monkeypatch, spec, seed, n, spec.dropout_enabled)
 
 
 class TestBlockedStep:
@@ -557,6 +562,8 @@ class TestBlockedStep:
             (PackedSpec(4, 2, 2, (48, 128, 48)), 7, 4),
             (PackedSpec(4, 4, 4, (48, 128, 48)), 1024, 2),
             (PackedSpec(6, 1, 1, (4096,)), 1024, 1),  # one estimator's slab alone is over budget
+            (PackedSpec(8, 4, 1, DEEP_THIN), 1053, 2),  # eval_large's row blocks of 20k rows
+            (PackedSpec(4, 2, 2, (48, 128, 48)), 512, 4),  # cv_grid's fold validation
         ],
     )
     def test_block_is_the_largest_divisor_within_the_budget(self, spec, rows, block):
