@@ -2,8 +2,11 @@
 
 Timings cover the epoch loop only (dataset loading and scaler work are
 excluded) and are recorded next to a machine descriptor, since absolute
-seconds are not comparable across machines.  Rows run sequentially so the
-numbers within one report are.
+seconds are not comparable across machines.  The descriptor names the
+worker threads the network passes run on: a training step shares its
+estimator blocks among them, so ``train_seconds`` depends on that count, while
+the outputs do not (threads split blocks, never a GEMM).  Rows run
+sequentially so the numbers within one report are comparable.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, NamedTuple
 from .data import Dataset, ScalerPair, fit_scaler
 from .formats import is_file_name, write_csv, write_json
 from .metrics import EvalReport, evaluate
-from .packed_net import PackedSpec, Params, param_count, plan_layers
+from .packed_net import PackedSpec, Params, _pool_width, param_count, plan_layers
 from .training import TrainConfig, TrainHistory, train, write_history_csv
 
 __all__ = [
@@ -84,6 +87,7 @@ def machine_descriptor() -> dict:
         "processor": platform.processor() or "unknown",
         "cpu_count": os.cpu_count(),
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS", "unset"),
+        "worker_threads": _pool_width(),
     }
 
 

@@ -42,14 +42,33 @@ and by every step of ``training.train``, whose short last batch uses the
 leading rows.  So each page is touched once per call, not once per block or
 step.  No result returned to a caller shares memory with a workspace, and
 every output has the bits it would have with fresh buffers.
+
+Independent blocks run in parallel, one worker per core of the process's
+affinity mask: the calling thread and the threads of one module-level pool,
+made on first use.  A training step shares its estimator blocks among the
+workers, ``forward`` its row blocks, each worker with its own workspace.
+numpy's GEMMs and ufuncs release the GIL, BLAS runs on one thread meanwhile,
+and each block writes only its own buffers and outputs.  Threads split
+blocks, never a GEMM, so every operand, stride and summation order is that of
+a serial pass and the bits depend neither on the core count nor on which
+worker runs a block.  A pass with one block runs on the calling thread and
+never touches the pool.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import json
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -285,7 +304,7 @@ class _Workspace:
     """The buffers of network passes over at most ``rows`` rows, reused by every pass given it.
 
     The workspace holds slabs for ``estimators`` estimators (all of them by
-    default; ``forward`` makes one with one block's).  Each activation
+    default; ``forward`` makes one per worker, with one block's).  Each activation
     buffer is flat and group-major: ``rows`` rows of those estimators' share
     of the layer width, estimator by estimator.  A pass over fewer rows uses
     their leading values (see :func:`_leading`).  Per hidden layer, ``acts``
@@ -294,7 +313,8 @@ class _Workspace:
     next layer's group count differs, else None) the channel-major copy the
     next layer reads, ``(rows, width)`` with each estimator in its own
     columns.  For training, ``out`` holds the last layer's output and ``gate``
-    one block's ReLU gate of one layer; ``forward`` leaves them untouched.
+    each block's ReLU gate of one layer, in the block's own slice, so blocks
+    on different threads share no buffer; ``forward`` leaves them untouched.
     """
 
     def __init__(
@@ -356,6 +376,120 @@ def _estimator_block(plans: list[LayerPlan], rows: int) -> int:
     return max([b for b in range(1, m + 1) if m % b == 0 and b * per_estimator <= _BLOCK_BYTES], default=1)
 
 
+_pool: ThreadPoolExecutor | None = None  # made on first use, by _deal
+_width: int | None = None  # workers of a pass; None: one per core of this process's affinity mask
+
+
+def _pool_width() -> int:
+    """Workers a pass runs its blocks on: the calling thread and one fewer pool threads."""
+    if _width is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _width
+
+
+def _set_pool_width(width: int | None) -> None:
+    """Run passes on ``width`` workers (None: one per core); shuts the current pool down."""
+    global _pool, _width
+    if _pool is not None:
+        _pool.shutdown()
+    _pool, _width = None, width
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads, so a copy of a used pool would hang.
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS numpy loaded; None if none is found.
+
+    The library is looked up in this process's memory map, so on another
+    system or another BLAS there is none and passes leave BLAS as it is.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({f[5].strip() for f in (line.split(maxsplit=5) for line in maps) if len(f) == 6})
+    except OSError:
+        return None
+    for path in (p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)  # already loaded: the same library, not a second copy
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
+
+    Blocks on several workers each run their own GEMMs; a multi-threaded BLAS
+    would put more threads than cores on them.
+    """
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else 1
+    if threads != 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if threads != 1:
+            blas[1](threads)
+
+
+def _workers_for(items: int) -> int:
+    """Workers a pass over ``items`` independent items runs on: ``_pool_width()``, at most one per item."""
+    return max(1, min(_pool_width(), items))
+
+
+def _deal(workers: int, items: int, run: Callable[[int, int], None]) -> None:
+    """Call ``run(worker, item)`` once for every item, on ``workers`` workers.
+
+    Worker 0 is this thread, the others are pool threads.  Each worker claims
+    the lowest item not yet claimed until none is left, so a worker on a
+    slower core simply runs fewer; which worker runs an item changes no bit
+    of its result.  A pool thread runs in its own copy of the caller's
+    context, where numpy keeps its error state and buffer size, and while
+    several workers run, BLAS runs on one thread (see
+    :func:`_one_blas_thread`).  With one worker the pool is untouched.
+    Returns once every worker has, then raises the first error.
+    """
+    global _pool
+    unclaimed = iter(range(items))
+    lock = threading.Lock()
+
+    def claim(worker: int) -> None:
+        while True:
+            with lock:
+                item = next(unclaimed, None)
+            if item is None:
+                return
+            run(worker, item)
+
+    if workers == 1:
+        claim(0)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_pool_width() - 1, thread_name_prefix="packedflow")
+    with _one_blas_thread():
+        futures = [_pool.submit(contextvars.copy_context().run, claim, w) for w in range(1, workers)]
+        try:
+            claim(0)
+        finally:
+            wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks) -> np.ndarray:
     """Validate the layers, the batch and the dropout masks; return the batch as float64."""
     _check_layers(params, plans)
@@ -374,51 +508,48 @@ def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks
     return batch
 
 
-def _run_layers(
+def _run_block(
     params: Params,
     plans: list[LayerPlan],
     batch: np.ndarray,
     dropout_masks,
     ws: _Workspace,
     y: np.ndarray,
+    first: int,
     block: int,
-) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The group-major forward pass shared by inference and training, on checked inputs.
 
-    Runs the estimators in blocks of ``block``, in order; each block goes
-    through every layer before the next starts.  A block works in its own slab
-    of each workspace buffer: the only one of a workspace that holds one
-    block, its own estimators' range of one that holds them all.  Writes each
-    hidden layer's kept activation (ReLU then dropout, in place) into
-    ``ws.acts`` and the last layer's output into ``y``, ``(num_estimators,
-    len(batch), out_features)``.  Returns each block's group-major layer
-    inputs and kept hidden activations, which the backward pass reads.
+    Runs estimators ``[first, first + block)`` through every layer, in their own
+    slab of each workspace buffer: the only one of a workspace that holds one
+    block, their own range of one that holds them all.  Writes each hidden
+    layer's kept activation (ReLU then dropout, in place) into ``ws.acts`` and
+    the last layer's output into their rows of ``y``, ``(num_estimators,
+    len(batch), out_features)``.  Returns the block's group-major layer inputs
+    and kept hidden activations, which the backward pass reads.
     """
     m, n = plans[-1].groups, len(batch)
     slabs = ws.estimators // block
-    passes = []
-    for first in range(0, m, block):
-        slab = first // block % slabs
-        x = batch[None]  # one input group, broadcast to every estimator of the first layer
-        inputs, acts = [], []
-        for i, plan in enumerate(plans):
-            per_estimator = plan.groups // m
-            own = slice(first * per_estimator, (first + block) * per_estimator)
-            inputs.append(x)
-            last = i == len(plans) - 1
-            shape = (block * per_estimator, n, plan.per_group_out)
-            z = y[first : first + block] if last else _leading(ws.acts[i], (slabs, *shape))[slab]
-            np.matmul(x, params.weights[i][own].transpose(0, 2, 1), out=z)
-            z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)[own]
-            if last:
-                break
-            np.maximum(z, 0.0, out=z)
-            if dropout_masks is not None:
-                z *= _group_major(dropout_masks[i], plan.groups)[own]
-            acts.append(z)
-            x = _regroup(z, block * (plans[i + 1].groups // m), ws.regrouped[i], slab, slabs)
-        passes.append((inputs, acts))
-    return passes
+    slab = first // block % slabs
+    x = batch[None]  # one input group, broadcast to every estimator of the first layer
+    inputs, acts = [], []
+    for i, plan in enumerate(plans):
+        per_estimator = plan.groups // m
+        own = slice(first * per_estimator, (first + block) * per_estimator)
+        inputs.append(x)
+        last = i == len(plans) - 1
+        shape = (block * per_estimator, n, plan.per_group_out)
+        z = y[first : first + block] if last else _leading(ws.acts[i], (slabs, *shape))[slab]
+        np.matmul(x, params.weights[i][own].transpose(0, 2, 1), out=z)
+        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)[own]
+        if last:
+            break
+        np.maximum(z, 0.0, out=z)
+        if dropout_masks is not None:
+            z *= _group_major(dropout_masks[i], plan.groups)[own]
+        acts.append(z)
+        x = _regroup(z, block * (plans[i + 1].groups // m), ws.regrouped[i], slab, slabs)
+    return inputs, acts
 
 
 def forward(
@@ -432,19 +563,30 @@ def forward(
     Every estimator sees the whole batch, and every layer except the last is
     followed by ReLU.  Without ``dropout_masks`` the pass is deterministic;
     with them (see :func:`make_dropout_masks`), each activation is multiplied
-    by its mask.  Rows run in blocks of :func:`_row_blocks`, estimators in
-    blocks of :func:`_estimator_block`, all in one workspace with one block's
-    slabs; the last layer writes straight into the returned array.
+    by its mask.  Rows run in blocks of :func:`_row_blocks`, shared out among
+    the workers (see :func:`_deal`; a lone row block runs here).  Each worker
+    has its own workspace of one estimator block's slabs, the block taken by
+    :func:`_estimator_block` over its largest row block times the workers, so
+    all of them hold what one worker's would.  The last layer writes straight
+    into the returned array.  Threads split row blocks, never a GEMM, so the
+    bits do not depend on the worker count.
     """
     batch = _checked_inputs(params, plans, batch, dropout_masks)
-    y = np.empty((plans[-1].groups, len(batch), plans[-1].per_group_out))
+    m = plans[-1].groups
+    y = np.empty((m, len(batch), plans[-1].per_group_out))
     blocks = _row_blocks(len(batch))
     rows = max(hi - lo for lo, hi in blocks)
-    block = _estimator_block(plans, rows)
-    ws = _Workspace(plans, rows, estimators=block)
-    for lo, hi in blocks:
-        masks = None if dropout_masks is None else [m[lo:hi] for m in dropout_masks]
-        _run_layers(params, plans, batch[lo:hi], masks, ws, y[:, lo:hi], block)
+    workers = _workers_for(len(blocks))
+    block = _estimator_block(plans, rows * workers)
+    workspaces = [_Workspace(plans, rows, estimators=block) for _ in range(workers)]
+
+    def run(worker: int, j: int) -> None:
+        lo, hi = blocks[j]
+        masks = None if dropout_masks is None else [mask[lo:hi] for mask in dropout_masks]
+        for first in range(0, m, block):
+            _run_block(params, plans, batch[lo:hi], masks, workspaces[worker], y[:, lo:hi], first, block)
+
+    _deal(workers, len(blocks), run)
     return PerEstimatorOutput(estimator_outputs=y, mean_output=y.sum(axis=0) / len(y))
 
 
@@ -462,9 +604,11 @@ def loss_and_grad(
     Gradients are computed by backpropagation through the same dropout masks
     as the forward pass.  The pass runs in ``workspace``, made for at least
     ``len(batch)`` rows of all estimators, or in a fresh one.  The estimators
-    run in blocks of :func:`_estimator_block`: every block's forward pass, then
-    the loss from all outputs, then every block's backward pass, each writing
-    only its own estimators' gradients.
+    run in blocks of :func:`_estimator_block`, shared out among the workers
+    (see :func:`_deal`; a lone block runs here): every block's forward pass, then
+    the loss from all outputs on this thread, then every block's backward pass,
+    each writing only its own estimators' gradients.  Threads split blocks,
+    never a GEMM, so the bits do not depend on the worker count.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if len(batch) == 0:
@@ -488,19 +632,27 @@ def loss_and_grad(
         )
     block = _estimator_block(plans, n)
     slabs = m // block
+    workers = _workers_for(slabs)
     y = _leading(ws.out, (m, n, out_features))
-    passes = _run_layers(params, plans, batch, dropout_masks, ws, y, block)
+    passes = [None] * slabs
+
+    def run_forward(worker: int, slab: int) -> None:
+        passes[slab] = _run_block(params, plans, batch, dropout_masks, ws, y, slab * block, block)
+
+    _deal(workers, slabs, run_forward)
     diff = y.sum(axis=0) / m - targets
     loss = float(np.mean(diff * diff))
 
     # d loss / d mean_output, then split equally across estimators.
     dy = (2.0 / (n * out_features)) * diff / m
+    grads = Params(np.empty(param_count(plans)), _layer_shapes(plans))
 
     # Walking down, the gradient of each hidden activation overwrites that activation
-    # once its ReLU gate is taken, and a regroup reuses the buffer the layer above
-    # read its input from; each block touches only its own slabs and gradients.
-    grads = Params(np.empty(param_count(plans)), _layer_shapes(plans))
-    for slab, (inputs, acts) in enumerate(passes):
+    # once its ReLU gate is taken (in the block's own slice of the gate buffer), and a
+    # regroup reuses the buffer the layer above read its input from; each block touches
+    # only its own slabs and gradients.
+    def run_backward(worker: int, slab: int) -> None:
+        inputs, acts = passes[slab]
         dz = np.broadcast_to(dy, (block, n, out_features))
         for i in range(len(plans) - 1, -1, -1):
             plan = plans[i]
@@ -521,9 +673,12 @@ def loss_and_grad(
                 np.sum(dz, axis=1, out=bias_grad)
             if i:
                 # Kept and active units: relu(z) * mask > 0.
-                gate = np.greater(acts[i - 1], 0.0, out=_leading(ws.gate, acts[i - 1].shape))
+                gate_buf = ws.gate.reshape(slabs, -1)[slab]
+                gate = np.greater(acts[i - 1], 0.0, out=_leading(gate_buf, acts[i - 1].shape))
                 below = _leading(ws.acts[i - 1], (slabs, groups, n, plan.per_group_in))[slab]
                 dz = np.matmul(dz, params.weights[i][own], out=below)
+
+    _deal(workers, slabs, run_backward)
     return loss, grads
 
 

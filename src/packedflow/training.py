@@ -14,6 +14,7 @@ from .formats import write_csv
 from .packed_net import (
     PackedSpec,
     Params,
+    _set_pool_width,
     _Workspace,
     forward,
     init_params,
@@ -312,7 +313,8 @@ def cross_validate(
     rate are overridden, the scaler is refit on each fold's training portion,
     and the row's validation loss is the mean of the k held-out standardized
     MSEs.  Rows keep grid order.  With ``jobs > 1`` the fold tasks run in a
-    process pool of at most one worker per task.
+    process pool of at most one worker per task, each worker process running
+    its network passes on one thread.
     """
     if not grid:
         raise ValueError("grid is empty")
@@ -323,7 +325,8 @@ def cross_validate(
         row_cfg = replace(cfg, learning_rate=row.learning_rate)
         tasks += [(row_index, row, f, spec, row_cfg, *fold) for f, fold in enumerate(folds)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        # The processes take the cores, so each runs its network passes on one thread.
+        with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_set_pool_width, initargs=(1,)) as pool:
             losses = list(pool.map(_fold_loss, tasks))
     else:
         losses = list(map(_fold_loss, tasks))

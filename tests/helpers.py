@@ -10,7 +10,7 @@ of the loss value alone.
 import numpy as np
 
 from packedflow.data import CylinderFlowConfig, Dataset, Simulation, generate_cylinder_flow
-from packedflow.packed_net import Params, forward
+from packedflow.packed_net import Params, _row_blocks, forward
 
 
 def packed_params(weights, biases):
@@ -92,8 +92,53 @@ def block_diagonal_forward(plans, params, x, masks=None):
 
 
 # ---------------------------------------------------------------------------
-# One-block training step (the bit-exact reference for blocked steps)
+# One-block passes (the bit-exact references for blocked and threaded passes)
 # ---------------------------------------------------------------------------
+
+
+def _by_group(rows, groups):
+    """Channel-major ``(n, width)`` -> group-major ``(groups, n, width // groups)`` view."""
+    return rows.reshape(len(rows), groups, -1).transpose(1, 0, 2)
+
+
+def _regroup(a, groups):
+    """A group-major array copied channel-major into a contiguous ``(n, width)`` array, viewed in ``groups``."""
+    if len(a) == groups:
+        return a
+    return _by_group(np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1), groups)
+
+
+def _one_block_pass(params, plans, x, masks):
+    """The grouped forward pass with all estimators in one block, in fresh arrays.
+
+    Returns each layer's group-major input, each hidden layer's kept activation
+    and the last layer's output, ``(num_estimators, len(x), out_features)``.
+    """
+    inputs, acts, a = [], [], x[None]
+    for i, plan in enumerate(plans):
+        inputs.append(a)
+        z = np.matmul(a, params.weights[i].transpose(0, 2, 1))
+        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
+        if i == len(plans) - 1:
+            return inputs, acts, z
+        np.maximum(z, 0.0, out=z)
+        if masks is not None:
+            z *= _by_group(masks[i], plan.groups)
+        acts.append(z)
+        a = _regroup(z, plans[i + 1].groups)
+
+
+def one_block_forward(params, plans, x, masks=None):
+    """``forward``'s estimator outputs from its row blocks, each a one-block pass in fresh arrays.
+
+    Every GEMM gets the operands of the library's pass, so the outputs must
+    equal ``forward``'s bit for bit.
+    """
+    y = np.empty((plans[-1].groups, len(x), plans[-1].per_group_out))
+    for lo, hi in _row_blocks(len(x)):
+        block_masks = None if masks is None else [m[lo:hi] for m in masks]
+        y[:, lo:hi] = _one_block_pass(params, plans, x[lo:hi], block_masks)[2]
+    return y
 
 
 def one_block_loss_and_grad(params, plans, x, y, masks=None):
@@ -105,26 +150,7 @@ def one_block_loss_and_grad(params, plans, x, y, masks=None):
     so the loss and gradients must equal ``loss_and_grad``'s bit for bit.
     """
     m, n, last = plans[-1].groups, len(x), len(plans) - 1
-
-    def by_group(rows, groups):  # (n, width) channel-major -> (groups, n, width // groups)
-        return rows.reshape(n, groups, -1).transpose(1, 0, 2)
-
-    def regroup(a, groups):
-        if len(a) == groups:
-            return a
-        return by_group(np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(n, -1), groups)
-
-    inputs, acts, a = [], [], x[None]
-    for i, plan in enumerate(plans):
-        inputs.append(a)
-        z = np.matmul(a, params.weights[i].transpose(0, 2, 1))
-        z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-            if masks is not None:
-                z *= by_group(masks[i], plan.groups)
-            acts.append(z)
-            a = regroup(z, plans[i + 1].groups)
+    inputs, acts, z = _one_block_pass(params, plans, x, masks)
     diff = z.sum(axis=0) / m - y
     loss = float(np.mean(diff * diff))
     dz = np.broadcast_to((2.0 / (n * plans[-1].per_group_out)) * diff / m, z.shape)
@@ -132,9 +158,9 @@ def one_block_loss_and_grad(params, plans, x, y, masks=None):
     for i in range(last, -1, -1):
         plan = plans[i]
         if i < last:
-            dz = regroup(dz, plan.groups)  # in place from here on: its strides reach the GEMMs
+            dz = _regroup(dz, plan.groups)  # in place from here on: its strides reach the GEMMs
             if masks is not None:
-                dz *= by_group(masks[i], plan.groups)
+                dz *= _by_group(masks[i], plan.groups)
             dz *= acts[i] > 0.0
         weights[i] = np.matmul(dz.transpose(0, 2, 1), inputs[i])
         if plan.per_group_out > 1:

@@ -1,6 +1,7 @@
 """Benchmark harness: timing contract, parameter-count structure, report files."""
 
 import csv
+import os
 import re
 
 import pytest
@@ -186,6 +187,11 @@ class TestRunBenchmark:
         assert not (out_dir / "logs" / "broken_history.csv").exists()
         descriptor = machine_descriptor()
         assert descriptor["cpu_count"] >= 1
+
+    def test_machine_records_the_worker_threads(self, pool_width):
+        assert machine_descriptor()["worker_threads"] == len(os.sched_getaffinity(0))
+        pool_width(3)
+        assert machine_descriptor()["worker_threads"] == 3
 
     def test_report_regeneration_is_bit_identical(self, outputs, tmp_path):
         report, out_dir = outputs

@@ -9,6 +9,9 @@ import dataclasses
 import json
 import re
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,11 +23,12 @@ from helpers import (
     dense_loss_and_grads,
     fd_gradients,
     nudge_biases_off_kinks,
+    one_block_forward,
     one_block_loss_and_grad,
     packed_params,
     relative_error,
 )
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from packedflow import packed_net
@@ -37,7 +41,6 @@ from packedflow.packed_net import (
     Params,
     ShapeMismatchError,
     _row_blocks,
-    _run_layers,
     _Workspace,
     forward,
     init_params,
@@ -416,7 +419,7 @@ class TestWorkspace:
         assert all(np.shares_memory(mask, buf) for mask, buf in zip(masks, ws.masks))
         assert fresh_rng.random() == rng.random()
 
-    def test_forward_output_is_not_in_its_workspace(self, monkeypatch):
+    def test_forward_output_is_not_in_its_workspace(self, monkeypatch, pool_width):
         made = []
 
         class Recording(_Workspace):
@@ -427,19 +430,27 @@ class TestWorkspace:
         monkeypatch.setattr(packed_net, "_Workspace", Recording)
         plans, params, x, _ = random_case(self.SPEC, 3, batch=2 * _ROW_BLOCK + 5)
         masks = make_dropout_masks(plans, len(x), np.random.default_rng(1))
-        out = forward(params, plans, x, dropout_masks=masks)
-        [ws] = made  # one workspace for both row blocks and every estimator
-        # It holds one estimator block's slabs: block/M of a training workspace's activations.
         rows = max(hi - lo for lo, hi in _row_blocks(len(x)))
         training_ws = _Workspace(plans, rows)
-        slab_bytes = [sum(b.nbytes for b in w.acts + w.regrouped if b is not None) for w in (ws, training_ws)]
-        assert slab_bytes[0] * self.SPEC.num_estimators == slab_bytes[1] * packed_net._estimator_block(plans, rows)
-        for buf in self.arrays(ws):
-            assert not np.shares_memory(out.estimator_outputs, buf)
-            assert not np.shares_memory(out.mean_output, buf)
-        first = out.estimator_outputs.copy()
-        forward(params, plans, -x, dropout_masks=masks)
-        assert np.array_equal(out.estimator_outputs, first)
+        for width in (1, 2, 3):
+            pool_width(width)
+            made.clear()
+            out = forward(params, plans, x, dropout_masks=masks)
+            workers = min(width, 2)  # one workspace per worker, at most one per row block
+            assert len(made) == workers
+            # Each holds one estimator block's slabs, the block taken for the rows of every worker.
+            in_flight = workers * packed_net._estimator_block(plans, rows * workers)
+            slab_bytes = [
+                sum(b.nbytes for w in ws for b in w.acts + w.regrouped if b is not None)
+                for ws in (made, [training_ws])
+            ]
+            assert slab_bytes[0] * self.SPEC.num_estimators == slab_bytes[1] * in_flight
+            for buf in (buf for ws in made for buf in self.arrays(ws)):
+                assert not np.shares_memory(out.estimator_outputs, buf)
+                assert not np.shares_memory(out.mean_output, buf)
+            first = out.estimator_outputs.copy()
+            forward(params, plans, -x, dropout_masks=masks)
+            assert np.array_equal(out.estimator_outputs, first)
 
     def test_gradients_are_not_in_the_workspace_and_survive_its_reuse(self):
         plans, params, x, y = random_case(self.SPEC, 4, batch=60)
@@ -462,17 +473,6 @@ class TestWorkspace:
         for (ws_loss, ws_grads), (n, seed) in [((loss, grads), (60, 2)), (short, (23, 5))]:
             fresh_loss, fresh_grads = step(n, seed, None)
             assert ws_loss == fresh_loss and np.array_equal(ws_grads, fresh_grads)
-
-
-def one_block_forward(params, plans, x, masks):
-    """``forward``'s row blocks, each running all estimators in one block."""
-    y = np.empty((plans[-1].groups, len(x), plans[-1].per_group_out))
-    blocks = _row_blocks(len(x))
-    ws = _Workspace(plans, max(hi - lo for lo, hi in blocks))
-    for lo, hi in blocks:
-        block_masks = None if masks is None else [m[lo:hi] for m in masks]
-        _run_layers(params, plans, x[lo:hi], block_masks, ws, y[:, lo:hi], plans[-1].groups)
-    return y
 
 
 class TestEstimatorBlocks:
@@ -508,6 +508,106 @@ class TestEstimatorBlocks:
     def test_forward_equals_the_one_block_pass_property(self, spec, n, seed):
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.assert_same_bits(monkeypatch, spec, seed, n, spec.dropout_enabled)
+
+
+class TestWorkers:
+    """Threads split estimator blocks and row blocks, never a GEMM: every worker count gives the same bits."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(SPECS, st.sampled_from([1, 3]), st.sampled_from([1, 383, 1024, 2100]), st.integers(0, 2**16))
+    def test_every_worker_count_gives_the_one_block_bits(self, pool_width, spec, gamma, n, seed):
+        plans, params, x, y = random_case(dataclasses.replace(spec, gamma=gamma), seed, batch=n)
+        masks = make_dropout_masks(plans, n, np.random.default_rng(seed)) if spec.dropout_enabled else None
+        expected = one_block_forward(params, plans, x, masks)
+        mean = expected.sum(axis=0) / len(expected)
+        ref_loss, ref = one_block_loss_and_grad(params, plans, x, y, masks)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            # One estimator per block, so a step shares out M blocks; 2100 rows make two row blocks.
+            monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: 1)
+            for workers in (1, 2, 3):
+                pool_width(workers)
+                out = forward(params, plans, x, dropout_masks=masks)
+                assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64)), workers
+                assert np.array_equal(out.mean_output.view(np.int64), mean.view(np.int64)), workers
+                loss, grads = loss_and_grad(params, plans, x, y, masks)
+                assert np.float64(loss).view(np.int64) == np.float64(ref_loss).view(np.int64), workers
+                assert np.array_equal(grads.flat.view(np.int64), ref.flat.view(np.int64)), workers
+
+    def test_more_workers_than_cores_with_rapid_switching_keep_the_bits(self, pool_width):
+        # Four workers on one-estimator blocks of a wide step and on three row blocks, with the
+        # interpreter switching threads every microsecond: a block writing outside its own
+        # buffers would show as changed bits.
+        plans, params, x, y = random_case(PackedSpec(8, 2, 2, (24, 16), dropout_enabled=True), 5, batch=3100)
+        masks = make_dropout_masks(plans, len(x), np.random.default_rng(5))
+        ref_loss, ref = one_block_loss_and_grad(params, plans, x[:700], y[:700], masks=[m[:700] for m in masks])
+        expected = one_block_forward(params, plans, x, masks)
+        pool_width(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: 1)
+                for _ in range(3):
+                    loss, grads = loss_and_grad(params, plans, x[:700], y[:700], [m[:700] for m in masks])
+                    assert loss == ref_loss and np.array_equal(grads.flat.view(np.int64), ref.flat.view(np.int64))
+                    out = forward(params, plans, x, dropout_masks=masks)
+                    assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_threads_run_under_the_callers_errstate(self, pool_width):
+        pool_width(2)
+        both = threading.Barrier(2, timeout=10)  # so each item is claimed by its own worker
+        threads = set()
+
+        def run(worker, item):
+            both.wait()
+            threads.add(threading.get_ident())
+            np.float64(1e308) * 10.0  # an overflow warning, an error in this suite, unless ignored
+
+        with np.errstate(over="ignore"):
+            packed_net._deal(2, 2, run)
+        assert len(threads) == 2
+
+    def test_workers_run_blas_on_one_thread(self, monkeypatch, pool_width):
+        pool_width(2)
+        threads, seen = [3], []
+        monkeypatch.setattr(packed_net, "_openblas_threads", lambda: (lambda: threads[0], threads.append))
+        packed_net._deal(2, 4, lambda worker, item: seen.append(threads[-1]))
+        assert seen == [1] * 4 and threads[-1] == 3
+        packed_net._deal(1, 2, lambda worker, item: seen.append(threads[-1]))  # one worker: BLAS as it is
+        assert seen[4:] == [3, 3]
+
+    def test_numpy_openblas_is_found_and_set_back(self, pool_width):
+        blas = packed_net._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS here is not an OpenBLAS found in the memory map")
+        get, set_ = blas
+        before, seen = get(), []
+        set_(2)
+        try:
+            pool_width(2)
+            packed_net._deal(2, 2, lambda worker, item: seen.append(get()))
+            assert seen == [1, 1] and get() == 2
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_is_raised_once_every_worker_is_done(self, pool_width, failing):
+        pool_width(2)
+        started, done = threading.Event(), []
+
+        def run(worker, item):
+            if item == failing:
+                assert started.wait(10)  # the other item is running on the other worker
+                raise ValueError(f"item {item}")
+            started.set()
+            time.sleep(0.05)
+            done.append(item)
+
+        with pytest.raises(ValueError, match=f"^item {failing}$"):
+            packed_net._deal(2, 2, run)
+        assert done == [1 - failing]
 
 
 class TestBlockedStep:

@@ -2,6 +2,12 @@
 
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +226,19 @@ class TestTrain:
             train(spec, dataset, None, fit_scaler(dataset), cfg)
         assert err.value.epoch >= 0
 
+    def test_divergence_on_pool_workers_raises_with_epoch(self, monkeypatch, pool_width):
+        # Four one-estimator blocks on two workers, each long enough that the pool thread takes
+        # some: a matmul there overflows, and it must run under the caller's errstate (numpy
+        # keeps that in a context variable), or the suite's warnings-as-errors would raise it.
+        pool_width(2)
+        monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: 1)
+        dataset = linear_target_dataset(num_sims=2, num_points=1024, seed=3)
+        spec = PackedSpec(4, 1, 1, (64, 64))
+        cfg = TrainConfig(learning_rate=1e100, max_epochs=50, batch_points=2048, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
+            train(spec, dataset, None, fit_scaler(dataset), cfg)
+        assert err.value.epoch >= 0
+
     def test_early_stop_fires_at_window_plus_one(self):
         dataset = field_dataset(2, num_points=20, seed=4)
         spec = PackedSpec(2, 1, 1, (8,))
@@ -385,7 +404,7 @@ class TestCrossValidate:
         workers = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 workers.append(max_workers)
 
             def __enter__(self):
@@ -400,6 +419,65 @@ class TestCrossValidate:
         monkeypatch.setattr(training, "ProcessPoolExecutor", InProcessPool)
         assert cross_validate(dataset, grid, base, cfg, k=3, jobs=5000) == result
         assert workers == [len(grid) * 3]
+
+    def test_used_pool_survives_forks_and_cv_workers_run_one_thread(self):
+        # In a fresh interpreter: a used two-thread pool, then cv processes and a forked step.
+        # A forked copy of a used pool would hang, so the scenario runs under a timeout.
+        script = textwrap.dedent(
+            """
+            import multiprocessing
+            import numpy as np
+            from helpers import field_dataset
+            from packedflow import packed_net, training
+            from packedflow.packed_net import PackedSpec, init_params, loss_and_grad, plan_layers
+            from packedflow.training import GridRow, TrainConfig, cross_validate
+
+            packed_net._set_pool_width(2)
+            packed_net._estimator_block = lambda plans, rows: 1
+            spec = PackedSpec(4, 1, 1, (8,))
+            plans = plan_layers(spec)
+            params = init_params(plans, 0)
+            rng = np.random.default_rng(0)
+            x, y = rng.normal(size=(64, 7)), rng.normal(size=(64, 4))
+            _, grads = loss_and_grad(params, plans, x, y)
+            assert packed_net._pool is not None
+
+            def step(conn):
+                conn.send(loss_and_grad(params, plans, x, y)[1].flat.tobytes())
+
+            fork = multiprocessing.get_context("fork")
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=step, args=(writer,))
+            child.start()
+            print(reader.recv() == grads.flat.tobytes())
+            child.join(10)
+            assert child.exitcode == 0
+
+            # Forked cv workers see this stand-in; each fold reports its process's pool width.
+            training.scaled_mse = lambda *args: float(packed_net._pool_width())
+            cfg = TrainConfig(learning_rate=0.01, max_epochs=1, batch_points=64, seed=3)
+            grid = [GridRow(dropout=False, alpha=1, gamma=1, learning_rate=0.01)]
+            rows = cross_validate(field_dataset(6, num_points=25, seed=5), grid, spec, cfg, k=3, jobs=2)
+            print(sorted(set(rows[0].fold_losses)))
+            """
+        )
+        path = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a forked process hung on the pool")
+        assert proc.returncode == 0, err
+        assert out.split("\n") == ["True", "[1.0]", ""]
 
     def test_in_process_folds_call_the_module_train(self, cv_setup, monkeypatch):
         # Tracing that patches ``training.train`` must see every fold of a one-job run.
