@@ -46,6 +46,7 @@ class BenchCase:
     def __post_init__(self):
         if not is_file_name(self.name):
             raise ValueError(f"name {self.name!r} must be one file-name component")
+        TrainConfig(self.learning_rate, self.weight_decay)  # its checks reject a bad optimizer setting
 
 
 @dataclass

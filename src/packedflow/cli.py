@@ -21,7 +21,9 @@ import numpy as np
 
 from .bench import BenchCase, run_benchmark, write_benchmark
 from .data import (
+    INPUT_COLUMNS,
     SPLIT_LABELS,
+    TARGET_COLUMNS,
     CylinderFlowConfig,
     ScalerPair,
     SimulationParseError,
@@ -47,10 +49,6 @@ from .training import (
 __all__ = ["run_cli"]
 
 
-def _split_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
 def _load_config(path: str) -> tuple[dict, Path]:
     config_path = Path(path)
     try:
@@ -69,8 +67,8 @@ def _path(base: Path, obj: dict, key: str, where: str) -> Path:
 
 
 def _read_spec(obj, where: str) -> PackedSpec:
-    """A config's spec section; its widths are the point schema's 7 inputs and 4 targets, not keys."""
-    return _read(PackedSpec, obj, where, in_features=7, out_features=4)
+    """A config's spec section; its widths are the point schema's, not keys."""
+    return _read(PackedSpec, obj, where, in_features=len(INPUT_COLUMNS), out_features=len(TARGET_COLUMNS))
 
 
 def _cmd_gen(args) -> int:
@@ -80,11 +78,13 @@ def _cmd_gen(args) -> int:
     if not isinstance(splits, dict) or not splits:
         raise ConfigError("gen config: 'splits' must be a non-empty object")
     gen_cfgs = {}
-    for index, (split_name, split_cfg) in enumerate(sorted(splits.items())):
+    for split_name, split_cfg in sorted(splits.items()):
         where = f"gen config: splits.{split_name}"
         if split_name not in SPLIT_LABELS:
             raise ConfigError(f"{where}: split name must be one of {SPLIT_LABELS}")
-        gen_cfgs[split_name] = _read(CylinderFlowConfig, split_cfg, where, seed=_split_seed(args.seed, index))
+        # A split's seed and shift follow from its name alone, not from the other splits listed.
+        seed = int(np.random.SeedSequence([args.seed, sorted(SPLIT_LABELS).index(split_name)]).generate_state(1)[0])
+        gen_cfgs[split_name] = _read(CylinderFlowConfig, split_cfg, where, seed=seed, ood=split_name == "test_ood")
     for split_name, gen_cfg in gen_cfgs.items():
         dataset = generate_cylinder_flow(gen_cfg, split_label=split_name)
         write_dataset(dataset, args.out / split_name)
@@ -161,7 +161,13 @@ def _cmd_eval(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "eval config", required=("model", "scaler", "data"))
     _check_keys(config["data"], "eval config: data", required=("dir",))
-    _, plans, params = load_params(_path(base, config, "model", "eval config"))
+    model_path = _path(base, config, "model", "eval config")
+    spec, plans, params = load_params(model_path)
+    if (spec.in_features, spec.out_features) != (len(INPUT_COLUMNS), len(TARGET_COLUMNS)):
+        raise ConfigError(
+            f"{model_path}: the model maps {spec.in_features} inputs to {spec.out_features} targets, "
+            f"the point schema has {len(INPUT_COLUMNS)} inputs and {len(TARGET_COLUMNS)} targets"
+        )
     scaler_path = _path(base, config, "scaler", "eval config")
     scaler = ScalerPair.from_dict(read_json(scaler_path), str(scaler_path))
     dataset = load_dataset(_path(base, config["data"], "dir", "eval config: data"))

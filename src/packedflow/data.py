@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ import numpy as np
 from .formats import _read, is_file_name, read_json, write_json
 
 __all__ = [
+    "INPUT_COLUMNS",
+    "TARGET_COLUMNS",
     "CSV_COLUMNS",
     "SPLIT_LABELS",
     "Simulation",
@@ -46,7 +48,9 @@ __all__ = [
     "bernoulli_pressure",
 ]
 
-CSV_COLUMNS = ("x", "y", "inlet_vx", "inlet_vy", "distance", "nx", "ny", "vx", "vy", "p", "nut")
+INPUT_COLUMNS = ("x", "y", "inlet_vx", "inlet_vy", "distance", "nx", "ny")
+TARGET_COLUMNS = ("vx", "vy", "p", "nut")
+CSV_COLUMNS = INPUT_COLUMNS + TARGET_COLUMNS
 SPLIT_LABELS = ("train", "test", "test_ood")
 
 _SURFACE_DISTANCE_TOL = 1e-9
@@ -59,7 +63,6 @@ _NUMBER_BYTES = (_NUMBER_CHARS + ",\r\n").encode()
 _CHECK_BLOCK_BYTES = 1 << 16  # bytes of a body checked per copy
 # Rows formatted per write: as fast as one whole-file string, with bounded memory.
 _WRITE_BLOCK_ROWS = 4096
-_SCALER_FIELDS = (("input_mean", 7), ("input_std", 7), ("target_mean", 4), ("target_std", 4))
 
 
 class SimulationParseError(ValueError):
@@ -88,15 +91,15 @@ def _frozen_array(values, shape_tail: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Simulation:
-    """One point cloud with 7 input features and 4 targets per point."""
+    """One point cloud: per point the ``INPUT_COLUMNS`` features and the ``TARGET_COLUMNS`` targets."""
 
     name: str
-    points: np.ndarray  # (N, 7)
-    targets: np.ndarray  # (N, 4)
+    points: np.ndarray  # (N, len(INPUT_COLUMNS))
+    targets: np.ndarray  # (N, len(TARGET_COLUMNS))
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen_array(self.points, 7, "points"))
-        object.__setattr__(self, "targets", _frozen_array(self.targets, 4, "targets"))
+        object.__setattr__(self, "points", _frozen_array(self.points, len(INPUT_COLUMNS), "points"))
+        object.__setattr__(self, "targets", _frozen_array(self.targets, len(TARGET_COLUMNS), "targets"))
         if len(self.points) < 1:
             raise ValueError(f"simulation {self.name!r} has no points")
         if len(self.points) != len(self.targets):
@@ -156,7 +159,8 @@ class ScalerPair:
     target_std: np.ndarray
 
     def __post_init__(self):
-        for field_name, width in _SCALER_FIELDS:
+        for field_name in (f.name for f in fields(self)):
+            width = len(INPUT_COLUMNS if field_name.startswith("input") else TARGET_COLUMNS)
             arr = np.array(getattr(self, field_name), dtype=np.float64)
             if arr.shape != (width,):
                 raise ValueError(f"{field_name} must have shape ({width},), got {arr.shape}")
@@ -168,7 +172,7 @@ class ScalerPair:
             raise ValueError("scaler std entries must be positive")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name, _ in _SCALER_FIELDS}
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, obj, where: str = "scaler") -> "ScalerPair":
@@ -181,7 +185,7 @@ def load_simulation(path) -> Simulation:
     path = Path(path)
     table = _read_table(path)
     try:
-        return Simulation(name=path.stem, points=table[:, :7], targets=table[:, 7:])
+        return Simulation(path.stem, table[:, : len(INPUT_COLUMNS)], table[:, len(INPUT_COLUMNS) :])
     except ValueError as exc:
         raise SimulationParseError(path, None, None, str(exc)) from exc
 
@@ -354,9 +358,9 @@ def fit_scaler(train: Dataset) -> ScalerPair:
 def apply_scaler(scaler: ScalerPair, data, direction: str, which: str) -> np.ndarray:
     """Standardize (``forward``: (v-mean)/std) or restore (``inverse``: v*std+mean)."""
     if which == "inputs":
-        mean, std, width = scaler.input_mean, scaler.input_std, 7
+        mean, std, width = scaler.input_mean, scaler.input_std, len(INPUT_COLUMNS)
     elif which == "targets":
-        mean, std, width = scaler.target_mean, scaler.target_std, 4
+        mean, std, width = scaler.target_mean, scaler.target_std, len(TARGET_COLUMNS)
     else:
         raise ValueError(f"which must be 'inputs' or 'targets', got {which!r}")
     arr = np.asarray(data, dtype=np.float64)
@@ -422,7 +426,7 @@ class CylinderFlowConfig:
     inlet_speed_range: tuple[float, float]
     circulation_range: tuple[float, float]
     seed: int
-    ood: bool = False
+    ood: bool = False  # shifted ranges; `gen` sets it for the test_ood split alone
 
     def __post_init__(self):
         if self.num_sims < 1:
@@ -520,7 +524,7 @@ def _generate_one(
     return Simulation(name=name, points=points[order], targets=targets[order])
 
 
-def generate_cylinder_flow(config: CylinderFlowConfig, split_label: str | None = None) -> Dataset:
+def generate_cylinder_flow(config: CylinderFlowConfig, split_label: str) -> Dataset:
     """Generate a dataset of analytic cylinder flows.
 
     Each simulation draws a radius, inlet speed, and circulation from the
@@ -529,8 +533,6 @@ def generate_cylinder_flow(config: CylinderFlowConfig, split_label: str | None =
     and the eddy-viscosity channel is the smooth surrogate
     ``0.01 * distance * speed``.
     """
-    if split_label is None:
-        split_label = "test_ood" if config.ood else "train"
     rng = np.random.default_rng(config.seed)
     sims = tuple(
         _generate_one(f"{split_label}_{i:04d}", config, rng) for i in range(config.num_sims)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, ScalerPair, Simulation, apply_scaler
+from .data import TARGET_COLUMNS, Dataset, ScalerPair, Simulation, apply_scaler
 from .formats import write_csv, write_json
 from .packed_net import Params, forward
 
@@ -207,16 +207,25 @@ def null_reasons(table) -> dict[str, str]:
 
     By field name: a reference coefficient of exactly 0.0 (drag-free potential
     flow) leaves that quantity's relative error and rank correlation undefined,
-    and a rank correlation needs two simulations.
+    and a rank correlation needs two simulations and two distinct values on each
+    side: it is undefined when every reference value, or every predicted value,
+    of its quantity is the same.
     """
     reasons = {}
     for quantity, column in (("drag", 2), ("lift", 4)):
         zero = [row[0] for row in table if row[column] == 0.0]
+        tied = [
+            f"{side} {quantity} is {table[0][col]!r} at every simulation"
+            for side, col in (("reference", column), ("predicted", column - 1))
+            if len({row[col] for row in table}) == 1
+        ]
         if zero:
             reason = f"reference {quantity} is exactly 0.0 at: {', '.join(zero)}"
             reasons[f"mean_relative_{quantity}"] = reasons[f"spearman_{quantity}"] = reason
         elif len(table) < 2:
             reasons[f"spearman_{quantity}"] = f"needs two simulations, the split has one: {table[0][0]}"
+        elif tied:
+            reasons[f"spearman_{quantity}"] = "; ".join(tied)
     return reasons
 
 
@@ -234,7 +243,7 @@ def evaluate_predictions(
         )
     if not dataset.simulations:
         raise ValueError("cannot evaluate an empty dataset")
-    sq_sum = np.zeros(4)
+    sq_sum = np.zeros(len(TARGET_COLUMNS))
     count = 0
     surface_sq_sum = 0.0
     surface_count = 0

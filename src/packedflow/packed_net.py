@@ -389,10 +389,17 @@ def _pool_width() -> int:
 
 def _set_pool_width(width: int | None) -> None:
     """Run passes on ``width`` workers (None: one per core); shuts the current pool down."""
-    global _pool, _width
+    global _width
+    _shutdown_pool()
+    _width = width
+
+
+def _shutdown_pool() -> None:
+    """Join the pool's threads, so that this process may fork; the next pass makes a new pool."""
+    global _pool
     if _pool is not None:
         _pool.shutdown()
-    _pool, _width = None, width
+    _pool = None
 
 
 def _forget_pool() -> None:

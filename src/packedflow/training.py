@@ -15,6 +15,7 @@ from .packed_net import (
     PackedSpec,
     Params,
     _set_pool_width,
+    _shutdown_pool,
     _Workspace,
     forward,
     init_params,
@@ -195,19 +196,15 @@ def adam_step(
     return params, state
 
 
-def early_stop(history: list[float], threshold: float = 0.01, window: int = 5) -> bool:
-    """True iff the last ``window`` relative loss changes are all below threshold.
+def early_stop(history: list[float]) -> bool:
+    """True iff each of the last 5 relative loss changes is below 1%; the rule is fixed, not configured.
 
     A zero previous loss counts as converged (relative change 0).  Needs at
-    least ``window + 1`` entries to fire.
+    least 6 entries to fire.
     """
-    if len(history) < window + 1:
-        return False
-    for prev, cur in zip(history[-window - 1 : -1], history[-window:]):
-        change = 0.0 if prev == 0.0 else abs(cur - prev) / abs(prev)
-        if change >= threshold:
-            return False
-    return True
+    last = history[-6:]
+    changes = [0.0 if prev == 0.0 else abs(cur - prev) / abs(prev) for prev, cur in zip(last, last[1:])]
+    return len(changes) == 5 and not any(change >= 0.01 for change in changes)
 
 
 def pooled_scaled_arrays(dataset: Dataset, scaler: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +311,8 @@ def cross_validate(
     and the row's validation loss is the mean of the k held-out standardized
     MSEs.  Rows keep grid order.  With ``jobs > 1`` the fold tasks run in a
     process pool of at most one worker per task, each worker process running
-    its network passes on one thread.
+    its network passes on one thread.  The pass pool's threads are joined
+    first, so each worker is forked from a process with one thread.
     """
     if not grid:
         raise ValueError("grid is empty")
@@ -325,6 +323,7 @@ def cross_validate(
         row_cfg = replace(cfg, learning_rate=row.learning_rate)
         tasks += [(row_index, row, f, spec, row_cfg, *fold) for f, fold in enumerate(folds)]
     if jobs > 1:
+        _shutdown_pool()
         # The processes take the cores, so each runs its network passes on one thread.
         with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_set_pool_width, initargs=(1,)) as pool:
             losses = list(pool.map(_fold_loss, tasks))

@@ -292,8 +292,7 @@ def cylinder_dataset(
     circulation=(-4.0, 4.0),
     radius=(0.5, 1.0),
     speed=(5.0, 15.0),
-    ood=False,
-    split_label=None,
+    split_label="train",
 ):
     if isinstance(circulation, (int, float)):
         circulation = (float(circulation), float(circulation))
@@ -309,7 +308,6 @@ def cylinder_dataset(
         inlet_speed_range=speed,
         circulation_range=circulation,
         seed=seed,
-        ood=ood,
     )
     return generate_cylinder_flow(config, split_label=split_label)
 

@@ -22,7 +22,7 @@ from packedflow.cli import run_cli
 from packedflow.data import CylinderFlowConfig, Dataset, ScalerPair, Simulation, load_dataset, write_dataset
 from packedflow.formats import ConfigError, _read
 from packedflow.metrics import coefficient_table, evaluate, predict_simulation
-from packedflow.packed_net import PackedSpec, load_params
+from packedflow.packed_net import PackedSpec, init_params, load_params, plan_layers, save_params
 from packedflow.training import GridRow, TrainConfig
 
 
@@ -106,7 +106,6 @@ GEN_SPLITS = {
         "radius_range": [0.5, 1.0],
         "inlet_speed_range": [5.0, 15.0],
         "circulation_range": [-4.0, 4.0],
-        "ood": True,
     },
 }
 
@@ -142,6 +141,22 @@ class TestGen:
         assert run_cli(["gen", "--config", gen_config, "--seed", "7", "--out", str(tmp_path / "b")]) == 0
         assert directory_snapshot(tmp_path / "a") == directory_snapshot(tmp_path / "b")
         assert directory_snapshot(tmp_path / "a") == directory_snapshot(workspace / "data")
+
+    def test_only_the_test_ood_split_is_shifted(self, workspace):
+        # The shift follows from the split name: test_ood's inlet speeds lie above the configured range.
+        for split in ("train", "test", "test_ood"):
+            sims = load_dataset(workspace / "data" / split).simulations
+            speeds = np.concatenate([sim.points[:, 2] for sim in sims])
+            lo, hi = GEN_SPLITS[split]["inlet_speed_range"]
+            assert (speeds > hi).all() if split == "test_ood" else ((lo <= speeds) & (speeds <= hi)).all()
+
+    @pytest.mark.parametrize("listed", [("test_ood",), ("train",), ("test", "train")])
+    def test_a_split_has_the_same_bytes_whatever_else_is_listed(self, workspace, tmp_path, listed):
+        config = write_config(tmp_path / "gen.json", {"splits": {name: GEN_SPLITS[name] for name in listed}})
+        assert run_cli(["gen", "--config", config, "--seed", "7", "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(listed)
+        for name in listed:
+            assert directory_snapshot(tmp_path / "out" / name) == directory_snapshot(workspace / "data" / name)
 
     def test_other_seed_differs(self, workspace, tmp_path):
         gen_config = str(workspace / "gen.json")
@@ -282,6 +297,34 @@ class TestEvalCommand:
         assert capsys.readouterr().err.splitlines() == [
             "mean_relative_drag is null: reference drag is exactly 0.0 at: test_0004",
             "spearman_drag is null: reference drag is exactly 0.0 at: test_0004",
+        ]
+
+    def test_tied_coefficients_give_null_rank_correlations(self, workspace, tmp_path, capsys):
+        # Two copies of one flow: each coefficient, referenced or predicted, is tied.
+        sim = load_dataset(workspace / "data" / "test").simulations[0]
+        copies = Dataset((sim, Simulation("copy", sim.points, sim.targets)), split_label="test")
+        write_dataset(copies, tmp_path / "data")
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(workspace / "run" / "model.pkmlp"),
+                "scaler": str(workspace / "run" / "scaler.json"),
+                "data": {"dir": str(tmp_path / "data")},
+            },
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 0
+        report = json.loads((tmp_path / "report" / "eval_report.json").read_text())
+        assert report["spearman_drag"] is None and report["spearman_lift"] is None
+        assert isinstance(report["mean_relative_drag"], float) and isinstance(report["mean_relative_lift"], float)
+        with open(tmp_path / "report" / "coefficients.csv", newline="") as fh:
+            rows = [tuple(map(float, r[1:])) for r in list(csv.reader(fh))[1:]]
+        assert rows[0] == rows[1]
+        drag_pred, drag_true, lift_pred, lift_true = rows[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"spearman_drag is null: reference drag is {drag_true!r} at every simulation; "
+            f"predicted drag is {drag_pred!r} at every simulation",
+            f"spearman_lift is null: reference lift is {lift_true!r} at every simulation; "
+            f"predicted lift is {lift_pred!r} at every simulation",
         ]
 
     def test_coefficient_csv_schema(self, workspace):
@@ -757,7 +800,6 @@ def fault(command, path, value, where):
     [
         fault("gen", ("splits", "train", "num_sims"), None, "gen config: splits.train: 'num_sims'"),
         fault("gen", ("splits", "train", "num_sims"), 2.7, "gen config: splits.train: 'num_sims'"),
-        fault("gen", ("splits", "test_ood", "ood"), "false", "gen config: splits.test_ood: 'ood'"),
         fault("train", ("spec", "hidden_widths"), "64", "train config: spec: 'hidden_widths'"),
         fault("train", ("spec", "alpha"), 2.9, "train config: spec: 'alpha'"),
         fault("train", ("spec", "dropout_enabled"), "false", "train config: spec: 'dropout_enabled'"),
@@ -809,7 +851,7 @@ VALID_SECTIONS = {
         "target_std": [2] * 4,
     },
 }
-GIVEN = {TrainConfig: {"seed": 0}, CylinderFlowConfig: {"seed": 0}}
+GIVEN = {TrainConfig: {"seed": 0}, CylinderFlowConfig: {"seed": 0, "ood": False}}
 
 
 def has_json_type(kind, value):
@@ -887,18 +929,19 @@ def removed(command, path, key, value, where):
         removed("cv", ("base_spec",), "out_features", 4, "cv config: base_spec"),
         removed("bench", ("cases", 0, "spec"), "in_features", 7, "bench config: cases[0]: 'spec'"),
         removed("bench", ("cases", 0, "spec"), "out_features", 4, "bench config: cases[0]: 'spec'"),
+        removed("gen", ("splits", "test_ood"), "ood", True, "gen config: splits.test_ood"),
     ],
 )
 def test_fixed_rule_is_not_a_config_key(workspace, tmp_path, monkeypatch, capsys, command, path, key, value, where):
-    # Even the fixed value itself is rejected: the early-stop rule, bench's every-epoch runs
-    # and the point schema's widths are not settable.
+    # Even the fixed value itself is rejected: the early-stop rule, bench's every-epoch runs,
+    # the point schema's widths and a gen split's shift (from its name) are not settable.
     config = copy.deepcopy(valid_configs(workspace)[command])
     section = config
     for step in path:
         section = section[step]
     section[key] = value
     config_path = write_config(tmp_path / f"{command}.json", config)
-    stub_reads(monkeypatch, "load_dataset")
+    stub_reads(monkeypatch, "generate_cylinder_flow", "load_dataset")
     assert run_cli([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", f"error: {where}: unknown keys [{key!r}]\n")
     assert not (tmp_path / "out").exists()
@@ -949,6 +992,44 @@ def test_bench_case_name_that_is_not_one_file_name_component_is_validation_error
     message = f"error: bench config: cases[1]: name {name!r} must be one file-name component\n"
     assert capsys.readouterr() == ("", message)
     assert directory_snapshot(tmp_path) == before and not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("learning_rate", 0, "learning_rate must be positive, got 0.0"),
+    ("weight_decay", -1e-05, "weight_decay must be non-negative, got -1e-05"),
+])
+def test_bench_case_optimizer_setting_is_checked_when_the_config_is_read(
+    workspace, tmp_path, monkeypatch, capsys, setting, value, message
+):
+    config = valid_configs(workspace)["bench"]
+    config["cases"].append({"name": "bad", "spec": SPEC, setting: value})
+    config_path = write_config(tmp_path / "bench.json", config)
+    stub_reads(monkeypatch, "load_dataset")
+    before = directory_snapshot(tmp_path)
+    assert run_cli(["bench", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: bench config: cases[1]: {message}\n")
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("in_features, out_features", [(5, 4), (7, 3)])
+def test_model_of_other_widths_than_the_point_schema_is_validation_error(
+    workspace, tmp_path, monkeypatch, capsys, in_features, out_features
+):
+    spec = PackedSpec(2, 1, 1, (8,), in_features=in_features, out_features=out_features)
+    model_path = tmp_path / "model.pkmlp"
+    save_params(model_path, spec, init_params(plan_layers(spec), 0))
+    config = valid_configs(workspace)["eval"]
+    config["model"] = str(model_path)
+    config_path = write_config(tmp_path / "eval.json", config)
+    stub_reads(monkeypatch, "load_dataset")
+    before = directory_snapshot(tmp_path)
+    assert run_cli(["eval", "--config", config_path, "--out", str(tmp_path / "report")]) == 2
+    message = (
+        f"error: {model_path}: the model maps {in_features} inputs to {out_features} targets, "
+        "the point schema has 7 inputs and 4 targets\n"
+    )
+    assert capsys.readouterr() == ("", message)
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "report").exists()
 
 
 def test_model_with_a_non_finite_parameter_is_validation_error(workspace, tmp_path, monkeypatch, capsys):

@@ -381,7 +381,7 @@ class TestSimulationCsv:
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_written_file_skips_the_row_loop(self, tmp_path, monkeypatch, end):
         # The row loop is the row-by-row fault scan; a file write_simulation wrote has no fault.
-        source = generate_cylinder_flow(small_flow_config()).simulations[0]
+        source = generate_cylinder_flow(small_flow_config(), "train").simulations[0]
         write_simulation(source, tmp_path / "sim.csv")
         (tmp_path / "sim.csv").write_bytes((tmp_path / "sim.csv").read_bytes().replace(b"\n", end.encode()))
 
@@ -397,7 +397,7 @@ class TestSimulationCsv:
     def test_large_file_loads_without_copies_of_its_text(self, tmp_path, end):
         # The body is parsed from the file's bytes: no decoded text and no copy of the body.
         config = small_flow_config(num_sims=1, surface_points=2000, field_points=18000)
-        source = generate_cylinder_flow(config).simulations[0]
+        source = generate_cylinder_flow(config, "train").simulations[0]
         path = tmp_path / "sim.csv"
         write_simulation(source, path)
         path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
@@ -645,7 +645,7 @@ class TestSubsample:
 
 class TestCylinderFlow:
     def test_surface_points_have_zero_distance_and_radial_normals(self):
-        dataset = generate_cylinder_flow(small_flow_config())
+        dataset = generate_cylinder_flow(small_flow_config(), "train")
         for sim in dataset.simulations:
             mask = sim.surface_mask
             assert mask.sum() == 16
@@ -691,7 +691,7 @@ class TestCylinderFlow:
         assert worst < 1e-6 * speed / radius
 
     def test_nu_t_surrogate_field(self):
-        dataset = generate_cylinder_flow(small_flow_config())
+        dataset = generate_cylinder_flow(small_flow_config(), "train")
         sim = dataset.simulations[0]
         speed = np.hypot(sim.targets[:, 0], sim.targets[:, 1])
         np.testing.assert_allclose(
@@ -700,15 +700,15 @@ class TestCylinderFlow:
         assert np.all(sim.targets[sim.surface_mask, 3] == 0.0)
 
     def test_deterministic_generation(self):
-        a = generate_cylinder_flow(small_flow_config())
-        b = generate_cylinder_flow(small_flow_config())
+        a = generate_cylinder_flow(small_flow_config(), "train")
+        b = generate_cylinder_flow(small_flow_config(), "train")
         for sa, sb in zip(a.simulations, b.simulations):
             assert np.array_equal(sa.points, sb.points)
             assert np.array_equal(sa.targets, sb.targets)
 
     def test_ood_parameters_outside_training_ranges(self):
         config = small_flow_config(num_sims=6, ood=True)
-        dataset = generate_cylinder_flow(config)
+        dataset = generate_cylinder_flow(config, "test_ood")
         assert dataset.split_label == "test_ood"
         for sim in dataset.simulations:
             inlet_speed = sim.points[0, 2]
@@ -729,13 +729,14 @@ class TestCylinderFlow:
     )
     def test_golden_written_bytes(self, tmp_path, ood, expected):
         digests = []
-        for sim in generate_cylinder_flow(small_flow_config(num_sims=2, ood=ood)).simulations:
+        split_label = "test_ood" if ood else "train"
+        for sim in generate_cylinder_flow(small_flow_config(num_sims=2, ood=ood), split_label).simulations:
             write_simulation(sim, tmp_path / f"{sim.name}.csv")
             digests.append(hashlib.sha256((tmp_path / f"{sim.name}.csv").read_bytes()).hexdigest())
         assert digests == expected
 
     def test_pressure_is_bernoulli(self):
-        dataset = generate_cylinder_flow(small_flow_config(seed=5))
+        dataset = generate_cylinder_flow(small_flow_config(seed=5), "train")
         sim = dataset.simulations[0]
         speed_sq = (sim.targets[:, 0] ** 2 + sim.targets[:, 1] ** 2)
         inlet_speed = sim.points[0, 2]

@@ -16,6 +16,7 @@ from packedflow.data import Dataset, Simulation, fit_scaler
 from packedflow.metrics import (
     EvalReport,
     _average_ranks,
+    evaluate,
     evaluate_predictions,
     force_coefficients,
     mean_relative_error,
@@ -320,7 +321,33 @@ class TestEvaluate:
         }
         alone = "needs two simulations, the split has one: c"
         assert null_reasons(table[2:]) == {"spearman_drag": alone, "spearman_lift": alone}
-        assert null_reasons(table[2:] * 2) == {}
+        assert null_reasons(table[2:] * 2) == {
+            "spearman_drag": "reference drag is 0.3 at every simulation; predicted drag is 0.1 at every simulation",
+            "spearman_lift": "reference lift is 0.4 at every simulation; predicted lift is 0.2 at every simulation",
+        }
+
+    def test_tied_values_null_the_rank_correlation_and_name_their_side(self):
+        table = [("a", 0.1, 0.3, 0.2, 0.5), ("b", 0.2, 0.3, 0.2, 0.4), ("c", 0.5, 0.3, 0.2, 0.6)]
+        assert null_reasons(table) == {
+            "spearman_drag": "reference drag is 0.3 at every simulation",
+            "spearman_lift": "predicted lift is 0.2 at every simulation",
+        }
+        # A zero reference keeps its precedence; distinct values on both sides leave the fields defined.
+        zero = "reference drag is exactly 0.0 at: a, b"
+        tied_zero = [(name, p, 0.0, 0.2, lift) for name, p, _, _, lift in table[:2]]
+        assert null_reasons(tied_zero) == {
+            "mean_relative_drag": zero, "spearman_drag": zero, "spearman_lift": "predicted lift is 0.2 at every simulation"
+        }
+        assert null_reasons([("a", 0.1, 0.3, 0.2, 0.5), ("b", 0.2, 0.4, 0.3, 0.4)]) == {}
+
+    def test_identical_simulations_give_null_rank_correlations(self, split):
+        # Two copies of one flow: every coefficient, referenced or predicted, is tied.
+        sim = split.simulations[0]
+        copies = Dataset((sim, Simulation("copy", sim.points, sim.targets)), split_label="test")
+        plans = plan_layers(PackedSpec(2, 1, 1, (8,)))
+        report = evaluate(init_params(plans, 3), plans, fit_scaler(split), copies)
+        assert report.spearman_drag is None and report.spearman_lift is None
+        assert isinstance(report.mean_relative_drag, float) and isinstance(report.mean_relative_lift, float)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflows"])
     def test_unscorable_prediction_names_the_simulation(self, split, value):
