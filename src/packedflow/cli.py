@@ -34,7 +34,14 @@ from .data import (
     write_dataset,
 )
 from .formats import ConfigError, _check_keys, _read, _value, read_json, write_json
-from .metrics import evaluate_predictions, null_reasons, predict_simulation, write_coefficients_csv, write_report_json
+from .metrics import (
+    check_scorable,
+    evaluate_predictions,
+    null_reasons,
+    predict_simulation,
+    write_coefficients_csv,
+    write_report_json,
+)
 from .packed_net import PackedSpec, load_params, save_params
 from .training import (
     GridRow,
@@ -85,8 +92,13 @@ def _cmd_gen(args) -> int:
         # A split's seed and shift follow from its name alone, not from the other splits listed.
         seed = int(np.random.SeedSequence([args.seed, sorted(SPLIT_LABELS).index(split_name)]).generate_state(1)[0])
         gen_cfgs[split_name] = _read(CylinderFlowConfig, split_cfg, where, seed=seed, ood=split_name == "test_ood")
+    datasets = {}
     for split_name, gen_cfg in gen_cfgs.items():
-        dataset = generate_cylinder_flow(gen_cfg, split_label=split_name)
+        try:
+            datasets[split_name] = generate_cylinder_flow(gen_cfg, split_label=split_name)
+        except ValueError as exc:  # ranges so wide that a flow leaves float64
+            raise ConfigError(f"gen config: splits.{split_name}: {exc}") from None
+    for split_name, dataset in datasets.items():
         write_dataset(dataset, args.out / split_name)
         print(f"wrote {len(dataset)} simulations to {args.out / split_name}")
     return 0
@@ -170,10 +182,12 @@ def _cmd_eval(args) -> int:
         )
     scaler_path = _path(base, config, "scaler", "eval config")
     scaler = ScalerPair.from_dict(read_json(scaler_path), str(scaler_path))
-    dataset = load_dataset(_path(base, config["data"], "dir", "eval config: data"))
+    data_dir = _path(base, config["data"], "dir", "eval config: data")
+    dataset = load_dataset(data_dir)
+    polylines = check_scorable(dataset, data_dir)
 
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
-    report, rows = evaluate_predictions(predictions, dataset)
+    report, rows = evaluate_predictions(predictions, dataset, polylines)
 
     args.out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, args.out / "eval_report.json")
@@ -212,6 +226,8 @@ def _cmd_bench(args) -> int:
     eval_splits = {"test": load_dataset(dirs["test_dir"])}
     if "test_ood_dir" in dirs:
         eval_splits["test_ood"] = load_dataset(dirs["test_ood_dir"])
+    for split_name, split in eval_splits.items():
+        check_scorable(split, dirs[f"{split_name}_dir"])
 
     report = run_benchmark(cases, cfg, train_split, eval_splits)
     write_benchmark(report, args.out)

@@ -531,10 +531,10 @@ def generate_cylinder_flow(config: CylinderFlowConfig, split_label: str) -> Data
     configured ranges (``ood=True`` shifts every range above its upper end).
     Velocity comes from the potential-flow solution, pressure from Bernoulli,
     and the eddy-viscosity channel is the smooth surrogate
-    ``0.01 * distance * speed``.
+    ``0.01 * distance * speed``.  Ranges whose flows overflow float64 raise
+    ``Simulation``'s ``ValueError`` for non-finite values, without a warning.
     """
     rng = np.random.default_rng(config.seed)
-    sims = tuple(
-        _generate_one(f"{split_label}_{i:04d}", config, rng) for i in range(config.num_sims)
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sims = tuple(_generate_one(f"{split_label}_{i:04d}", config, rng) for i in range(config.num_sims))
     return Dataset(simulations=sims, split_label=split_label)

@@ -19,7 +19,7 @@ __all__ = ["ConfigError", "is_file_name", "read_json", "write_csv", "write_json"
 
 
 class ConfigError(ValueError):
-    """A malformed or inconsistent config, model file or scaler; the CLI exits 2."""
+    """A malformed or inconsistent config, model file, scaler or evaluated split; the CLI exits 2."""
 
 
 def is_file_name(name: str) -> bool:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import TARGET_COLUMNS, Dataset, ScalerPair, Simulation, apply_scaler
-from .formats import write_csv, write_json
+from .formats import ConfigError, write_csv, write_json
 from .packed_net import Params, forward
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "EvalReport",
     "order_surface",
     "force_coefficients",
+    "check_scorable",
     "spearman",
     "mean_relative_error",
     "predict_simulation",
@@ -135,6 +136,25 @@ def force_coefficients(
     )
 
 
+def check_scorable(dataset: Dataset, where) -> list[SurfacePolyline]:
+    """Each simulation's surface polyline, once the split is known to be scorable.
+
+    Orders each surface and integrates its reference pressure, so a split fails
+    here exactly where scoring it would: fewer than 3 surface points, coincident
+    surface points, or zero inlet speed.  A fault raises ``ConfigError`` naming
+    ``where`` and the simulation.
+    """
+    polylines = []
+    for sim in dataset.simulations:
+        try:
+            polyline = order_surface(sim)
+            force_coefficients(sim, sim.targets[sim.surface_mask, 2], polyline)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        polylines.append(polyline)
+    return polylines
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); tied values get the mean of their rank range."""
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
@@ -189,12 +209,16 @@ def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulatio
 
 
 def coefficient_table(
-    predictions: list[np.ndarray], dataset: Dataset
+    predictions: list[np.ndarray], dataset: Dataset, polylines: list[SurfacePolyline] | None = None
 ) -> list[tuple[str, float, float, float, float]]:
-    """Per-simulation (name, drag_pred, drag_true, lift_pred, lift_true)."""
+    """Per-simulation (name, drag_pred, drag_true, lift_pred, lift_true).
+
+    ``polylines``, as :func:`check_scorable` returns them, spare ordering each surface again.
+    """
+    if polylines is None:
+        polylines = [order_surface(sim) for sim in dataset.simulations]
     rows = []
-    for pred, sim in zip(predictions, dataset.simulations):
-        polyline = order_surface(sim)
+    for pred, sim, polyline in zip(predictions, dataset.simulations, polylines):
         mask = sim.surface_mask
         predicted = force_coefficients(sim, np.asarray(pred)[mask, 2], polyline)
         actual = force_coefficients(sim, sim.targets[mask, 2], polyline)
@@ -230,12 +254,12 @@ def null_reasons(table) -> dict[str, str]:
 
 
 def evaluate_predictions(
-    predictions: list[np.ndarray], dataset: Dataset
+    predictions: list[np.ndarray], dataset: Dataset, polylines: list[SurfacePolyline] | None = None
 ) -> tuple[EvalReport, list[tuple[str, float, float, float, float]]]:
     """Score precomputed physical-unit predictions, one per simulation.
 
     Returns the metric suite and the per-simulation coefficient table it was
-    built from (see :func:`coefficient_table`).
+    built from (see :func:`coefficient_table`, which takes ``polylines``).
     """
     if len(predictions) != len(dataset.simulations):
         raise ValueError(
@@ -265,7 +289,7 @@ def evaluate_predictions(
         surface_count += int(sim.surface_mask.sum())
     mse = sq_sum / count
 
-    table = coefficient_table(predictions, dataset)
+    table = coefficient_table(predictions, dataset, polylines)
     names, *columns = zip(*table)
     drag_pred, drag_true, lift_pred, lift_true = (np.array(column) for column in columns)
     undefined = null_reasons(table)

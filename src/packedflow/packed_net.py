@@ -308,35 +308,27 @@ class _Workspace:
     buffer is flat and group-major: ``rows`` rows of those estimators' share
     of the layer width, estimator by estimator.  A pass over fewer rows uses
     their leading values (see :func:`_leading`).  Per hidden layer, ``acts``
-    holds the kept activation, then in the backward pass its gradient;
-    ``masks`` holds the full-width dropout mask, and ``regrouped`` (where the
-    next layer's group count differs, else None) the channel-major copy the
-    next layer reads, ``(rows, width)`` with each estimator in its own
-    columns.  For training, ``out`` holds the last layer's output and ``gate``
-    each block's ReLU gate of one layer, in the block's own slice, so blocks
-    on different threads share no buffer; ``forward`` leaves them untouched.
+    holds the kept activation, then in the backward pass its gradient, and
+    ``regrouped`` (where the next layer's group count differs, else None) the
+    channel-major copy the next layer reads, ``(rows, width)`` with each
+    estimator in its own columns.  For training, ``out`` holds the last
+    layer's output and ``gate`` each block's ReLU gate of one layer, in the
+    block's own slice, so blocks on different threads share no buffer;
+    ``forward`` leaves them untouched.
     """
 
-    def __init__(
-        self, plans: list[LayerPlan], rows: int, *, masks: bool = False, estimators: int | None = None
-    ):
+    def __init__(self, plans: list[LayerPlan], rows: int, *, estimators: int | None = None):
         m = plans[-1].groups
         self.rows = rows
         self.estimators = m if estimators is None else estimators
-        self.widths = [plan.out_width for plan in plans[:-1]]
-        slabs = [rows * (width // m) * self.estimators for width in self.widths]
+        slabs = [rows * (plan.out_width // m) * self.estimators for plan in plans[:-1]]
         self.acts = [np.empty(size) for size in slabs]
-        self.masks = [np.empty(rows * width) for width in self.widths] if masks else None
         self.regrouped = [
             np.empty(size) if plan.groups != above.groups else None
             for size, plan, above in zip(slabs, plans, plans[1:])
         ]
         self.out = np.empty(rows * plans[-1].per_group_out * self.estimators)
         self.gate = np.empty(max(slabs, default=0), dtype=bool)
-
-    def mask_rows(self, n: int) -> list[np.ndarray]:
-        """The mask buffers' leading ``n`` rows, as ``make_dropout_masks``' ``out``."""
-        return [_leading(mask, (n, width)) for mask, width in zip(self.masks, self.widths)]
 
 
 def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -497,8 +489,8 @@ def _deal(workers: int, items: int, run: Callable[[int, int], None]) -> None:
         future.result()
 
 
-def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks) -> np.ndarray:
-    """Validate the layers, the batch and the dropout masks; return the batch as float64."""
+def _checked_inputs(params: Params, plans: list[LayerPlan], batch) -> np.ndarray:
+    """Validate the layers and the batch; return the batch as float64."""
     _check_layers(params, plans)
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -509,9 +501,6 @@ def _checked_inputs(params: Params, plans: list[LayerPlan], batch, dropout_masks
         )
     if not np.isfinite(batch).all():
         raise ValueError("batch contains non-finite values")
-    shapes = [(len(batch), plan.out_width) for plan in plans[:-1]]
-    if dropout_masks is not None and [np.shape(m) for m in dropout_masks] != shapes:
-        raise ValueError(f"dropout masks must have shapes {shapes}")
     return batch
 
 
@@ -559,26 +548,20 @@ def _run_block(
     return inputs, acts
 
 
-def forward(
-    params: Params,
-    plans: list[LayerPlan],
-    batch: np.ndarray,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> PerEstimatorOutput:
-    """Evaluate the packed network on a batch of raw feature rows.
+def forward(params: Params, plans: list[LayerPlan], batch: np.ndarray) -> PerEstimatorOutput:
+    """Evaluate the packed network on a batch of raw feature rows: a pure function.
 
     Every estimator sees the whole batch, and every layer except the last is
-    followed by ReLU.  Without ``dropout_masks`` the pass is deterministic;
-    with them (see :func:`make_dropout_masks`), each activation is multiplied
-    by its mask.  Rows run in blocks of :func:`_row_blocks`, shared out among
-    the workers (see :func:`_deal`; a lone row block runs here).  Each worker
+    followed by ReLU; dropout is a training step's input, so no unit drops
+    here.  Rows run in blocks of :func:`_row_blocks`, shared out among the
+    workers (see :func:`_deal`; a lone row block runs here).  Each worker
     has its own workspace of one estimator block's slabs, the block taken by
     :func:`_estimator_block` over its largest row block times the workers, so
     all of them hold what one worker's would.  The last layer writes straight
     into the returned array.  Threads split row blocks, never a GEMM, so the
     bits do not depend on the worker count.
     """
-    batch = _checked_inputs(params, plans, batch, dropout_masks)
+    batch = _checked_inputs(params, plans, batch)
     m = plans[-1].groups
     y = np.empty((m, len(batch), plans[-1].per_group_out))
     blocks = _row_blocks(len(batch))
@@ -589,9 +572,8 @@ def forward(
 
     def run(worker: int, j: int) -> None:
         lo, hi = blocks[j]
-        masks = None if dropout_masks is None else [mask[lo:hi] for mask in dropout_masks]
         for first in range(0, m, block):
-            _run_block(params, plans, batch[lo:hi], masks, workspaces[worker], y[:, lo:hi], first, block)
+            _run_block(params, plans, batch[lo:hi], None, workspaces[worker], y[:, lo:hi], first, block)
 
     _deal(workers, len(blocks), run)
     return PerEstimatorOutput(estimator_outputs=y, mean_output=y.sum(axis=0) / len(y))
@@ -608,14 +590,15 @@ def loss_and_grad(
     """MSE of the ensemble-mean prediction and its exact parameter gradients.
 
     loss = mean over batch rows and output channels of (mean_output - target)^2.
-    Gradients are computed by backpropagation through the same dropout masks
-    as the forward pass.  The pass runs in ``workspace``, made for at least
-    ``len(batch)`` rows of all estimators, or in a fresh one.  The estimators
-    run in blocks of :func:`_estimator_block`, shared out among the workers
-    (see :func:`_deal`; a lone block runs here): every block's forward pass, then
-    the loss from all outputs on this thread, then every block's backward pass,
-    each writing only its own estimators' gradients.  Threads split blocks,
-    never a GEMM, so the bits do not depend on the worker count.
+    Each hidden activation is multiplied by its ``dropout_masks`` entry, if
+    given (see :func:`make_dropout_masks`), and so is its gradient.  The pass
+    runs in ``workspace``, made for at least ``len(batch)`` rows of all
+    estimators, or in a fresh one.  The estimators run in blocks of
+    :func:`_estimator_block`, shared out among the workers (see :func:`_deal`;
+    a lone block runs here): every block's forward pass, then the loss from
+    all outputs on this thread, then every block's backward pass, each
+    writing only its own estimators' gradients.  Threads split blocks, never a
+    GEMM, so the bits do not depend on the worker count.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if len(batch) == 0:
@@ -628,8 +611,11 @@ def loss_and_grad(
     if not np.isfinite(targets).all():
         raise ValueError("targets contain non-finite values")
 
-    batch = _checked_inputs(params, plans, batch, dropout_masks)
+    batch = _checked_inputs(params, plans, batch)
     n = len(batch)
+    shapes = [(n, plan.out_width) for plan in plans[:-1]]
+    if dropout_masks is not None and [np.shape(mask) for mask in dropout_masks] != shapes:
+        raise ValueError(f"dropout masks must have shapes {shapes}")
     m, out_features = plans[-1].groups, plans[-1].per_group_out
     ws = _Workspace(plans, n) if workspace is None else workspace
     if ws.rows < n or ws.estimators != m:

@@ -237,8 +237,9 @@ def train(
 
     Points of all simulations are pooled and reshuffled each epoch with a
     seeded generator; the loss is the MSE of the ensemble mean against
-    standardized targets.  Deterministic given (spec, data, cfg.seed) in
-    single-threaded execution.
+    standardized targets.  With dropout, each step draws fresh masks from the
+    same generator.  Deterministic given (spec, data, cfg.seed), bit for bit
+    whatever the number of workers the passes run on.
     """
     if len(train_data) == 0:
         raise ValueError("train_data is empty")
@@ -250,7 +251,8 @@ def train(
     n = len(x)
     rng = np.random.default_rng([cfg.seed, 1])
     # One set of buffers for every step; a short last batch uses their leading rows.
-    ws = _Workspace(plans, min(n, cfg.batch_points), masks=spec.dropout_enabled)
+    ws = _Workspace(plans, min(n, cfg.batch_points))
+    mask_bufs = [np.empty((ws.rows, plan.out_width)) for plan in plans[:-1]] if spec.dropout_enabled else None
 
     losses: list[float] = []
     val_losses: list[float] | None = [] if val is not None else None
@@ -262,8 +264,8 @@ def train(
         for start in range(0, n, cfg.batch_points):
             idx = order[start : start + cfg.batch_points]
             masks = None
-            if spec.dropout_enabled:
-                masks = make_dropout_masks(plans, len(idx), rng, out=ws.mask_rows(len(idx)))
+            if mask_bufs is not None:
+                masks = make_dropout_masks(plans, len(idx), rng, out=[buf[: len(idx)] for buf in mask_bufs])
             loss, grads = loss_and_grad(params, plans, x[idx], y[idx], masks, ws)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"loss = {loss}")

@@ -128,7 +128,7 @@ def _one_block_pass(params, plans, x, masks):
         a = _regroup(z, plans[i + 1].groups)
 
 
-def one_block_forward(params, plans, x, masks=None):
+def one_block_forward(params, plans, x):
     """``forward``'s estimator outputs from its row blocks, each a one-block pass in fresh arrays.
 
     Every GEMM gets the operands of the library's pass, so the outputs must
@@ -136,8 +136,7 @@ def one_block_forward(params, plans, x, masks=None):
     """
     y = np.empty((plans[-1].groups, len(x), plans[-1].per_group_out))
     for lo, hi in _row_blocks(len(x)):
-        block_masks = None if masks is None else [m[lo:hi] for m in masks]
-        y[:, lo:hi] = _one_block_pass(params, plans, x[lo:hi], block_masks)[2]
+        y[:, lo:hi] = _one_block_pass(params, plans, x[lo:hi], None)[2]
     return y
 
 
@@ -178,9 +177,16 @@ def one_block_loss_and_grad(params, plans, x, y, masks=None):
 
 
 def ensemble_loss(params, plans, x, y, masks=None):
-    """Loss recomputed from the forward pass only (no backprop code involved)."""
-    out = forward(params, plans, x, dropout_masks=masks)
-    diff = out.mean_output - y
+    """Loss recomputed from a forward pass only (no backprop code involved).
+
+    Without masks the pass is the library's ``forward``; with them, which only
+    a training step takes, it is :func:`block_diagonal_forward`.
+    """
+    if masks is None:
+        mean = forward(params, plans, x).mean_output
+    else:
+        mean = block_diagonal_forward(plans, params, x, masks).mean(axis=0)
+    diff = mean - y
     return float(np.mean(diff * diff))
 
 

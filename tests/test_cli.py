@@ -643,21 +643,6 @@ class TestExitCodes:
         assert (config["scaler"] if key == "data" else str(tmp_path)) in err
         assert not (tmp_path / "report").exists()
 
-    def test_coincident_surface_points_name_their_simulation(self, workspace, tmp_path, capsys):
-        dataset = load_dataset(workspace / "data" / "test")
-        sim = dataset.simulations[1]
-        points = sim.points.copy()
-        surface = np.flatnonzero(sim.surface_mask)[:3]
-        points[surface, :2] = points[surface[0], :2]
-        coincident = Simulation(sim.name, points, sim.targets)
-        write_dataset(Dataset((dataset.simulations[0], coincident), split_label="test"), tmp_path / "data")
-        config = valid_configs(workspace)["eval"]
-        config["data"]["dir"] = str(tmp_path / "data")
-        config_path = write_config(tmp_path / "eval.json", config)
-        assert run_cli(["eval", "--config", config_path, "--out", str(tmp_path / "report")]) == 1
-        assert f"error: ValueError: simulation '{sim.name}': coincident surface points" in capsys.readouterr().err
-        assert not (tmp_path / "report").exists()
-
     def test_unscorable_prediction_exits_1_naming_the_simulation(self, workspace, tmp_path, capsys):
         # A finite field point far outside the training data: its squared error overflows float64.
         sim = eval_far_point(workspace, tmp_path, 1e300)
@@ -881,11 +866,11 @@ def test_any_wrong_json_type_names_its_key(cls, data):
 
 
 class Reached(Exception):
-    """Raised by a stub of the first data or model read: the config before it was accepted."""
+    """Raised by a stub of a ``cli`` step: the checks before that step passed."""
 
 
 def stub_reads(monkeypatch, *names):
-    """Make each named first read of data, flow or model raise ``Reached``."""
+    """Make each named ``cli`` step raise ``Reached``: a first read of data, flow or model, or a run."""
 
     def reached(*args, **kwargs):
         raise Reached(args)
@@ -1055,3 +1040,67 @@ def test_console_script_is_the_cli_entry_point():
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     module_name, _, attr = pyproject["project"]["scripts"]["packedflow"].partition(":")
     assert getattr(importlib.import_module(module_name), attr) is run_cli
+
+
+def two_surface_points(sim):
+    keep = np.ones(sim.num_points, dtype=bool)
+    keep[np.flatnonzero(sim.surface_mask)[2:]] = False
+    return Simulation(sim.name, sim.points[keep], sim.targets[keep])
+
+
+def coincident_surface_points(sim):
+    points = sim.points.copy()
+    surface = np.flatnonzero(sim.surface_mask)[:3]
+    points[surface, :2] = points[surface[0], :2]
+    return Simulation(sim.name, points, sim.targets)
+
+
+def zero_inlet_speed(sim):
+    points = sim.points.copy()
+    points[:, 2:4] = 0.0
+    return Simulation(sim.name, points, sim.targets)
+
+
+UNSCORABLE = {
+    "two-surface-points": (two_surface_points, "need at least 3 surface points, have 2"),
+    "coincident": (coincident_surface_points, "coincident surface points, segment lengths must be positive"),
+    "zero-inlet-speed": (zero_inlet_speed, "zero inlet speed, coefficients undefined"),
+}
+
+
+@pytest.mark.parametrize("fault", list(UNSCORABLE))
+@pytest.mark.parametrize(
+    "command, key, first_run",
+    [("eval", "dir", "predict_simulation"), ("bench", "test_dir", "run_benchmark")],
+    ids=["eval", "bench"],
+)
+def test_split_that_cannot_be_scored_is_validation_error(
+    workspace, tmp_path, monkeypatch, capsys, command, key, first_run, fault
+):
+    # Checked as soon as the split is read: no model runs, no case trains, nothing is written.
+    make, message = UNSCORABLE[fault]
+    dataset = load_dataset(workspace / "data" / "test")
+    sim = make(dataset.simulations[1])
+    split_dir = tmp_path / "split"
+    write_dataset(Dataset((dataset.simulations[0], sim), split_label="test"), split_dir)
+    config = valid_configs(workspace)[command]
+    config["data"][key] = str(split_dir)
+    config_path = write_config(tmp_path / f"{command}.json", config)
+    stub_reads(monkeypatch, first_run)
+    before = directory_snapshot(tmp_path)
+    assert run_cli([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {split_dir}: simulation '{sim.name}': {message}\n")
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "out").exists()
+
+
+def test_gen_ranges_that_make_a_flow_non_finite_are_validation_error(tmp_path, monkeypatch, capsys):
+    # Under this suite's warnings-as-errors, a numpy overflow warning would fail the run too.
+    splits = copy.deepcopy(GEN_SPLITS)
+    splits["train"].update(radius_range=[1e200, 1e200], inlet_speed_range=[1e200, 1e200])
+    config_path = write_config(tmp_path / "gen.json", {"splits": splits})
+    stub_reads(monkeypatch, "write_dataset")
+    before = directory_snapshot(tmp_path)
+    assert run_cli(["gen", "--config", config_path, "--seed", "7", "--out", str(tmp_path / "out")]) == 2
+    message = "error: gen config: splits.train: simulation 'train_0000' contains non-finite values\n"
+    assert capsys.readouterr() == ("", message)
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "out").exists()

@@ -384,17 +384,16 @@ class TestDropout:
 
     def test_explicit_masks_reproduce_manual_computation(self):
         spec = PackedSpec(2, 1, 1, (6,), in_features=3, out_features=2)
-        plans, params, x, _ = random_case(spec, 8)
+        plans, params, x, y = random_case(spec, 8)
         masks = make_dropout_masks(plans, len(x), np.random.default_rng(4))
-        out = forward(params, plans, x, dropout_masks=masks)
+        loss, _ = loss_and_grad(params, plans, x, y, masks)
         a = np.tile(x, (1, 2))
         dense0 = block_diagonal_matrix(plans[0], params.weights[0])
         a = np.maximum(a @ dense0.T + params.biases[0], 0.0) * masks[0]
         dense1 = block_diagonal_matrix(plans[1], params.weights[1])
         z = a @ dense1.T + params.biases[1]
-        np.testing.assert_allclose(
-            out.mean_output, z.reshape(len(x), 2, 2).mean(axis=1), rtol=0, atol=1e-12
-        )
+        diff = z.reshape(len(x), 2, 2).mean(axis=1) - y
+        assert abs(loss - float(np.mean(diff * diff))) <= 1e-12
 
 
 class TestWorkspace:
@@ -410,13 +409,14 @@ class TestWorkspace:
                     yield item
 
     def test_masks_drawn_in_place_equal_fresh_ones(self):
+        # As training.train draws them: into the leading rows of buffers for a longer batch.
         plans = plan_layers(self.SPEC)
-        ws = _Workspace(plans, 50, masks=True)
+        bufs = [np.empty((50, plan.out_width)) for plan in plans[:-1]]
         fresh_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
         fresh = make_dropout_masks(plans, 40, fresh_rng)
-        masks = make_dropout_masks(plans, 40, rng, out=ws.mask_rows(40))
+        masks = make_dropout_masks(plans, 40, rng, out=[buf[:40] for buf in bufs])
         assert all(np.array_equal(a, b) for a, b in zip(fresh, masks))
-        assert all(np.shares_memory(mask, buf) for mask, buf in zip(masks, ws.masks))
+        assert all(np.shares_memory(mask, buf) for mask, buf in zip(masks, bufs))
         assert fresh_rng.random() == rng.random()
 
     def test_forward_output_is_not_in_its_workspace(self, monkeypatch, pool_width):
@@ -429,13 +429,12 @@ class TestWorkspace:
 
         monkeypatch.setattr(packed_net, "_Workspace", Recording)
         plans, params, x, _ = random_case(self.SPEC, 3, batch=2 * _ROW_BLOCK + 5)
-        masks = make_dropout_masks(plans, len(x), np.random.default_rng(1))
         rows = max(hi - lo for lo, hi in _row_blocks(len(x)))
         training_ws = _Workspace(plans, rows)
         for width in (1, 2, 3):
             pool_width(width)
             made.clear()
-            out = forward(params, plans, x, dropout_masks=masks)
+            out = forward(params, plans, x)
             workers = min(width, 2)  # one workspace per worker, at most one per row block
             assert len(made) == workers
             # Each holds one estimator block's slabs, the block taken for the rows of every worker.
@@ -449,17 +448,15 @@ class TestWorkspace:
                 assert not np.shares_memory(out.estimator_outputs, buf)
                 assert not np.shares_memory(out.mean_output, buf)
             first = out.estimator_outputs.copy()
-            forward(params, plans, -x, dropout_masks=masks)
+            forward(params, plans, -x)
             assert np.array_equal(out.estimator_outputs, first)
 
     def test_gradients_are_not_in_the_workspace_and_survive_its_reuse(self):
         plans, params, x, y = random_case(self.SPEC, 4, batch=60)
-        ws = _Workspace(plans, 60, masks=True)
+        ws = _Workspace(plans, 60)
 
         def step(n, seed, workspace):
-            rng = np.random.default_rng(seed)
-            out = None if workspace is None else workspace.mask_rows(n)
-            masks = make_dropout_masks(plans, n, rng, out=out)
+            masks = make_dropout_masks(plans, n, np.random.default_rng(seed))
             loss, grads = loss_and_grad(params, plans, x[:n], y[:n], masks, workspace)
             return loss, grads.flat
 
@@ -482,32 +479,30 @@ class TestEstimatorBlocks:
     ONE_UNIT = PackedSpec(3, 1, 3, (1, 2, 1))  # 9 one-unit groups, regrouped from 3 and into 3
 
     @staticmethod
-    def assert_same_bits(monkeypatch, spec, seed, n, dropout):
+    def assert_same_bits(monkeypatch, spec, seed, n):
         plans, params, x, _ = random_case(spec, seed, batch=n)
-        masks = make_dropout_masks(plans, n, np.random.default_rng(seed)) if dropout else None
-        expected = one_block_forward(params, plans, x, masks)
+        expected = one_block_forward(params, plans, x)
         mean = expected.sum(axis=0) / len(expected)
         m = plans[-1].groups
         for block in [b for b in range(1, m + 1) if m % b == 0]:
             monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: block)
-            out = forward(params, plans, x, dropout_masks=masks)
+            out = forward(params, plans, x)
             assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64)), block
             assert np.array_equal(out.mean_output.view(np.int64), mean.view(np.int64)), block
 
-    @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("n", [1, 383, _ROW_BLOCK, 2 * _ROW_BLOCK + 5])
     @pytest.mark.parametrize("spec", [*BY_GAMMA, ONE_UNIT], ids=["gamma1", "gamma2", "gamma3", "one-unit"])
-    def test_forward_equals_the_one_block_pass(self, monkeypatch, spec, n, dropout):
+    def test_forward_equals_the_one_block_pass(self, monkeypatch, spec, n):
         plans = plan_layers(spec)
         if spec is self.ONE_UNIT:
             assert [(p.groups, p.per_group_out) for p in plans[:-1]] == [(3, 3), (9, 1), (9, 1)]
-        self.assert_same_bits(monkeypatch, spec, 41, n, dropout)
+        self.assert_same_bits(monkeypatch, spec, 41, n)
 
     @settings(max_examples=40, deadline=None)
     @given(SPECS, st.sampled_from([1, 2, 383, _ROW_BLOCK + 1]), st.integers(0, 2**16))
     def test_forward_equals_the_one_block_pass_property(self, spec, n, seed):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self.assert_same_bits(monkeypatch, spec, seed, n, spec.dropout_enabled)
+            self.assert_same_bits(monkeypatch, spec, seed, n)
 
 
 class TestWorkers:
@@ -518,7 +513,7 @@ class TestWorkers:
     def test_every_worker_count_gives_the_one_block_bits(self, pool_width, spec, gamma, n, seed):
         plans, params, x, y = random_case(dataclasses.replace(spec, gamma=gamma), seed, batch=n)
         masks = make_dropout_masks(plans, n, np.random.default_rng(seed)) if spec.dropout_enabled else None
-        expected = one_block_forward(params, plans, x, masks)
+        expected = one_block_forward(params, plans, x)
         mean = expected.sum(axis=0) / len(expected)
         ref_loss, ref = one_block_loss_and_grad(params, plans, x, y, masks)
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -526,7 +521,7 @@ class TestWorkers:
             monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: 1)
             for workers in (1, 2, 3):
                 pool_width(workers)
-                out = forward(params, plans, x, dropout_masks=masks)
+                out = forward(params, plans, x)
                 assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64)), workers
                 assert np.array_equal(out.mean_output.view(np.int64), mean.view(np.int64)), workers
                 loss, grads = loss_and_grad(params, plans, x, y, masks)
@@ -538,9 +533,9 @@ class TestWorkers:
         # interpreter switching threads every microsecond: a block writing outside its own
         # buffers would show as changed bits.
         plans, params, x, y = random_case(PackedSpec(8, 2, 2, (24, 16), dropout_enabled=True), 5, batch=3100)
-        masks = make_dropout_masks(plans, len(x), np.random.default_rng(5))
-        ref_loss, ref = one_block_loss_and_grad(params, plans, x[:700], y[:700], masks=[m[:700] for m in masks])
-        expected = one_block_forward(params, plans, x, masks)
+        masks = make_dropout_masks(plans, 700, np.random.default_rng(5))
+        ref_loss, ref = one_block_loss_and_grad(params, plans, x[:700], y[:700], masks)
+        expected = one_block_forward(params, plans, x)
         pool_width(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -548,9 +543,9 @@ class TestWorkers:
             with pytest.MonkeyPatch.context() as monkeypatch:
                 monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: 1)
                 for _ in range(3):
-                    loss, grads = loss_and_grad(params, plans, x[:700], y[:700], [m[:700] for m in masks])
+                    loss, grads = loss_and_grad(params, plans, x[:700], y[:700], masks)
                     assert loss == ref_loss and np.array_equal(grads.flat.view(np.int64), ref.flat.view(np.int64))
-                    out = forward(params, plans, x, dropout_masks=masks)
+                    out = forward(params, plans, x)
                     assert np.array_equal(out.estimator_outputs.view(np.int64), expected.view(np.int64))
         finally:
             sys.setswitchinterval(interval)
@@ -691,13 +686,6 @@ class TestRegroup:
         dense_w = [block_diagonal_matrix(plan, w) for plan, w in zip(plans, params.weights)]
         return plans, params, x, y, masks, dense_w
 
-    def test_masked_forward_matches_block_diagonal_matrices(self):
-        plans, params, x, _, masks, _ = self.case(dropout=True)
-        per_estimator = block_diagonal_forward(plans, params, x, masks)
-        out = forward(params, plans, x, dropout_masks=masks)
-        np.testing.assert_allclose(out.estimator_outputs, per_estimator, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.mean_output, per_estimator.mean(axis=0), rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("dropout", [False, True])
     def test_gradients_match_block_diagonal_matrices(self, dropout):
         plans, params, x, y, masks, dense_w = self.case(dropout)
@@ -724,13 +712,11 @@ class TestRowBlocks:
 
     SPEC = PackedSpec(2, 2, 3, (9, 13, 5))
 
-    @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 5000])
-    def test_forward_matches_block_diagonal_matrices(self, n, dropout):
+    def test_forward_matches_block_diagonal_matrices(self, n):
         plans, params, x, _ = random_case(self.SPEC, 17, batch=n)
-        masks = make_dropout_masks(plans, n, np.random.default_rng(n)) if dropout else None
-        expected = block_diagonal_forward(plans, params, x, masks)
-        out = forward(params, plans, x, dropout_masks=masks)
+        expected = block_diagonal_forward(plans, params, x)
+        out = forward(params, plans, x)
         np.testing.assert_allclose(out.estimator_outputs, expected, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.mean_output, expected.mean(axis=0), rtol=1e-12, atol=1e-12)
 
@@ -740,12 +726,6 @@ class TestRowBlocks:
         out = forward(params, plans, np.empty((0, 7)))
         assert out.estimator_outputs.shape == (2, 0, 4)
         assert out.mean_output.shape == (0, 4)
-
-    def test_rejects_masks_for_another_batch(self):
-        plans, params, x, _ = random_case(self.SPEC, 0, batch=2049)
-        masks = make_dropout_masks(plans, 2050, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="dropout masks must have shapes"):
-            forward(params, plans, x, dropout_masks=masks)
 
     def test_forward_memory_is_bounded_by_the_block(self):
         plans, params, x, _ = random_case(PackedSpec(8, 4, 1, DEEP_THIN), 0, batch=20_000)
@@ -815,6 +795,12 @@ class TestLossAndGrad:
         for i in range(len(plans)):
             assert relative_error(grads.weights[i], fd_w[i]).max() < 1e-4
             assert relative_error(grads.biases[i], fd_b[i]).max() < 1e-4
+
+    def test_rejects_masks_for_another_batch(self):
+        plans, params, x, y = random_case(PackedSpec(2, 2, 3, (9, 13, 5)), 0, batch=49)
+        masks = make_dropout_masks(plans, 50, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dropout masks must have shapes"):
+            loss_and_grad(params, plans, x, y, masks)
 
     def test_empty_batch_rejected(self):
         spec = PackedSpec(2, 1, 1, (6,))
