@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -61,6 +62,7 @@ MANIFEST_NAME = "manifest.json"
 _NUMBER_CHARS = "0123456789+-.eE"
 _NUMBER_BYTES = (_NUMBER_CHARS + ",\r\n").encode()
 _CHECK_BLOCK_BYTES = 1 << 16  # bytes of a body checked per copy
+_NOT_LINE_END = re.compile(rb"[^\r\n]")  # a body without such a byte is blank
 # Rows formatted per write: as fast as one whole-file string, with bounded memory.
 _WRITE_BLOCK_ROWS = 4096
 
@@ -209,9 +211,9 @@ def _read_table(path: Path) -> np.ndarray:
 
     One ``np.loadtxt`` call reads a plain body (see :func:`_plain_body`; CRLF read as
     LF), accepting the cells ``float()`` accepts, with its bits.  Such a body is ASCII,
-    so only the header is decoded, and ``loadtxt`` reads the body from the file's bytes
-    without a copy.  A body it does not read is decoded and scanned for its first
-    fault, and one with none is blank.
+    so only the header is decoded whole, and ``loadtxt`` reads the body through a
+    chunked ASCII text reader over the file's bytes.  A body it does not read is
+    decoded and scanned for its first fault, and one with none is blank.
     """
     raw = path.read_bytes()
     start = raw.find(b"\n") + 1 or len(raw)  # the body's first byte
@@ -236,21 +238,24 @@ def _read_table(path: Path) -> np.ndarray:
     raise _first_fault(path, header, text.partition("\n")[2])
 
 
-def _plain_body(raw: bytes, start: int) -> io.BytesIO | None:
-    """A reader over ``raw[start:]`` if it is non-blank, only ``_NUMBER_BYTES`` and every CR
-    in it ends a CRLF (which ``loadtxt`` reads as LF); else None.
+def _plain_body(raw: bytes, start: int) -> io.TextIOWrapper | None:
+    """A text reader over ``raw[start:]`` if it is non-blank, only ``_NUMBER_BYTES`` and
+    every CR in it ends a CRLF (which the reader reads as LF); else None.
 
-    The bytes are counted and checked in blocks, so no copy of the body is made.
+    The bytes are searched in place and checked in blocks, and the reader decodes
+    them in chunks, so no whole copy of the body is made.
     """
-    crs = raw.count(b"\r", start)
-    if crs != raw.count(b"\r\n", start) or crs + raw.count(b"\n", start) == len(raw) - start:
-        return None  # a lone CR, or a blank body
+    cr = raw.find(b"\r", start)
+    if cr >= 0 and raw.count(b"\r", cr) != raw.count(b"\r\n", cr):
+        return None  # a lone CR
+    if not _NOT_LINE_END.search(raw, start):
+        return None  # a blank body
     for lo in range(start, len(raw), _CHECK_BLOCK_BYTES):
         if raw[lo : lo + _CHECK_BLOCK_BYTES].translate(None, _NUMBER_BYTES):
             return None
     body = io.BytesIO(raw)
     body.seek(start)
-    return body
+    return io.TextIOWrapper(body, encoding="ascii")
 
 
 def _first_fault(path, header: list[str], body: str) -> SimulationParseError:

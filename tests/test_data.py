@@ -121,6 +121,17 @@ def small_flow_config(**overrides):
     return CylinderFlowConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def large_simulation(tmp_path_factory):
+    """A simulation of 20 000 points, as large as the benchmark's eval_large reads, and the
+    bytes of the LF-ended CSV ``write_simulation`` writes of it."""
+    config = small_flow_config(num_sims=1, surface_points=2000, field_points=18000)
+    source = generate_cylinder_flow(config, "train").simulations[0]
+    path = tmp_path_factory.mktemp("large") / "sim.csv"
+    write_simulation(source, path)
+    return source, path.read_bytes()
+
+
 class TestSimulationInvariants:
     def test_accepts_valid(self):
         sim = field_simulation("ok", 5, 0)
@@ -259,7 +270,11 @@ class TestSimulationCsv:
         assert loaded.points.tobytes() == source.points.tobytes()
         assert loaded.targets.tobytes() == source.targets.tobytes()
 
-    @pytest.mark.parametrize("text", [HEADER, HEADER + "\n", HEADER + "\n\n\r\n\n"], ids=["no-newline", "newline", "blank-lines"])
+    @pytest.mark.parametrize(
+        "text",
+        [HEADER, HEADER + "\n", HEADER + "\n\n\r\n\n", HEADER + "\r\n" + "\r\n\n" * 30000],
+        ids=["no-newline", "newline", "blank-lines", "blank-lines-past-a-check-block"],
+    )
     def test_header_without_rows_has_no_data_rows(self, tmp_path, text):
         path = csv_file(tmp_path, text)
         assert parse_error(path) == f"{path}: no data rows"
@@ -317,8 +332,9 @@ class TestSimulationCsv:
             (f"{HEADER}\n{ROW}\r{SURFACE_ROW}\r", "row 2, column 'nut': not a number: '0.01\\r1.0'"),
             (f"{HEADER}\n{ROW}\r", "row 2, column 'nut': not a number: '0.01\\r'"),
             (f"{HEADER}\r{ROW}\r{SURFACE_ROW}\r", "row 1, column 'nut': missing column 'nut'"),
+            (f"{HEADER}\r\n{ROW}\r\n{SURFACE_ROW}\r", "row 3, column 'nut': not a number: '0.0\\r'"),
         ],
-        ids=["body", "last-line", "whole-file"],
+        ids=["body", "last-line", "whole-file", "crlf-file-last-line"],
     )
     def test_lone_cr_is_not_a_line_end(self, tmp_path, text, message):
         path = csv_file(tmp_path, text)
@@ -395,7 +411,8 @@ class TestSimulationCsv:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_large_file_loads_without_copies_of_its_text(self, tmp_path, end):
-        # The body is parsed from the file's bytes: no decoded text and no copy of the body.
+        # The body is parsed through a chunked text reader over the file's bytes: no whole
+        # decoded text and no copy of the body.
         config = small_flow_config(num_sims=1, surface_points=2000, field_points=18000)
         source = generate_cylinder_flow(config, "train").simulations[0]
         path = tmp_path / "sim.csv"
@@ -409,6 +426,33 @@ class TestSimulationCsv:
             tracemalloc.stop()
         assert loaded.points.tobytes() == source.points.tobytes()
         assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_large_written_file_keeps_every_bit(self, tmp_path, monkeypatch, large_simulation, end):
+        source, raw = large_simulation
+        path = csv_file(tmp_path, raw.replace(b"\n", end))
+
+        def row_loop(path, header, body):
+            raise AssertionError(f"{path} went through the row loop")
+
+        monkeypatch.setattr(data, "_first_fault", row_loop)
+        loaded = load_simulation(path)
+        np.testing.assert_array_equal(loaded.points.view(np.int64), source.points.view(np.int64))
+        np.testing.assert_array_equal(loaded.targets.view(np.int64), source.targets.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "end, row, column", [(b"\n", 15001, "x"), (b"\r\n", 20001, "nut")], ids=["lf-inner-row", "crlf-last-row"]
+    )
+    def test_lone_cr_past_the_first_check_block_names_its_cell(self, tmp_path, large_simulation, end, row, column):
+        # The cell at (row, column) ends in a lone CR, and the file ends after the last row's cells.
+        lines = large_simulation[1].removesuffix(b"\n").split(b"\n")  # lines[i] is row i + 1
+        cells = lines[row - 1].split(b",")
+        cell = cells[CSV_COLUMNS.index(column)].decode() + "\r"
+        cells[CSV_COLUMNS.index(column)] = cell.encode()
+        lines[row - 1] = b",".join(cells)
+        assert len(end.join(lines[: row - 1])) > data._CHECK_BLOCK_BYTES
+        path = csv_file(tmp_path, end.join(lines))
+        assert parse_error(path) == f"{path}, row {row}, column {column!r}: not a number: {cell!r}"
 
     @settings(max_examples=200, deadline=None)
     @given(fuzzed_csv())
