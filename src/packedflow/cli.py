@@ -59,12 +59,9 @@ __all__ = ["run_cli"]
 def _load_config(path: str) -> tuple[dict, Path]:
     config_path = Path(path)
     try:
-        config = read_json(config_path)
+        return read_json(config_path), config_path.parent
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {config_path}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"{config_path}: top level must be a JSON object")
-    return config, config_path.parent
 
 
 def _path(base: Path, obj: dict, key: str, where: str) -> Path:

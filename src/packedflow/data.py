@@ -299,8 +299,6 @@ def load_dataset(directory) -> Dataset:
         return SimulationParseError(manifest_path, None, None, message)
 
     manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise fault("top level must be a JSON object")
     for key in ("split_label", "simulations"):
         if key not in manifest:
             raise fault(f"missing manifest key {key!r}")

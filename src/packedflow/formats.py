@@ -1,8 +1,8 @@
 """The file formats packedflow reads and writes, decided in one place.
 
-``_read`` reads every dataclass-backed JSON object (config sections, a model
-header's ``spec``, ``scaler.json``), never coercing a value.  Report CSVs are
-written by ``write_csv`` and JSON files by ``write_json``.
+``decode_json`` decodes every JSON input, and ``_read`` reads every dataclass-backed
+JSON object (config sections, a model header's ``spec``, ``scaler.json``), never
+coercing a value.  Report CSVs are written by ``write_csv``, JSON by ``write_json``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["ConfigError", "is_file_name", "read_json", "write_csv", "write_json"]
+__all__ = ["ConfigError", "decode_json", "is_file_name", "read_json", "write_csv", "write_json"]
 
 
 class ConfigError(ValueError):
@@ -27,13 +27,31 @@ def is_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
-def read_json(path):
-    """The JSON value in the file ``path``; a file that is not UTF-8 JSON is a ConfigError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def decode_json(data: bytes, source) -> dict:
+    """The JSON object in the UTF-8 bytes ``data``, no object repeating a key; anything
+    else is a ConfigError naming ``source`` (a file, or a model header and its offset)."""
+    try:
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError and a repeated key
+        raise ConfigError(f"{source}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{source}: top level must be a JSON object")
+    return obj
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file ``path``, read by :func:`decode_json` naming the file."""
+    with open(path, "rb") as fh:
+        return decode_json(fh.read(), path)
 
 
 def _check_keys(obj: dict, where: str, required, optional=()) -> None:

@@ -24,6 +24,7 @@ __all__ = [
     "SurfacePolyline",
     "ForceCoefficients",
     "EvalReport",
+    "CoefficientRow",
     "order_surface",
     "force_coefficients",
     "check_scorable",
@@ -52,6 +53,16 @@ class ForceCoefficients:
 
     drag: float
     lift: float
+
+
+class CoefficientRow(NamedTuple):
+    """One simulation's predicted and reference pressure force coefficients."""
+
+    sim: str
+    drag_pred: float
+    drag_true: float
+    lift_pred: float
+    lift_true: float
 
 
 @dataclass(frozen=True)
@@ -210,8 +221,8 @@ def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulatio
 
 def coefficient_table(
     predictions: list[np.ndarray], dataset: Dataset, polylines: list[SurfacePolyline] | None = None
-) -> list[tuple[str, float, float, float, float]]:
-    """Per-simulation (name, drag_pred, drag_true, lift_pred, lift_true).
+) -> list[CoefficientRow]:
+    """One :class:`CoefficientRow` per simulation, in the split's order.
 
     ``polylines``, as :func:`check_scorable` returns them, spare ordering each surface again.
     """
@@ -222,7 +233,7 @@ def coefficient_table(
         mask = sim.surface_mask
         predicted = force_coefficients(sim, np.asarray(pred)[mask, 2], polyline)
         actual = force_coefficients(sim, sim.targets[mask, 2], polyline)
-        rows.append((sim.name, predicted.drag, actual.drag, predicted.lift, actual.lift))
+        rows.append(CoefficientRow(sim.name, predicted.drag, actual.drag, predicted.lift, actual.lift))
     return rows
 
 
@@ -236,18 +247,18 @@ def null_reasons(table) -> dict[str, str]:
     of its quantity is the same.
     """
     reasons = {}
-    for quantity, column in (("drag", 2), ("lift", 4)):
-        zero = [row[0] for row in table if row[column] == 0.0]
+    for quantity in ("drag", "lift"):
+        zero = [row.sim for row in table if getattr(row, f"{quantity}_true") == 0.0]
         tied = [
-            f"{side} {quantity} is {table[0][col]!r} at every simulation"
-            for side, col in (("reference", column), ("predicted", column - 1))
-            if len({row[col] for row in table}) == 1
+            f"{side} {quantity} is {getattr(table[0], field)!r} at every simulation"
+            for side, field in (("reference", f"{quantity}_true"), ("predicted", f"{quantity}_pred"))
+            if len({getattr(row, field) for row in table}) == 1
         ]
         if zero:
             reason = f"reference {quantity} is exactly 0.0 at: {', '.join(zero)}"
             reasons[f"mean_relative_{quantity}"] = reasons[f"spearman_{quantity}"] = reason
         elif len(table) < 2:
-            reasons[f"spearman_{quantity}"] = f"needs two simulations, the split has one: {table[0][0]}"
+            reasons[f"spearman_{quantity}"] = f"needs two simulations, the split has one: {table[0].sim}"
         elif tied:
             reasons[f"spearman_{quantity}"] = "; ".join(tied)
     return reasons
@@ -255,7 +266,7 @@ def null_reasons(table) -> dict[str, str]:
 
 def evaluate_predictions(
     predictions: list[np.ndarray], dataset: Dataset, polylines: list[SurfacePolyline] | None = None
-) -> tuple[EvalReport, list[tuple[str, float, float, float, float]]]:
+) -> tuple[EvalReport, list[CoefficientRow]]:
     """Score precomputed physical-unit predictions, one per simulation.
 
     Returns the metric suite and the per-simulation coefficient table it was
@@ -290,12 +301,11 @@ def evaluate_predictions(
     mse = sq_sum / count
 
     table = coefficient_table(predictions, dataset, polylines)
-    names, *columns = zip(*table)
-    drag_pred, drag_true, lift_pred, lift_true = (np.array(column) for column in columns)
-    undefined = null_reasons(table)
+    undefined = null_reasons(table)  # null at every zero reference, so no relative error meets one
 
-    def unless_null(field, score, *args):
-        return None if field in undefined else score(*args)
+    def unless_null(field, score, quantity):
+        pred, true = (np.array([getattr(row, f"{quantity}_{side}") for row in table]) for side in ("pred", "true"))
+        return None if field in undefined else score(pred, true)
 
     report = EvalReport(
         mse_x_velocity=float(mse[0]),
@@ -303,10 +313,10 @@ def evaluate_predictions(
         mse_pressure=float(mse[2]),
         mse_surface_pressure=surface_sq_sum / surface_count,
         mse_turbulent_viscosity=float(mse[3]),
-        mean_relative_drag=unless_null("mean_relative_drag", mean_relative_error, drag_pred, drag_true, names),
-        mean_relative_lift=unless_null("mean_relative_lift", mean_relative_error, lift_pred, lift_true, names),
-        spearman_drag=unless_null("spearman_drag", spearman, drag_pred, drag_true),
-        spearman_lift=unless_null("spearman_lift", spearman, lift_pred, lift_true),
+        mean_relative_drag=unless_null("mean_relative_drag", mean_relative_error, "drag"),
+        mean_relative_lift=unless_null("mean_relative_lift", mean_relative_error, "lift"),
+        spearman_drag=unless_null("spearman_drag", spearman, "drag"),
+        spearman_lift=unless_null("spearman_lift", spearman, "lift"),
     )
     return report, table
 
@@ -322,4 +332,4 @@ def write_report_json(report: EvalReport, path) -> None:
 
 
 def write_coefficients_csv(rows, path) -> None:
-    write_csv(path, ("sim", "drag_pred", "drag_true", "lift_pred", "lift_true"), rows)
+    write_csv(path, CoefficientRow._fields, rows)

@@ -72,7 +72,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formats import ConfigError, _read
+from .formats import ConfigError, _read, decode_json
 
 __all__ = [
     "DROPOUT_P",
@@ -727,18 +727,12 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     offset = start + header_len
     if offset > len(blob):
         raise fault(len(_MODEL_MAGIC), f"header length {header_len} runs past the end of the file")
-    try:
-        header = json.loads(blob[start:offset].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise fault(start, f"header is not UTF-8 JSON ({exc})") from None
-    if not isinstance(header, dict) or "spec" not in header or "plans" not in header:
-        raise fault(start, "header must be a JSON object with 'spec' and 'plans'")
+    header = decode_json(blob[start:offset], f"{path}: byte {start}: header")
+    if "spec" not in header or "plans" not in header:
+        raise fault(start, "header must hold 'spec' and 'plans'")
     if header.get("format_version") != MODEL_FORMAT_VERSION:
         raise fault(start, f"unsupported format version {header.get('format_version')}")
-    try:
-        spec = PackedSpec.from_dict(header["spec"])
-    except ConfigError as exc:
-        raise fault(start, str(exc)) from None
+    spec = PackedSpec.from_dict(header["spec"], f"{path}: byte {start}: spec")
     plans = plan_layers(spec)
     if [p.to_dict() for p in plans] != header["plans"]:
         raise fault(start, "layer plan table does not match the stored spec")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import cylinder_dataset
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from packedflow import cli, metrics
@@ -39,16 +39,22 @@ def directory_snapshot(root):
 
 
 def corrupt_model(blob, kind):
-    """A damaged copy of a model file and the byte offset its fault is reported at."""
+    """A damaged copy of a model file, the byte offset its fault is reported at and the message's start."""
     (h,) = struct.unpack_from("<I", blob, 8)
     header, params = blob[12 : 12 + h], blob[12 + h :]
+    repeated = header.replace(b'{"format_version":1,', b'{"format_version":1,"format_version":1,', 1)
     return {
-        "under-12-bytes": (blob[:10], 10),
-        "long-header": (blob[:8] + struct.pack("<I", 10**6) + blob[12:], 8),
-        "header-not-utf8": (blob[:12] + b"\xff" + blob[13:], 12),
-        "array": (blob[:12] + b"[" + b" " * (h - 2) + b"]" + params, 12),
-        "no-plans": (blob[:12] + header.replace(b'"plans"', b'"plan_"') + params, 12),
-        "short-parameters": (blob[:-8], 12 + h),
+        "under-12-bytes": (blob[:10], 10, "file ends inside the 12-byte magic and header length"),
+        "long-header": (blob[:8] + struct.pack("<I", 10**6) + blob[12:], 8, "header length 1000000 runs past"),
+        "header-not-utf8": (blob[:12] + b"\xff" + blob[13:], 12, "header: invalid JSON ('utf-8' codec can't decode"),
+        "array": (blob[:12] + b"[" + b" " * (h - 2) + b"]" + params, 12, "header: top level must be a JSON object"),
+        "no-plans": (blob[:12] + header.replace(b'"plans"', b'"plan_"') + params, 12, "header must hold 'spec' and"),
+        "repeated-key": (
+            blob[:8] + struct.pack("<I", len(repeated)) + repeated + params,
+            12,
+            "header: invalid JSON (repeated key 'format_version')",
+        ),
+        "short-parameters": (blob[:-8], 12 + h, "parameter data holds"),
     }[kind]
 
 
@@ -490,9 +496,9 @@ class TestBenchCommand:
 
 
 class TestExitCodes:
-    def eval_with_scaler(self, workspace, tmp_path, scaler):
+    def eval_with_scaler(self, workspace, tmp_path, text):
         scaler_path = tmp_path / "scaler.json"
-        scaler_path.write_text(json.dumps(scaler))
+        scaler_path.write_text(text)
         config = write_config(
             tmp_path / "eval.json",
             {
@@ -507,7 +513,7 @@ class TestExitCodes:
     def test_nan_scaler_std_is_validation_error(self, workspace, tmp_path, capsys):
         scaler = json.loads((workspace / "run" / "scaler.json").read_text())
         scaler["target_std"][2] = float("nan")
-        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, scaler)
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, json.dumps(scaler))
         assert code == 2
         err = capsys.readouterr().err
         assert str(scaler_path) in err and "target_std" in err
@@ -516,7 +522,7 @@ class TestExitCodes:
     def test_missing_scaler_key_is_validation_error(self, workspace, tmp_path, capsys):
         scaler = json.loads((workspace / "run" / "scaler.json").read_text())
         del scaler["target_std"]
-        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, scaler)
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, json.dumps(scaler))
         assert code == 2
         err = capsys.readouterr().err
         assert str(scaler_path) in err and "'target_std'" in err
@@ -533,9 +539,17 @@ class TestExitCodes:
     def test_mistyped_scaler_entry_is_validation_error(self, workspace, tmp_path, capsys, field, value):
         scaler = json.loads((workspace / "run" / "scaler.json").read_text())
         scaler[field] = value
-        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, scaler)
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, json.dumps(scaler))
         assert code == 2
         assert f"error: {scaler_path}: '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_repeated_scaler_key_is_validation_error(self, workspace, tmp_path, capsys):
+        text = (workspace / "run" / "scaler.json").read_text()
+        repeated = text.replace("{", '{"target_std": [1.0, 1.0, 1.0, 1.0],', 1)
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, repeated)
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {scaler_path}: invalid JSON (repeated key 'target_std')\n")
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
@@ -557,10 +571,11 @@ class TestExitCodes:
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
-        "kind", ["under-12-bytes", "long-header", "header-not-utf8", "array", "no-plans", "short-parameters"]
+        "kind",
+        ["under-12-bytes", "long-header", "header-not-utf8", "array", "no-plans", "repeated-key", "short-parameters"],
     )
     def test_corrupt_model_file_is_validation_error(self, workspace, tmp_path, capsys, kind):
-        corrupted, offset = corrupt_model((workspace / "run" / "model.pkmlp").read_bytes(), kind)
+        corrupted, offset, message = corrupt_model((workspace / "run" / "model.pkmlp").read_bytes(), kind)
         model_path = tmp_path / "model.pkmlp"
         model_path.write_bytes(corrupted)
         config = write_config(
@@ -572,25 +587,48 @@ class TestExitCodes:
             },
         )
         assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
-        assert f"{model_path}: byte {offset}:" in capsys.readouterr().err
+        assert f"error: {model_path}: byte {offset}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
-        "manifest",
+        "manifest, message",
         [
-            pytest.param(b"{not json", id="invalid-json"),
-            pytest.param(b'{"split_label": "test\xff", "simulations": ["sim.csv"]}', id="not-utf8"),
-            pytest.param(b"[]", id="not-object"),
-            pytest.param(b'{"split_label": "test"}', id="missing-key"),
-            pytest.param(b'{"split_label": "val", "simulations": ["sim.csv"]}', id="unknown-split"),
-            pytest.param(b'{"split_label": "test", "simulations": []}', id="empty-list"),
-            pytest.param(b'{"split_label": "test", "simulations": 5}', id="not-a-list"),
-            pytest.param(b'{"split_label": "test", "simulations": ["sim.csv", "sim.csv"]}', id="repeated"),
-            pytest.param(b'{"split_label": "test", "simulations": ["../sim.csv"]}', id="parent-dir"),
-            pytest.param(b'{"split_label": "test", "simulations": ["DATA_DIR/sim.csv"]}', id="absolute"),
+            pytest.param(b"{not json", "invalid JSON (Expecting property name", id="invalid-json"),
+            pytest.param(
+                b'{"split_label": "test\xff", "simulations": ["sim.csv"]}',
+                "invalid JSON ('utf-8' codec can't decode byte 0xff",
+                id="not-utf8",
+            ),
+            pytest.param(b"[]", "top level must be a JSON object", id="not-object"),
+            pytest.param(b'{"split_label": "test"}', "missing manifest key 'simulations'", id="missing-key"),
+            pytest.param(
+                b'{"split_label": "val", "simulations": ["sim.csv"]}', "split_label must be one of", id="unknown-split"
+            ),
+            pytest.param(b'{"split_label": "test", "simulations": []}', "'simulations' must be", id="empty-list"),
+            pytest.param(b'{"split_label": "test", "simulations": 5}', "'simulations' must be", id="not-a-list"),
+            pytest.param(
+                b'{"split_label": "test", "simulations": ["sim.csv", "sim.csv"]}',
+                "entry 'sim.csv' repeats the simulation name 'sim'",
+                id="repeated",
+            ),
+            pytest.param(
+                b'{"split_label": "test", "simulations": ["../sim.csv"]}',
+                "entry '../sim.csv' must be one file-name component",
+                id="parent-dir",
+            ),
+            pytest.param(
+                b'{"split_label": "test", "simulations": ["DATA_DIR/sim.csv"]}',
+                "entry 'DATA_DIR/sim.csv' must be one file-name component",
+                id="absolute",
+            ),
+            pytest.param(
+                b'{"split_label": "test", "split_label": "train", "simulations": ["sim.csv"]}',
+                "invalid JSON (repeated key 'split_label')",
+                id="repeated-key",
+            ),
         ],
     )
-    def test_malformed_manifest_is_validation_error(self, workspace, tmp_path, capsys, manifest):
+    def test_malformed_manifest_is_validation_error(self, workspace, tmp_path, capsys, manifest, message):
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         test_dir = workspace / "data" / "test"
@@ -607,7 +645,9 @@ class TestExitCodes:
             },
         )
         assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
-        assert str(data_dir / "manifest.json") in capsys.readouterr().err
+        message = message.replace("DATA_DIR", str(data_dir))
+        assert f"error: {data_dir / 'manifest.json'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -892,6 +932,59 @@ def test_shipped_config_is_accepted(tmp_path, monkeypatch, capsys, command):
     assert run_cli([command, "--config", config, "--out", str(out)]) == 1
     assert "error: Reached: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def json_objects(value, path=()):
+    """The path of every non-empty JSON object inside ``value``, ``value`` itself included."""
+    if isinstance(value, dict) and value:
+        yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for step, item in items:
+        yield from json_objects(item, (*path, step))
+
+
+def with_repeated_key(config, path, key, other, other_first):
+    """JSON text of ``config`` whose object at ``path`` holds ``key`` twice: once with ``other``."""
+    config = copy.deepcopy(config)
+    obj = config
+    for step in path:
+        obj = obj[step]
+    marker = "\0repeated"  # a key no config holds, renamed to ``key`` once dumped
+    pairs = [(key, obj.pop(key)), (marker, other)]
+    obj.update(pairs[::-1] if other_first else pairs)
+    return json.dumps(config).replace(json.dumps(marker), json.dumps(key))
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "cv", "bench"])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_repeated_key_in_a_shipped_config_is_validation_error(tmp_path, monkeypatch, capsys, command, data):
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{command}.json").read_text())
+    path = data.draw(st.sampled_from(list(json_objects(config))), label="object")
+    obj = config
+    for step in path:
+        obj = obj[step]
+    key = data.draw(st.sampled_from(sorted(obj)), label="key")
+    other = data.draw(st.just(obj[key]) | JSON_VALUES, label="other value")
+    config_path = tmp_path / f"{command}.json"
+    config_path.write_text(with_repeated_key(config, path, key, other, data.draw(st.booleans(), label="other first")))
+    stub_reads(monkeypatch, "generate_cylinder_flow", "load_dataset", "load_params")
+    assert run_cli([command, "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {config_path}: invalid JSON (repeated key {key!r})\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", [("-5.0", "1e-3"), ("1e-3", "-5.0")], ids=["valid-last", "valid-first"])
+def test_repeated_config_key_is_validation_error(workspace, tmp_path, monkeypatch, capsys, values):
+    # json keeps the last of repeated keys: either order would run on one value and ignore the other.
+    text = json.dumps(valid_configs(workspace)["train"])
+    repeated = text.replace('"learning_rate": 0.01', ", ".join(f'"learning_rate": {v}' for v in values))
+    config_path = tmp_path / "train.json"
+    config_path.write_text(repeated)
+    stub_reads(monkeypatch, "load_dataset")
+    assert run_cli(["train", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {config_path}: invalid JSON (repeated key 'learning_rate')\n")
+    assert not (tmp_path / "out").exists()
 
 
 def removed(command, path, key, value, where):

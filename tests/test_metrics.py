@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from packedflow.data import Dataset, Simulation, fit_scaler
 from packedflow.metrics import (
+    CoefficientRow,
     EvalReport,
     _average_ranks,
     evaluate,
@@ -26,6 +27,11 @@ from packedflow.metrics import (
     spearman,
 )
 from packedflow.packed_net import PackedSpec, init_params, plan_layers
+
+
+def rows(*values):
+    """A coefficient table of the given (sim, drag_pred, drag_true, lift_pred, lift_true) values."""
+    return [CoefficientRow(*v) for v in values]
 
 
 def surface_polygon_simulation(xy, normals=None, inlet=(10.0, 0.0)):
@@ -307,14 +313,14 @@ class TestEvaluate:
         # Drag-free potential flow: generator seed 7 gives test_0004 a reference drag of exactly 0.0.
         split = cylinder_dataset(6, surface_points=64, field_points=96, seed=7, split_label="test")
         report, table = evaluate_predictions([sim.targets for sim in split.simulations], split)
-        assert [row[0] for row in table if row[2] == 0.0] == ["test_0004"]
+        assert [row.sim for row in table if row.drag_true == 0.0] == ["test_0004"]
         assert report.mean_relative_drag is None and report.spearman_drag is None
         assert report.mean_relative_lift == 0.0 and report.spearman_lift == 1.0
         reason = "reference drag is exactly 0.0 at: test_0004"
         assert null_reasons(table) == {"mean_relative_drag": reason, "spearman_drag": reason}
 
     def test_null_reasons_name_the_simulations(self):
-        table = [("a", 0.1, 0.0, 0.2, 0.5), ("b", 0.1, 0.0, 0.2, 0.0), ("c", 0.1, 0.3, 0.2, 0.4)]
+        table = rows(("a", 0.1, 0.0, 0.2, 0.5), ("b", 0.1, 0.0, 0.2, 0.0), ("c", 0.1, 0.3, 0.2, 0.4))
         drag, lift = "reference drag is exactly 0.0 at: a, b", "reference lift is exactly 0.0 at: b"
         assert null_reasons(table) == {
             "mean_relative_drag": drag, "spearman_drag": drag, "mean_relative_lift": lift, "spearman_lift": lift
@@ -327,18 +333,18 @@ class TestEvaluate:
         }
 
     def test_tied_values_null_the_rank_correlation_and_name_their_side(self):
-        table = [("a", 0.1, 0.3, 0.2, 0.5), ("b", 0.2, 0.3, 0.2, 0.4), ("c", 0.5, 0.3, 0.2, 0.6)]
+        table = rows(("a", 0.1, 0.3, 0.2, 0.5), ("b", 0.2, 0.3, 0.2, 0.4), ("c", 0.5, 0.3, 0.2, 0.6))
         assert null_reasons(table) == {
             "spearman_drag": "reference drag is 0.3 at every simulation",
             "spearman_lift": "predicted lift is 0.2 at every simulation",
         }
         # A zero reference keeps its precedence; distinct values on both sides leave the fields defined.
         zero = "reference drag is exactly 0.0 at: a, b"
-        tied_zero = [(name, p, 0.0, 0.2, lift) for name, p, _, _, lift in table[:2]]
+        tied_zero = [row._replace(drag_true=0.0) for row in table[:2]]
         assert null_reasons(tied_zero) == {
             "mean_relative_drag": zero, "spearman_drag": zero, "spearman_lift": "predicted lift is 0.2 at every simulation"
         }
-        assert null_reasons([("a", 0.1, 0.3, 0.2, 0.5), ("b", 0.2, 0.4, 0.3, 0.4)]) == {}
+        assert null_reasons(rows(("a", 0.1, 0.3, 0.2, 0.5), ("b", 0.2, 0.4, 0.3, 0.4))) == {}
 
     def test_identical_simulations_give_null_rank_correlations(self, split):
         # Two copies of one flow: every coefficient, referenced or predicted, is tied.
