@@ -213,7 +213,8 @@ def _read_table(path: Path) -> np.ndarray:
     LF), accepting the cells ``float()`` accepts, with its bits.  Such a body is ASCII,
     so only the header is decoded whole, and ``loadtxt`` reads the body through a
     chunked ASCII text reader over the file's bytes.  A body it does not read is
-    decoded and scanned for its first fault, and one with none is blank.
+    decoded and scanned for its first fault, and one with none is blank.  A header
+    already in ``CSV_COLUMNS`` order gets ``loadtxt``'s array itself, not a copy.
     """
     raw = path.read_bytes()
     start = raw.find(b"\n") + 1 or len(raw)  # the body's first byte
@@ -233,7 +234,7 @@ def _read_table(path: Path) -> np.ndarray:
             pass
         else:
             if table.shape[1] == len(CSV_COLUMNS) and np.isfinite(table).all():
-                return table[:, column_order]
+                return table if column_order == sorted(column_order) else table[:, column_order]
         text = raw.decode("utf-8").removeprefix("\ufeff")
     raise _first_fault(path, header, text.partition("\n")[2])
 

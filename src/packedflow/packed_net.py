@@ -16,12 +16,13 @@ per_group_in)``: the blocks, in group order, of a block-diagonal dense matrix.
 ranges are contiguous, so estimator ``j`` owns channels
 ``[j * width // M, (j + 1) * width // M)`` of every layer.
 
-Activations stay group-major, ``(groups, batch, per_group_width)``, so each
-layer is one batched GEMM.  The batch is broadcast to the first layer's
-groups as ``batch[None]``, activations are regrouped only where the group
-count changes (``gamma > 1``), and the last layer emits
-``(num_estimators, batch, out_features)``.  Dropout masks keep the public
-layout ``(batch, out_width)`` and are viewed group-major.  All math is float64.
+Activations are viewed group-major, ``(groups, batch, per_group_width)``, so
+each layer is one batched GEMM.  The batch is broadcast to the first layer's
+groups as ``batch[None]``, and the last layer emits ``(num_estimators, batch,
+out_features)``.  A layer followed by another group count (``gamma > 1``)
+writes channel-major ``(batch, width)`` rows, which the next layer views in
+its own groups: no pass copies to regroup.  Dropout masks are bool keep masks
+``(batch, out_width)``, viewed group-major.  All math is float64.
 
 ``forward`` runs a batch in fixed row blocks of 1024 to 2047 rows (one block
 if it is shorter), so inference memory is bounded by the block, and every
@@ -31,17 +32,17 @@ estimators, whose hidden activations fit in 4 MiB, each block through every
 layer before the next starts: a layer's output is still in cache when the
 bias add, the ReLU and the next layer read it.  A forward workspace holds one
 block's slabs.  A training workspace holds every estimator's, which the
-backward pass reads, and its regroup copies keep the full-width
-channel-major layout, each block in its own columns, so every per-group GEMM
-gets the operands and strides of a one-block pass.  Whatever the block, the
-outputs keep their bits.  ReLU and dropout run in place, so each layer keeps
-one activation buffer, and the backward pass writes each layer's gradient
-over the activation it no longer needs.  These buffers live in a
-``_Workspace`` made once per call and reused: by every block of ``forward``,
-and by every step of ``training.train``, whose short last batch uses the
-leading rows.  So each page is touched once per call, not once per block or
-step.  No result returned to a caller shares memory with a workspace, and
-every output has the bits it would have with fresh buffers.
+backward pass reads; its channel-major buffers keep the full width, each
+block in its own columns, so every GEMM gets the input operands of a
+one-block pass, and whatever the block the outputs keep their bits (an
+output's strides change none).  ReLU and dropout run in place, so each layer
+keeps one activation buffer, and the backward pass writes each layer's
+gradient over the activation it no longer needs, in its layout.  These
+buffers live in a ``_Workspace`` made once per call and reused: by every
+block of ``forward``, and by every step of ``training.train``, whose short
+last batch uses the leading rows.  So each page is touched once per call,
+not per block or step, no result returned to a caller shares memory with a
+workspace, and every output has the bits it would have with fresh buffers.
 
 Independent blocks run in parallel, one worker per core of the process's
 affinity mask: the calling thread and the threads of one module-level pool,
@@ -95,6 +96,8 @@ MODEL_FORMAT_VERSION = 1
 DROPOUT_P = 0.2  # the only dropout probability; model headers still store it as "dropout_p"
 _ROW_BLOCK = 1024  # inference rows per block; below ~384 rows BLAS may round differently
 _BLOCK_BYTES = 4 << 20  # hidden activations one training block of estimators may hold
+_DRAW_VALUES = 1 << 15  # uniform draws per chunk of a dropout mask
+_KEEP_SCALE = 1.0 / (1.0 - DROPOUT_P)  # a kept unit's inverted-dropout scale, exactly 1.25
 _MODEL_MAGIC = b"PKMLP1\x00\x00"
 
 
@@ -259,21 +262,26 @@ def init_params(plans: list[LayerPlan], seed: int) -> Params:
 def make_dropout_masks(
     plans: list[LayerPlan], batch_size: int, rng: np.random.Generator, out: list[np.ndarray] | None = None
 ) -> list[np.ndarray]:
-    """Inverted-dropout masks (values 0 or 1/keep) for every activation layer.
+    """Dropout keep masks for every activation layer: bool, True where a unit is kept.
 
     Units drop with probability ``DROPOUT_P``.  One ``(batch_size, out_width)``
-    mask per layer except the last; masks already carry the 1/(1-p) scaling so
-    evaluation needs no rescaling.  Given ``out``, C-contiguous float64 arrays
-    of those shapes, the masks are drawn into them and ``out`` is returned;
-    the rng stream and the values are the same either way.
+    mask per layer except the last, True where ``rng.random()`` is below
+    ``1 - DROPOUT_P``, one draw per unit in C order, through a float64 scratch of
+    ``_DRAW_VALUES`` draws.  A training step scales kept units by
+    ``1 / (1 - DROPOUT_P)``, so evaluation needs no rescaling.  Given ``out``,
+    C-contiguous bool arrays of those shapes, the masks are drawn into them and
+    ``out`` is returned; the rng stream and the values are the same either way.
     """
-    keep = 1.0 - DROPOUT_P
     if out is None:
-        out = [np.empty((batch_size, plan.out_width)) for plan in plans[:-1]]
+        out = [np.empty((batch_size, plan.out_width), dtype=bool) for plan in plans[:-1]]
+    scratch = np.empty(_DRAW_VALUES)  # pages past the largest mask are never touched
     for mask in out:
-        rng.random(out=mask)
-        np.less(mask, keep, out=mask)
-        mask /= keep
+        if mask.dtype != bool or not mask.flags.c_contiguous:  # else reshape would draw into a copy
+            raise ValueError("dropout masks are drawn into C-contiguous bool arrays")
+        flat = mask.reshape(-1)
+        for lo in range(0, flat.size, scratch.size):
+            draws = rng.random(out=scratch[: flat.size - lo])
+            np.less(draws, 1.0 - DROPOUT_P, out=flat[lo : lo + draws.size])
     return out
 
 
@@ -305,16 +313,16 @@ class _Workspace:
 
     The workspace holds slabs for ``estimators`` estimators (all of them by
     default; ``forward`` makes one per worker, with one block's).  Each activation
-    buffer is flat and group-major: ``rows`` rows of those estimators' share
-    of the layer width, estimator by estimator.  A pass over fewer rows uses
-    their leading values (see :func:`_leading`).  Per hidden layer, ``acts``
-    holds the kept activation, then in the backward pass its gradient, and
-    ``regrouped`` (where the next layer's group count differs, else None) the
-    channel-major copy the next layer reads, ``(rows, width)`` with each
-    estimator in its own columns.  For training, ``out`` holds the last
-    layer's output and ``gate`` each block's ReLU gate of one layer, in the
-    block's own slice, so blocks on different threads share no buffer;
-    ``forward`` leaves them untouched.
+    buffer is flat: group-major, ``rows`` rows of those estimators' share of
+    the layer width, estimator by estimator; or, where the next layer's group
+    count differs, channel-major, ``(rows, width)`` with each estimator in its
+    own columns (see :func:`_block_view`).  A pass over fewer rows uses their
+    leading values (see :func:`_leading`).  Per hidden layer, ``acts`` holds
+    the kept activation, which the next layer reads as its input, then in the
+    backward pass its gradient.  For training, ``out`` holds the last layer's
+    output and ``gate`` each block's ReLU gate of one layer, in the block's
+    own slice and the activation's layout, so blocks on different threads
+    share no buffer; ``forward`` leaves them untouched.
     """
 
     def __init__(self, plans: list[LayerPlan], rows: int, *, estimators: int | None = None):
@@ -323,10 +331,6 @@ class _Workspace:
         self.estimators = m if estimators is None else estimators
         slabs = [rows * (plan.out_width // m) * self.estimators for plan in plans[:-1]]
         self.acts = [np.empty(size) for size in slabs]
-        self.regrouped = [
-            np.empty(size) if plan.groups != above.groups else None
-            for size, plan, above in zip(slabs, plans, plans[1:])
-        ]
         self.out = np.empty(rows * plans[-1].per_group_out * self.estimators)
         self.gate = np.empty(max(slabs, default=0), dtype=bool)
 
@@ -336,21 +340,19 @@ def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _regroup(a: np.ndarray, groups: int, out: np.ndarray | None, slab: int, slabs: int) -> np.ndarray:
-    """Re-partition the channels of group-major ``a`` into ``groups`` contiguous groups.
+def _block_view(buf: np.ndarray, shape: tuple[int, int, int], slabs: int, slab: int, channel_major: bool):
+    """Block ``slab``'s group-major ``(groups, rows, width)`` view of a flat activation buffer.
 
-    Returns ``a`` itself if it already has ``groups`` groups.  Otherwise views
-    the flat buffer ``out`` as ``(rows, width)`` channel-major rows whose
-    columns hold ``slabs`` blocks of ``a``'s width, copies ``a`` into block
-    ``slab``'s columns, and views that copy group-major.  Its row stride is the
-    whole width, whichever block is copied, so every GEMM reading it gets the
-    operands of a one-block pass.
+    Group-major, each block's values are contiguous: ``(slabs, groups, rows,
+    width)``.  Channel-major, the buffer holds ``(rows, slabs, groups, width)``,
+    each block in its own columns, so views of any group count re-partition the
+    same channels, and the row stride is the whole width, whichever the block:
+    every GEMM reading such a view gets the operands of a one-block pass.
     """
-    if a.shape[0] == groups:
-        return a
-    g, n, w = a.shape
-    _leading(out, (n, slabs, g, w))[:, slab] = a.transpose(1, 0, 2)
-    return _leading(out, (n, slabs, groups, g * w // groups))[:, slab].transpose(1, 0, 2)
+    groups, rows, width = shape
+    if channel_major:
+        return _leading(buf, (rows, slabs, groups, width))[:, slab].transpose(1, 0, 2)
+    return _leading(buf, (slabs, *shape))[slab]
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -534,8 +536,9 @@ def _run_block(
         own = slice(first * per_estimator, (first + block) * per_estimator)
         inputs.append(x)
         last = i == len(plans) - 1
+        layout = (slabs, slab, not last and plans[i + 1].groups != plan.groups)  # channel-major?
         shape = (block * per_estimator, n, plan.per_group_out)
-        z = y[first : first + block] if last else _leading(ws.acts[i], (slabs, *shape))[slab]
+        z = y[first : first + block] if last else _block_view(ws.acts[i], shape, *layout)
         np.matmul(x, params.weights[i][own].transpose(0, 2, 1), out=z)
         z += params.biases[i].reshape(plan.groups, 1, plan.per_group_out)[own]
         if last:
@@ -543,8 +546,10 @@ def _run_block(
         np.maximum(z, 0.0, out=z)
         if dropout_masks is not None:
             z *= _group_major(dropout_masks[i], plan.groups)[own]
+            z *= _KEEP_SCALE
         acts.append(z)
-        x = _regroup(z, block * (plans[i + 1].groups // m), ws.regrouped[i], slab, slabs)
+        above = plans[i + 1]
+        x = _block_view(ws.acts[i], (block * above.groups // m, n, above.per_group_in), *layout) if layout[2] else z
     return inputs, acts
 
 
@@ -590,8 +595,10 @@ def loss_and_grad(
     """MSE of the ensemble-mean prediction and its exact parameter gradients.
 
     loss = mean over batch rows and output channels of (mean_output - target)^2.
-    Each hidden activation is multiplied by its ``dropout_masks`` entry, if
-    given (see :func:`make_dropout_masks`), and so is its gradient.  The pass
+    Given ``dropout_masks``, bool keep masks (see :func:`make_dropout_masks`),
+    each hidden activation and its gradient are zeroed where a unit dropped and
+    scaled by ``1 / (1 - DROPOUT_P)`` where it is kept, with the bits of a
+    0-or-1.25 float mask; the ReLU gate zeroes a dropped unit's gradient.  The pass
     runs in ``workspace``, made for at least ``len(batch)`` rows of all
     estimators, or in a fresh one.  The estimators run in blocks of
     :func:`_estimator_block`, shared out among the workers (see :func:`_deal`;
@@ -614,8 +621,9 @@ def loss_and_grad(
     batch = _checked_inputs(params, plans, batch)
     n = len(batch)
     shapes = [(n, plan.out_width) for plan in plans[:-1]]
-    if dropout_masks is not None and [np.shape(mask) for mask in dropout_masks] != shapes:
-        raise ValueError(f"dropout masks must have shapes {shapes}")
+    if dropout_masks is not None:
+        if [(np.shape(k), getattr(k, "dtype", None)) for k in dropout_masks] != [(s, bool) for s in shapes]:
+            raise ValueError(f"dropout masks must have shapes {shapes} and dtype bool (keep masks)")
     m, out_features = plans[-1].groups, plans[-1].per_group_out
     ws = _Workspace(plans, n) if workspace is None else workspace
     if ws.rows < n or ws.estimators != m:
@@ -640,10 +648,10 @@ def loss_and_grad(
     dy = (2.0 / (n * out_features)) * diff / m
     grads = Params(np.empty(param_count(plans)), _layer_shapes(plans))
 
-    # Walking down, the gradient of each hidden activation overwrites that activation
-    # once its ReLU gate is taken (in the block's own slice of the gate buffer), and a
-    # regroup reuses the buffer the layer above read its input from; each block touches
-    # only its own slabs and gradients.
+    # Walking down, the gradient of each hidden activation overwrites that activation,
+    # in the layout of the next layer's input, once its ReLU gate is taken (in the
+    # block's own slice of the gate buffer); each block touches only its own slabs and
+    # gradients.  The gate is False wherever a unit dropped, so no mask is read.
     def run_backward(worker: int, slab: int) -> None:
         inputs, acts = passes[slab]
         dz = np.broadcast_to(dy, (block, n, out_features))
@@ -652,9 +660,9 @@ def loss_and_grad(
             groups = block * (plan.groups // m)
             own = slice(slab * groups, (slab + 1) * groups)
             if i < len(plans) - 1:
-                dz = _regroup(dz, groups, ws.regrouped[i], slab, slabs)
+                dz = acts[i]  # the gradient written over inputs[i + 1], viewed in this layer's groups
                 if dropout_masks is not None:
-                    dz *= _group_major(dropout_masks[i], plan.groups)[own]
+                    dz *= _KEEP_SCALE
                 dz *= gate
             np.matmul(dz.transpose(0, 2, 1), inputs[i], out=grads.weights[i][own])
             bias_grad = grads.biases[i].reshape(plan.groups, plan.per_group_out)[own]
@@ -665,11 +673,11 @@ def loss_and_grad(
             else:
                 np.sum(dz, axis=1, out=bias_grad)
             if i:
-                # Kept and active units: relu(z) * mask > 0.
+                # Kept and active units, relu(z) * keep > 0, in the activation's layout.
                 gate_buf = ws.gate.reshape(slabs, -1)[slab]
-                gate = np.greater(acts[i - 1], 0.0, out=_leading(gate_buf, acts[i - 1].shape))
-                below = _leading(ws.acts[i - 1], (slabs, groups, n, plan.per_group_in))[slab]
-                dz = np.matmul(dz, params.weights[i][own], out=below)
+                layout = (1, 0, plans[i - 1].groups != plan.groups)
+                gate = np.greater(acts[i - 1], 0.0, out=_block_view(gate_buf, acts[i - 1].shape, *layout))
+                np.matmul(dz, params.weights[i][own], out=inputs[i])
 
     _deal(workers, slabs, run_backward)
     return loss, grads

@@ -237,9 +237,10 @@ def train(
 
     Points of all simulations are pooled and reshuffled each epoch with a
     seeded generator; the loss is the MSE of the ensemble mean against
-    standardized targets.  With dropout, each step draws fresh masks from the
-    same generator.  Deterministic given (spec, data, cfg.seed), bit for bit
-    whatever the number of workers the passes run on.
+    standardized targets.  With dropout, each step draws fresh keep masks from
+    the same generator, into one set of bool buffers.  Deterministic given
+    (spec, data, cfg.seed), bit for bit whatever the number of workers the
+    passes run on.
     """
     if len(train_data) == 0:
         raise ValueError("train_data is empty")
@@ -252,7 +253,7 @@ def train(
     rng = np.random.default_rng([cfg.seed, 1])
     # One set of buffers for every step; a short last batch uses their leading rows.
     ws = _Workspace(plans, min(n, cfg.batch_points))
-    mask_bufs = [np.empty((ws.rows, plan.out_width)) for plan in plans[:-1]] if spec.dropout_enabled else None
+    mask_bufs = [np.empty((ws.rows, p.out_width), dtype=bool) for p in plans[:-1]] if spec.dropout_enabled else None
 
     losses: list[float] = []
     val_losses: list[float] | None = [] if val is not None else None

@@ -10,13 +10,23 @@ of the loss value alone.
 import numpy as np
 
 from packedflow.data import CylinderFlowConfig, Dataset, Simulation, generate_cylinder_flow
-from packedflow.packed_net import Params, _row_blocks, forward
+from packedflow.packed_net import DROPOUT_P, Params, _row_blocks, forward
 
 
 def packed_params(weights, biases):
     """A ``Params`` over a new buffer holding copies of the per-layer arrays, in file order."""
     flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases, strict=True) for a in pair])
     return Params(flat.astype(np.float64), [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)])
+
+
+def float_masks(keep_masks):
+    """Inverted-dropout float masks from keep masks: 1 / (1 - DROPOUT_P) where kept, else 0.
+
+    The references multiply by these in both passes; ``None`` stays ``None``.
+    """
+    if keep_masks is None:
+        return None
+    return [np.where(keep, 1.0 / (1.0 - DROPOUT_P), 0.0) for keep in keep_masks]
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +46,10 @@ def dense_forward(weights, biases, x):
 def dense_loss_and_grads(weights, biases, x, y, masks=None):
     """Loss mean((out - y)^2) with hand-derived backprop for the dense MLP.
 
-    ``masks``, if given, multiply each hidden activation after its ReLU.
+    ``masks``, keep masks if given, multiply each hidden activation after its
+    ReLU as :func:`float_masks`, and its gradient too.
     """
+    masks = float_masks(masks)
     acts = [x]
     preacts = []
     a = x
@@ -78,9 +90,11 @@ def block_diagonal_matrix(plan, blocks):
 def block_diagonal_forward(plans, params, x, masks=None):
     """Packed forward pass through materialized dense block-diagonal matrices.
 
-    ``masks``, if given, multiply each hidden activation after its ReLU.
-    Returns the per-estimator outputs, ``(num_estimators, batch, out_features)``.
+    ``masks``, keep masks if given, multiply each hidden activation after its
+    ReLU as :func:`float_masks`.  Returns the per-estimator outputs,
+    ``(num_estimators, batch, out_features)``.
     """
+    masks = float_masks(masks)
     a = np.tile(x, (1, plans[0].groups))
     for i, plan in enumerate(plans):
         a = a @ block_diagonal_matrix(plan, params.weights[i]).T + params.biases[i]
@@ -111,8 +125,10 @@ def _regroup(a, groups):
 def _one_block_pass(params, plans, x, masks):
     """The grouped forward pass with all estimators in one block, in fresh arrays.
 
-    Returns each layer's group-major input, each hidden layer's kept activation
-    and the last layer's output, ``(num_estimators, len(x), out_features)``.
+    ``masks``, float masks if given (see :func:`float_masks`), multiply each
+    hidden activation after its ReLU.  Returns each layer's group-major input,
+    each hidden layer's kept activation and the last layer's output,
+    ``(num_estimators, len(x), out_features)``.
     """
     inputs, acts, a = [], [], x[None]
     for i, plan in enumerate(plans):
@@ -146,9 +162,12 @@ def one_block_loss_and_grad(params, plans, x, y, masks=None):
     Every GEMM gets the operands, with the strides, of the library's one-block
     pass: activations group-major and contiguous, a regroup copied channel-major
     into a contiguous ``(rows, width)`` array.  Reductions are the library's too,
-    so the loss and gradients must equal ``loss_and_grad``'s bit for bit.
+    so the loss and gradients must equal ``loss_and_grad``'s bit for bit.  Keep
+    ``masks`` become :func:`float_masks`, which multiply each hidden activation
+    and its gradient, before the ReLU gate.
     """
     m, n, last = plans[-1].groups, len(x), len(plans) - 1
+    masks = float_masks(masks)
     inputs, acts, z = _one_block_pass(params, plans, x, masks)
     diff = z.sum(axis=0) / m - y
     loss = float(np.mean(diff * diff))
@@ -220,8 +239,9 @@ def nudge_biases_off_kinks(params, plans, batch, masks=None, margin=0.25):
     Finite differences with step 1e-3 are only valid where no pre-activation
     changes sign inside the sweep; this keeps the units genuinely mixed
     (active and inactive rows) while guaranteeing that margin.  Mutates and
-    returns params.
+    returns params.  ``masks`` are keep masks, applied as :func:`float_masks`.
     """
+    masks = float_masks(masks)
     x = np.tile(batch, (1, plans[0].groups))
     for i, plan in enumerate(plans[:-1]):
         z = x @ block_diagonal_matrix(plan, params.weights[i]).T + params.biases[i]

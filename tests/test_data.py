@@ -203,6 +203,16 @@ class TestSimulationCsv:
         np.testing.assert_allclose(sim.targets[1], [0.0, 0.0, 50.0, 0.0])
         assert sim.surface_mask.tolist() == [False, True]
 
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_a_header_in_column_order_keeps_the_parsed_array(self, tmp_path, monkeypatch, ordered):
+        parsed, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parsed.append(loadtxt(*args, **kwargs)) or parsed[-1])
+        order = range(len(CSV_COLUMNS)) if ordered else [1, 0, *range(2, len(CSV_COLUMNS))]  # x and y swapped
+        lines = [[CSV_COLUMNS[j] for j in order], *([row.split(",")[j] for j in order] for row in (ROW, SURFACE_ROW))]
+        table = data._read_table(csv_file(tmp_path, "".join(",".join(line) + "\n" for line in lines)))
+        assert len(parsed) == 1 and (table is parsed[0]) == ordered
+        assert table.tolist() == [[float(cell) for cell in row.split(",")] for row in (ROW, SURFACE_ROW)]
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "missing.csv"
         path.write_text("x,y,inlet_vx,inlet_vy,distance,nx,ny,vx,vy,p\n" + "0," * 9 + "0\n")

@@ -5,6 +5,7 @@ dense MLP, materialized block-diagonal matrices, and central finite
 differences of the loss value.
 """
 
+import copy
 import dataclasses
 import json
 import re
@@ -22,6 +23,7 @@ from helpers import (
     dense_forward,
     dense_loss_and_grads,
     fd_gradients,
+    float_masks,
     nudge_biases_off_kinks,
     one_block_forward,
     one_block_loss_and_grad,
@@ -374,13 +376,27 @@ class TestForward:
 
 
 class TestDropout:
-    def test_mask_values_are_inverted_scale(self):
-        plans = plan_layers(PackedSpec(2, 2, 1, (16, 16)))
-        masks = make_dropout_masks(plans, 64, np.random.default_rng(0))
-        assert len(masks) == len(plans) - 1
+    @pytest.mark.parametrize("rows", [1, 64, 1000])
+    def test_masks_keep_the_units_whose_draws_are_below_the_keep_probability(self, rows):
+        plans = plan_layers(PackedSpec(2, 2, 1, (40, 8)))  # masks 80 and 16 units wide
+        rng = np.random.default_rng(rows)
+        twin = copy.deepcopy(rng)
+        masks = make_dropout_masks(plans, rows, rng)
+        assert [mask.shape for mask in masks] == [(rows, 80), (rows, 16)]
+        if rows == 1000:  # the first mask spans two full draw chunks and part of a third
+            assert 2 * packed_net._DRAW_VALUES < masks[0].size < 3 * packed_net._DRAW_VALUES
         for mask in masks:
-            values = np.unique(mask)
-            assert set(values.tolist()) <= {0.0, 1.0 / 0.8}
+            assert mask.dtype == bool
+            assert np.array_equal(mask, twin.random(mask.shape) < 1.0 - DROPOUT_P)
+        assert rng.random() == twin.random()
+
+    def test_masks_are_drawn_only_into_contiguous_bool_arrays(self):
+        plans = plan_layers(PackedSpec(2, 2, 1, (40, 8)))
+        float_bufs = [np.empty((5, 80)), np.empty((5, 16))]
+        strided_bufs = [np.empty((5, 160), dtype=bool)[:, ::2], np.empty((5, 16), dtype=bool)]
+        for bufs in (float_bufs, strided_bufs):
+            with pytest.raises(ValueError, match="^dropout masks are drawn into C-contiguous bool arrays$"):
+                make_dropout_masks(plans, 5, np.random.default_rng(0), out=bufs)
 
     def test_explicit_masks_reproduce_manual_computation(self):
         spec = PackedSpec(2, 1, 1, (6,), in_features=3, out_features=2)
@@ -389,7 +405,7 @@ class TestDropout:
         loss, _ = loss_and_grad(params, plans, x, y, masks)
         a = np.tile(x, (1, 2))
         dense0 = block_diagonal_matrix(plans[0], params.weights[0])
-        a = np.maximum(a @ dense0.T + params.biases[0], 0.0) * masks[0]
+        a = np.maximum(a @ dense0.T + params.biases[0], 0.0) * float_masks(masks)[0]
         dense1 = block_diagonal_matrix(plans[1], params.weights[1])
         z = a @ dense1.T + params.biases[1]
         diff = z.reshape(len(x), 2, 2).mean(axis=1) - y
@@ -411,7 +427,7 @@ class TestWorkspace:
     def test_masks_drawn_in_place_equal_fresh_ones(self):
         # As training.train draws them: into the leading rows of buffers for a longer batch.
         plans = plan_layers(self.SPEC)
-        bufs = [np.empty((50, plan.out_width)) for plan in plans[:-1]]
+        bufs = [np.empty((50, plan.out_width), dtype=bool) for plan in plans[:-1]]
         fresh_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
         fresh = make_dropout_masks(plans, 40, fresh_rng)
         masks = make_dropout_masks(plans, 40, rng, out=[buf[:40] for buf in bufs])
@@ -440,7 +456,7 @@ class TestWorkspace:
             # Each holds one estimator block's slabs, the block taken for the rows of every worker.
             in_flight = workers * packed_net._estimator_block(plans, rows * workers)
             slab_bytes = [
-                sum(b.nbytes for w in ws for b in w.acts + w.regrouped if b is not None)
+                sum(b.nbytes for w in ws for b in w.acts)
                 for ws in (made, [training_ws])
             ]
             assert slab_bytes[0] * self.SPEC.num_estimators == slab_bytes[1] * in_flight
@@ -450,6 +466,19 @@ class TestWorkspace:
             first = out.estimator_outputs.copy()
             forward(params, plans, -x)
             assert np.array_equal(out.estimator_outputs, first)
+
+    def test_a_layer_that_changes_group_count_feeds_its_successor_by_view(self):
+        plans, params, x, y = random_case(self.SPEC, 6, batch=30)
+        assert [plan.groups for plan in plans] == [2, 6, 6, 2]
+        ws, m = _Workspace(plans, 30), plans[-1].groups
+        masks = make_dropout_masks(plans, 30, np.random.default_rng(6))
+        out = np.empty((m, 30, plans[-1].per_group_out))
+        inputs, acts = packed_net._run_block(params, plans, x, masks, ws, out, 0, m)
+        # Regrouped from 2 groups into 6, kept at 6, regrouped into 2: each a view of the activation.
+        assert [len(a) for a in acts] == [2, 6, 6] and [len(a) for a in inputs[1:]] == [6, 6, 2]
+        for i in (1, 2, 3):
+            assert np.shares_memory(inputs[i], acts[i - 1]) and np.shares_memory(inputs[i], ws.acts[i - 1])
+        assert not hasattr(ws, "regrouped")
 
     def test_gradients_are_not_in_the_workspace_and_survive_its_reuse(self):
         plans, params, x, y = random_case(self.SPEC, 4, batch=60)
@@ -795,6 +824,14 @@ class TestLossAndGrad:
         for i in range(len(plans)):
             assert relative_error(grads.weights[i], fd_w[i]).max() < 1e-4
             assert relative_error(grads.biases[i], fd_b[i]).max() < 1e-4
+
+    def test_rejects_masks_that_are_not_keep_masks(self):
+        # Without the check, a float mask of 0s and 1.25s would read as "keep where nonzero".
+        plans, params, x, y = random_case(PackedSpec(2, 2, 3, (9, 13, 5)), 0, batch=49)
+        keep = make_dropout_masks(plans, 49, np.random.default_rng(0))
+        for masks in (float_masks(keep), [k.astype(np.uint8) for k in keep], [k.tolist() for k in keep]):
+            with pytest.raises(ValueError, match=r"^dropout masks must have shapes .* and dtype bool \(keep masks\)$"):
+                loss_and_grad(params, plans, x, y, masks)
 
     def test_rejects_masks_for_another_batch(self):
         plans, params, x, y = random_case(PackedSpec(2, 2, 3, (9, 13, 5)), 0, batch=49)

@@ -1,6 +1,7 @@
 """Optimizer, early stopping, training loop, and cross-validation harness."""
 
 import hashlib
+import json
 import math
 import os
 import signal
@@ -331,6 +332,34 @@ class TestTrainGolden:
         params, history = train(spec, data, val, fit_scaler(data), cfg)
         digests = (sha256(params.flat), sha256(history.train_loss), sha256(history.val_loss))
         assert digests == self.DIGESTS[gamma, dropout]
+
+
+class TestCrossValidateGolden:
+    """``cross_validate``'s fold losses with ``configs/cv.json``'s base spec and grid, pinned bit for bit.
+
+    The grid has two dropout rows, gamma = 2 and gamma = 4.  Each fold trains on
+    128 points in batches of 100, so every epoch ends with a short batch of 28.
+    The digests were recorded with float dropout masks and regroup copies, so
+    they also show that keep masks and regrouping by view change no bit.
+    """
+
+    DIGESTS = [
+        "43c07a23bb9761c52acd8ec012382ba3a4458fe468bf3f95d6f83dd95e480ffc",
+        "5f95957135e5f40cc99d9c0e06ae22a0078903797d14fb96683a7010d8e34203",
+        "12bf232c24ba0caf44bc6861cef1044d3e277fbd6427da7dcd29adf274d6835b",
+        "5ffcb1fae402cbc6ef541d19954901527bdb52dc6e0c1d7e171fc67b6ab85cdf",
+    ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fold_losses_match_recorded_digests(self, jobs):
+        config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "cv.json").read_text())
+        base = PackedSpec(**config["base_spec"])
+        grid = [GridRow(**row) for row in config["grid"]]
+        assert {(row.dropout, row.gamma) for row in grid} == {(True, 2), (False, 2), (False, 4)}
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=2, batch_points=100, seed=9)
+        data = cylinder_dataset(4, surface_points=24, field_points=40, seed=23)
+        rows = cross_validate(data, grid, base, cfg, k=2, jobs=jobs)
+        assert [sha256(row.fold_losses) for row in rows] == self.DIGESTS
 
 
 @pytest.fixture(scope="module")
