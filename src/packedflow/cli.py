@@ -181,10 +181,10 @@ def _cmd_eval(args) -> int:
     scaler = ScalerPair.from_dict(read_json(scaler_path), str(scaler_path))
     data_dir = _path(base, config["data"], "dir", "eval config: data")
     dataset = load_dataset(data_dir)
-    polylines = check_scorable(dataset, data_dir)
+    check_scorable(dataset, data_dir)
 
     predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
-    report, rows = evaluate_predictions(predictions, dataset, polylines)
+    report, rows = evaluate_predictions(predictions, dataset)
 
     args.out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, args.out / "eval_report.json")

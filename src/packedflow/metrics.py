@@ -114,18 +114,15 @@ def order_surface(sim: Simulation) -> SurfacePolyline:
     return SurfacePolyline(indices=ordered, segment_lengths=lengths)
 
 
-def force_coefficients(
-    sim: Simulation, pressure: np.ndarray, polyline: SurfacePolyline | None = None
-) -> ForceCoefficients:
+def force_coefficients(sim: Simulation, pressure: np.ndarray) -> ForceCoefficients:
     """Integrate a surface pressure field into drag and lift coefficients.
 
-    ``pressure`` holds p/rho for the surface points in the simulation's
-    original point order (one entry per surface point).  The force is
-    F/rho = -sum p n l with outward unit normals; drag and lift are its x
-    and y components over the dynamic pressure from the inlet velocity.
+    ``pressure`` holds p/rho at each surface point, in the simulation's point
+    order.  The force over the :func:`order_surface` polygon is F/rho =
+    -sum p n l with outward unit normals; drag and lift are its x and y
+    components over the dynamic pressure from the inlet velocity.
     """
-    if polyline is None:
-        polyline = order_surface(sim)
+    polyline = order_surface(sim)
     surface_indices = np.flatnonzero(sim.surface_mask)
     pressure = np.asarray(pressure, dtype=np.float64)
     if pressure.shape != (len(surface_indices),):
@@ -147,23 +144,19 @@ def force_coefficients(
     )
 
 
-def check_scorable(dataset: Dataset, where) -> list[SurfacePolyline]:
-    """Each simulation's surface polyline, once the split is known to be scorable.
+def check_scorable(dataset: Dataset, where) -> None:
+    """Raise ``ConfigError`` unless every simulation of the split can be scored.
 
-    Orders each surface and integrates its reference pressure, so a split fails
-    here exactly where scoring it would: fewer than 3 surface points, coincident
-    surface points, or zero inlet speed.  A fault raises ``ConfigError`` naming
+    Integrates each reference pressure, so a split fails here exactly where
+    :func:`coefficient_table` would on it: fewer than 3 surface points,
+    coincident surface points, or zero inlet speed.  The message names
     ``where`` and the simulation.
     """
-    polylines = []
     for sim in dataset.simulations:
         try:
-            polyline = order_surface(sim)
-            force_coefficients(sim, sim.targets[sim.surface_mask, 2], polyline)
+            force_coefficients(sim, sim.targets[sim.surface_mask, 2])
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        polylines.append(polyline)
-    return polylines
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -194,16 +187,15 @@ def spearman(xs, ys) -> float:
     return float((dx @ dy) / math.sqrt(var_x * var_y))
 
 
-def mean_relative_error(pred, truth, names=None) -> float:
-    """Mean over entries of |pred - truth| / |truth|."""
+def mean_relative_error(pred, truth) -> float:
+    """Mean over entries of |pred - truth| / |truth|; a zero reference raises, naming its indices."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
     zero = np.flatnonzero(truth == 0.0)
     if len(zero):
-        labels = [names[i] if names is not None else str(i) for i in zero]
-        raise ValueError(f"relative error undefined for zero reference values at: {', '.join(labels)}")
+        raise ValueError(f"relative error undefined for zero reference values at: {', '.join(map(str, zero))}")
     return float(np.mean(np.abs(pred - truth) / np.abs(truth)))
 
 
@@ -219,20 +211,16 @@ def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulatio
         return apply_scaler(scaler, out.mean_output, "inverse", "targets")
 
 
-def coefficient_table(
-    predictions: list[np.ndarray], dataset: Dataset, polylines: list[SurfacePolyline] | None = None
-) -> list[CoefficientRow]:
+def coefficient_table(predictions: list[np.ndarray], dataset: Dataset) -> list[CoefficientRow]:
     """One :class:`CoefficientRow` per simulation, in the split's order.
 
-    ``polylines``, as :func:`check_scorable` returns them, spare ordering each surface again.
+    A simulation that cannot be scored raises :func:`force_coefficients`' ``ValueError``.
     """
-    if polylines is None:
-        polylines = [order_surface(sim) for sim in dataset.simulations]
     rows = []
-    for pred, sim, polyline in zip(predictions, dataset.simulations, polylines):
+    for pred, sim in zip(predictions, dataset.simulations):
         mask = sim.surface_mask
-        predicted = force_coefficients(sim, np.asarray(pred)[mask, 2], polyline)
-        actual = force_coefficients(sim, sim.targets[mask, 2], polyline)
+        predicted = force_coefficients(sim, np.asarray(pred)[mask, 2])
+        actual = force_coefficients(sim, sim.targets[mask, 2])
         rows.append(CoefficientRow(sim.name, predicted.drag, actual.drag, predicted.lift, actual.lift))
     return rows
 
@@ -264,13 +252,11 @@ def null_reasons(table) -> dict[str, str]:
     return reasons
 
 
-def evaluate_predictions(
-    predictions: list[np.ndarray], dataset: Dataset, polylines: list[SurfacePolyline] | None = None
-) -> tuple[EvalReport, list[CoefficientRow]]:
+def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> tuple[EvalReport, list[CoefficientRow]]:
     """Score precomputed physical-unit predictions, one per simulation.
 
     Returns the metric suite and the per-simulation coefficient table it was
-    built from (see :func:`coefficient_table`, which takes ``polylines``).
+    built from (see :func:`coefficient_table`).
     """
     if len(predictions) != len(dataset.simulations):
         raise ValueError(
@@ -300,7 +286,7 @@ def evaluate_predictions(
         surface_count += int(sim.surface_mask.sum())
     mse = sq_sum / count
 
-    table = coefficient_table(predictions, dataset, polylines)
+    table = coefficient_table(predictions, dataset)
     undefined = null_reasons(table)  # null at every zero reference, so no relative error meets one
 
     def unless_null(field, score, quantity):

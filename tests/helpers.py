@@ -338,6 +338,28 @@ def cylinder_dataset(
     return generate_cylinder_flow(config, split_label=split_label)
 
 
+def two_surface_points(sim):
+    """``sim`` with every surface point after its first two removed."""
+    keep = np.ones(sim.num_points, dtype=bool)
+    keep[np.flatnonzero(sim.surface_mask)[2:]] = False
+    return Simulation(sim.name, sim.points[keep], sim.targets[keep])
+
+
+def coincident_surface_points(sim, count=3):
+    """``sim`` with its first ``count`` surface points moved onto the first one."""
+    points = sim.points.copy()
+    surface = np.flatnonzero(sim.surface_mask)[:count]
+    points[surface, :2] = points[surface[0], :2]
+    return Simulation(sim.name, points, sim.targets)
+
+
+def zero_inlet_speed(sim):
+    """``sim`` with a zero inlet velocity at every point."""
+    points = sim.points.copy()
+    points[:, 2:4] = 0.0
+    return Simulation(sim.name, points, sim.targets)
+
+
 def linear_target_dataset(num_sims=4, num_points=200, seed=0):
     """Targets are a fixed affine map of the features: exactly learnable."""
     rng = np.random.default_rng(seed)

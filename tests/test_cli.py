@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import cylinder_dataset
+from helpers import coincident_surface_points, cylinder_dataset, two_surface_points, zero_inlet_speed
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from packedflow import cli, metrics
+from packedflow import cli
 from packedflow.bench import BenchCase
 from packedflow.cli import run_cli
 from packedflow.data import CylinderFlowConfig, Dataset, ScalerPair, Simulation, load_dataset, write_dataset
@@ -259,24 +259,13 @@ class TestEvalCommand:
             else:
                 assert value == 0.0, key
 
-    def test_orders_each_surface_once(self, workspace, tmp_path, monkeypatch):
-        ordered = []
-        order_surface = metrics.order_surface
-
-        def counting(sim):
-            ordered.append(sim.name)
-            return order_surface(sim)
-
-        monkeypatch.setattr(metrics, "order_surface", counting)
+    def test_coefficients_csv_is_the_coefficient_table(self, workspace, tmp_path):
         config = write_config(
-            workspace / "eval_once.json",
+            workspace / "eval_table.json",
             {"model": "run/model.pkmlp", "scaler": "run/scaler.json", "data": {"dir": "data/test"}},
         )
         assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 0
         dataset = load_dataset(workspace / "data" / "test")
-        assert ordered == [sim.name for sim in dataset.simulations]
-
-        monkeypatch.setattr(metrics, "order_surface", order_surface)
         spec, plans, params = load_params(workspace / "run" / "model.pkmlp")
         scaler = ScalerPair.from_dict(json.loads((workspace / "run" / "scaler.json").read_text()))
         predictions = [predict_simulation(params, plans, scaler, sim) for sim in dataset.simulations]
@@ -1133,25 +1122,6 @@ def test_console_script_is_the_cli_entry_point():
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     module_name, _, attr = pyproject["project"]["scripts"]["packedflow"].partition(":")
     assert getattr(importlib.import_module(module_name), attr) is run_cli
-
-
-def two_surface_points(sim):
-    keep = np.ones(sim.num_points, dtype=bool)
-    keep[np.flatnonzero(sim.surface_mask)[2:]] = False
-    return Simulation(sim.name, sim.points[keep], sim.targets[keep])
-
-
-def coincident_surface_points(sim):
-    points = sim.points.copy()
-    surface = np.flatnonzero(sim.surface_mask)[:3]
-    points[surface, :2] = points[surface[0], :2]
-    return Simulation(sim.name, points, sim.targets)
-
-
-def zero_inlet_speed(sim):
-    points = sim.points.copy()
-    points[:, 2:4] = 0.0
-    return Simulation(sim.name, points, sim.targets)
 
 
 UNSCORABLE = {

@@ -4,7 +4,9 @@ import codecs
 import hashlib
 import json
 import math
+import random
 import re
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -57,25 +59,49 @@ def parse_error(path) -> str:
 # Cells near the grammar's edge: separators, padding (\x0c and \x85 are whitespace to
 # float(), \x1c is not), quotes, comments, words and a Unicode digit.
 FUZZ_TOKENS = [*"0123456789+-.eE_ \t\xa0\x0c\x1c\x85\"#", "inf", "nan", "١"]
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-05]
+
+
+def random_float(rng):
+    """A finite float: an edge value, a whole number, a fraction or any finite bit pattern."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(EDGE_FLOATS)
+    if kind == 1:
+        return float(rng.randint(-1000, 1000))
+    if kind == 2:
+        return rng.uniform(-100.0, 100.0)
+    while not math.isfinite(value := struct.unpack("<d", rng.randbytes(8))[0]):
+        pass
+    return value
 
 
 @st.composite
 def fuzzed_csv(draw):
-    """Simulation CSV text of a few rows: plain numbers, some perhaps fuzzed, padded or made of number bytes."""
-    plain_cell = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-    number_bytes_cell = st.lists(st.sampled_from("0123456789+-.eE"), max_size=6).map("".join)
-    fuzz_cell = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6).map("".join)
+    """Simulation CSV text of a few rows: plain numbers, some perhaps fuzzed, padded or made of number bytes.
+
+    Hypothesis draws the file's structure. The header order and the cells come from a
+    ``random.Random`` it seeds, because drawing every cell through Hypothesis cost about
+    12 ms a file."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="cell seed"))
     pad = st.sampled_from(["", " ", "\t", "\xa0", "\x0c", "\x1c", "\x1f", "\x85", "_"])
     lead, trail = draw(pad, label="lead"), draw(pad, label="trail")  # one padding per file
-    padded_cell = plain_cell.map(lambda c: lead + c + trail)
-    kinds = [plain_cell, padded_cell, st.one_of(plain_cell, number_bytes_cell), st.one_of(plain_cell, fuzz_cell)]
-    cell = draw(st.sampled_from(kinds), label="cells")
-    header = list(draw(st.permutations(CSV_COLUMNS), label="header"))
+    kind = draw(st.sampled_from(["plain", "padded", "number bytes", "fuzz"]), label="cells")
+
+    def cell():
+        if kind == "padded":
+            return lead + repr(random_float(rng)) + trail
+        if kind == "plain" or rng.random() < 0.5:
+            return repr(random_float(rng))
+        tokens = "0123456789+-.eE" if kind == "number bytes" else FUZZ_TOKENS
+        return "".join(rng.choices(tokens, k=rng.randint(0, 6)))
+
+    header = rng.sample(CSV_COLUMNS, len(CSV_COLUMNS))
     if draw(st.integers(0, 9), label="quoted header") == 0:
         header[0] = f'"{header[0]}"'
     lines = [",".join(header)]
     for fields in draw(st.lists(st.sampled_from([11, 11, 11, 11, 10, 12, 0]), min_size=1, max_size=5)):
-        lines.append(",".join(draw(st.lists(cell, min_size=fields, max_size=fields))))
+        lines.append(",".join(cell() for _ in range(fields)))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
     return end.join(lines) + draw(st.sampled_from([end, ""]), label="last line end")
 

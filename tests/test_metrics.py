@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 from helpers import (
     block_diagonal_forward,
+    coincident_surface_points,
     cylinder_dataset,
     field_simulation,
     naive_average_ranks,
     naive_spearman,
+    two_surface_points,
+    zero_inlet_speed,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packedflow.data import Dataset, Simulation, fit_scaler
+from packedflow.formats import ConfigError
 from packedflow.metrics import (
     CoefficientRow,
     EvalReport,
     _average_ranks,
+    check_scorable,
+    coefficient_table,
     evaluate,
     evaluate_predictions,
     force_coefficients,
@@ -115,7 +121,7 @@ class TestForceCoefficients:
         sim = surface_polygon_simulation(xy[np.random.default_rng(5).permutation(400)])
         poly = order_surface(sim)
         pressure_level = 7.5
-        fc = force_coefficients(sim, np.full(400, pressure_level), poly)
+        fc = force_coefficients(sim, np.full(400, pressure_level))
         scale = pressure_level * poly.segment_lengths.sum() / (0.5 * 10.0**2)
         assert abs(fc.drag) < 1e-10 * scale
         assert abs(fc.lift) < 1e-10 * scale
@@ -212,9 +218,9 @@ class TestMeanRelativeError:
     def test_hand_example(self):
         assert mean_relative_error([1.5, 0.5], [1.0, 1.0]) == 0.5
 
-    def test_zero_truth_names_simulation(self):
-        with pytest.raises(ValueError, match="sim_b"):
-            mean_relative_error([1.0, 2.0], [1.0, 0.0], names=["sim_a", "sim_b"])
+    def test_zero_truth_names_its_index(self):
+        with pytest.raises(ValueError, match="zero reference values at: 1$"):
+            mean_relative_error([1.0, 2.0], [1.0, 0.0])
 
     def test_invariant_under_common_normalization(self):
         # changing the dynamic-pressure convention rescales both sides equally
@@ -223,6 +229,36 @@ class TestMeanRelativeError:
         base = mean_relative_error(pred, truth)
         for factor in (0.5, 4.0, 1024.0):  # powers of two keep the scaling exact
             assert mean_relative_error(factor * pred, factor * truth) == base
+
+
+# What a drawn split's simulation becomes: unchanged or degenerate. A coincident pair of
+# surface points still scores; a coincident triple gives its middle point length 0.
+FAULTS = [
+    lambda sim: sim,
+    two_surface_points,
+    lambda sim: coincident_surface_points(sim, 2),
+    coincident_surface_points,
+    zero_inlet_speed,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    surface_points=st.integers(3, 24),
+    faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=4),
+)
+def test_check_scorable_fails_exactly_where_the_coefficient_table_does(seed, surface_points, faults):
+    flows = cylinder_dataset(len(faults), surface_points=surface_points, field_points=5, seed=seed)
+    split = Dataset(tuple(fault(sim) for fault, sim in zip(faults, flows.simulations)), split_label="test")
+    try:
+        coefficient_table([sim.targets for sim in split.simulations], split)
+    except ValueError as exc:
+        with pytest.raises(ConfigError) as checked:
+            check_scorable(split, "split dir")
+        assert str(checked.value) == f"split dir: {exc}"
+    else:
+        assert check_scorable(split, "split dir") is None
 
 
 @pytest.fixture(scope="module")
