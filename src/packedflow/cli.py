@@ -7,7 +7,7 @@ that feeds all randomness (every subcommand but ``eval``) and ``--jobs`` for
 CV parallelism (``cv`` only).  Relative paths inside a config resolve against
 the config file's directory.
 
-Exit codes: 0 success, 2 config/validation error, 1 runtime failure.
+Exit codes: 0 success, 2 input fault (any ``ConfigError``, or a bad input path), 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .data import (
     TARGET_COLUMNS,
     CylinderFlowConfig,
     ScalerPair,
-    SimulationParseError,
     fit_scaler,
     generate_cylinder_flow,
     load_dataset,
@@ -57,11 +56,7 @@ __all__ = ["run_cli"]
 
 
 def _load_config(path: str) -> tuple[dict, Path]:
-    config_path = Path(path)
-    try:
-        return read_json(config_path), config_path.parent
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {config_path}") from exc
+    return read_json(path), Path(path).parent
 
 
 def _path(base: Path, obj: dict, key: str, where: str) -> Path:
@@ -281,7 +276,7 @@ def run_cli(argv=None) -> int:
             raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         handler, _, _ = _COMMANDS[args.command]
         return handler(args)
-    except (ConfigError, SimulationParseError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

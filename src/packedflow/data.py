@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import _read, is_file_name, read_json, write_json
+from .formats import ConfigError, _read, is_file_name, read_json, write_json
 
 __all__ = [
     "INPUT_COLUMNS",
@@ -67,8 +67,8 @@ _NOT_LINE_END = re.compile(rb"[^\r\n]")  # a body without such a byte is blank
 _WRITE_BLOCK_ROWS = 4096
 
 
-class SimulationParseError(ValueError):
-    """Malformed simulation CSV or dataset manifest; carries the 1-based CSV row and column, if any."""
+class SimulationParseError(ConfigError):
+    """A malformed simulation CSV or manifest, so a ``ConfigError``; carries the 1-based CSV row and column, if any."""
 
     def __init__(self, path, row: int | None, column: str | None, message: str):
         location = ""
@@ -342,20 +342,26 @@ def fit_scaler(train: Dataset) -> ScalerPair:
     """Per-channel mean/std over the pooled training points (population std).
 
     Near-constant channels (std < 1e-12) are clamped to std 1 so the forward
-    transform maps them to 0.
+    transform maps them to 0.  A channel whose std overflows float64 raises
+    ``ValueError`` naming its column.
     """
     if len(train) == 0:
         raise ValueError("cannot fit a scaler on an empty dataset")
     points, targets = _pooled(train)
 
-    def stats(arr):
-        mean = arr.mean(axis=0)
-        std = arr.std(axis=0)
+    def stats(arr, kind, columns):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = arr.mean(axis=0)
+            std = arr.std(axis=0)
+        bad = ~np.isfinite(std)  # a non-finite mean makes the std non-finite too
+        if bad.any():
+            column = columns[np.argmax(bad)]
+            raise ValueError(f"cannot standardize {kind} column {column!r}: its std overflows float64")
         std = np.where(std < _STD_CLAMP, 1.0, std)
         return mean, std
 
-    input_mean, input_std = stats(points)
-    target_mean, target_std = stats(targets)
+    input_mean, input_std = stats(points, "input", INPUT_COLUMNS)
+    target_mean, target_std = stats(targets, "target", TARGET_COLUMNS)
     return ScalerPair(input_mean, input_std, target_mean, target_std)
 
 

@@ -19,7 +19,8 @@ __all__ = ["ConfigError", "decode_json", "is_file_name", "read_json", "write_csv
 
 
 class ConfigError(ValueError):
-    """A malformed or inconsistent config, model file, scaler or evaluated split; the CLI exits 2."""
+    """Every input fault: a malformed config, simulation CSV or manifest, model file, scaler or
+    unscorable split.  The CLI exits 2 on it, as on a missing input path (``[Errno 2] ...``)."""
 
 
 def is_file_name(name: str) -> bool:

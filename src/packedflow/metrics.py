@@ -202,10 +202,15 @@ def mean_relative_error(pred, truth) -> float:
 def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulation) -> np.ndarray:
     """Model prediction for one simulation in physical units.
 
-    A prediction too large for float64 in physical units becomes an infinity,
-    which :func:`evaluate_predictions` rejects naming the simulation.
+    Inputs too large for float64 once standardized (a tiny ``input_std``, say)
+    raise ``ValueError`` naming the simulation.  A prediction too large for
+    float64 in physical units becomes an infinity, which
+    :func:`evaluate_predictions` rejects naming the simulation.
     """
-    scaled = apply_scaler(scaler, sim.points, "forward", "inputs")
+    with np.errstate(over="ignore"):
+        scaled = apply_scaler(scaler, sim.points, "forward", "inputs")
+    if not np.isfinite(scaled).all():
+        raise ValueError(f"simulation {sim.name!r}: inputs are too large for float64 once standardized")
     out = forward(params, plans, scaled)
     with np.errstate(over="ignore"):
         return apply_scaler(scaler, out.mean_output, "inverse", "targets")

@@ -126,8 +126,7 @@ class GridRow:
         for key in ("alpha", "gamma"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        TrainConfig(self.learning_rate)  # its check rejects a bad learning rate
 
 
 @dataclass(frozen=True)

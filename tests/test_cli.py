@@ -55,6 +55,16 @@ def corrupt_model(blob, kind):
             "header: invalid JSON (repeated key 'format_version')",
         ),
         "short-parameters": (blob[:-8], 12 + h, "parameter data holds"),
+        "format-version-2": (
+            blob[:12] + header.replace(b'"format_version":1', b'"format_version":2', 1) + params,
+            12,
+            "unsupported format version 2",
+        ),
+        "plans-disagree-with-spec": (
+            blob[:12] + header.replace(b'"role":"first"', b'"role":"final"', 1) + params,
+            12,
+            "layer plan table does not match the stored spec",
+        ),
     }[kind]
 
 
@@ -206,6 +216,41 @@ class TestTrainCommand:
         history = (tmp_path / "run" / "history.csv").read_bytes()
         assert history == b"epoch,train_loss,val_loss,wall_seconds\r\n"
         assert (tmp_path / "run" / "model.pkmlp").exists() and (tmp_path / "run" / "scaler.json").exists()
+
+    def test_validation_split_fills_the_val_loss_column(self, workspace, tmp_path):
+        # The workspace's training run again, now with a validation split: its losses fill
+        # val_loss, and validating changes neither the training losses nor the model.
+        config = json.loads((workspace / "train.json").read_text())
+        config["data"] = {"train_dir": str(workspace / "data" / "train"), "val_dir": str(workspace / "data" / "test")}
+        config_path = write_config(tmp_path / "train.json", config)
+        assert run_cli(["train", "--config", config_path, "--seed", "3", "--out", str(tmp_path / "run")]) == 0
+        runs = []
+        for run in (workspace / "run", tmp_path / "run"):
+            with open(run / "history.csv", newline="") as fh:
+                runs.append(list(csv.DictReader(fh)))
+        alone, validated = runs
+        assert [r["train_loss"] for r in validated] == [r["train_loss"] for r in alone]
+        assert [r["val_loss"] for r in alone] == ["", ""]
+        val_loss = [float(r["val_loss"]) for r in validated]
+        assert len(val_loss) == 2 and all(np.isfinite(v) and v > 0 for v in val_loss)
+        assert (tmp_path / "run" / "model.pkmlp").read_bytes() == (workspace / "run" / "model.pkmlp").read_bytes()
+
+    def test_input_column_whose_std_overflows_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        # x = 1e200 is a valid cell, but its square overflows the std; under the suite's
+        # warnings-as-errors that overflow must not surface as a RuntimeWarning.
+        dataset = load_dataset(workspace / "data" / "train")
+        sim = dataset.simulations[0]
+        points = sim.points.copy()
+        points[np.flatnonzero(~sim.surface_mask)[0], 0] = 1e200
+        far = Dataset((Simulation(sim.name, points, sim.targets), *dataset.simulations[1:]), split_label="train")
+        write_dataset(far, tmp_path / "data")
+        config = valid_configs(workspace)["train"]
+        config["data"]["train_dir"] = str(tmp_path / "data")
+        config_path = write_config(tmp_path / "train.json", config)
+        assert run_cli(["train", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+        message = "error: ValueError: cannot standardize input column 'x': its std overflows float64\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvalCommand:
@@ -483,6 +528,24 @@ class TestBenchCommand:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["packed", "ensemble"]
 
+    def test_diverging_case_exits_1_and_keeps_the_other_rows(self, workspace, tmp_path, capsys):
+        config = valid_configs(workspace)["bench"]
+        config["cases"].append({"name": "diverges", "spec": SPEC, "learning_rate": 1e100})
+        config["train"] = {**TRAIN, "max_epochs": 3}
+        config_path = write_config(tmp_path / "bench.json", config)
+        out = tmp_path / "bench_out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(["bench", "--config", config_path, "--seed", "2", "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == f"benchmarked 2 cases over splits ['test']; outputs in {out}\n"
+        assert printed.err == "failed cases: ['diverges']\n"
+        with open(out / "bench_test.csv", newline="") as fh:
+            packed, diverges = csv.DictReader(fh)
+        assert (packed["name"], packed["error"]) == ("packed", "")
+        assert float(packed["mse_pressure"]) >= 0.0 and float(packed["final_train_loss"]) >= 0.0
+        assert diverges["name"] == "diverges" and diverges["error"].startswith("TrainingDivergedError: ")
+        assert diverges["mse_pressure"] == ""
+
 
 class TestExitCodes:
     def eval_with_scaler(self, workspace, tmp_path, text):
@@ -561,7 +624,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "kind",
-        ["under-12-bytes", "long-header", "header-not-utf8", "array", "no-plans", "repeated-key", "short-parameters"],
+        [
+            "under-12-bytes",
+            "long-header",
+            "header-not-utf8",
+            "array",
+            "no-plans",
+            "repeated-key",
+            "short-parameters",
+            "format-version-2",
+            "plans-disagree-with-spec",
+        ],
     )
     def test_corrupt_model_file_is_validation_error(self, workspace, tmp_path, capsys, kind):
         corrupted, offset, message = corrupt_model((workspace / "run" / "model.pkmlp").read_bytes(), kind)
@@ -687,12 +760,28 @@ class TestExitCodes:
         error = capsys.readouterr().err
         assert f"error: ValueError: simulation '{sim.name}': prediction is non-finite" in error
 
+    def test_input_overflowing_its_standardization_exits_1_naming_the_simulation(self, workspace, tmp_path, capsys):
+        # A tiny but positive input_std is a valid scaler; dividing by it overflows, and under
+        # the suite's warnings-as-errors that overflow must not surface as a RuntimeWarning.
+        scaler = json.loads((workspace / "run" / "scaler.json").read_text())
+        scaler["input_std"][0] = 1e-320
+        code, _ = self.eval_with_scaler(workspace, tmp_path, json.dumps(scaler))
+        assert code == 1
+        name = load_dataset(workspace / "data" / "test").simulations[0].name
+        message = f"error: ValueError: simulation '{name}': inputs are too large for float64 once standardized\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "report").exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
 
-    def test_missing_config_file(self, tmp_path):
-        assert run_cli(["gen", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
+    def test_missing_config_file(self, tmp_path, capsys):
+        # Reported as a missing model, scaler or manifest is: by the OSError's own text.
+        config = tmp_path / "absent.json"
+        assert run_cli(["gen", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{config}'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "gen.json", {"splits": GEN_SPLITS, "bogus": 1})
@@ -1012,6 +1101,64 @@ def test_fixed_rule_is_not_a_config_key(workspace, tmp_path, monkeypatch, capsys
     assert run_cli([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", f"error: {where}: unknown keys [{key!r}]\n")
     assert not (tmp_path / "out").exists()
+
+
+def gen_split(**values):
+    return {"splits": {"train": {**GEN_SPLITS["train"], **values}}}
+
+
+def config_fault(command, edit, message, flags=()):
+    return pytest.param(command, edit, message, flags, id=f"{command}-{message}")
+
+
+@pytest.mark.parametrize(
+    "command, edit, message, flags",
+    [
+        config_fault("train", {}, "--seed must be non-negative", ("--seed", "-1")),
+        config_fault("cv", {}, "--jobs must be >= 1", ("--jobs", "0")),
+        config_fault("gen", {"splits": {}}, "gen config: 'splits' must be a non-empty object"),
+        config_fault(
+            "gen",
+            {"splits": {"val": GEN_SPLITS["test"]}},
+            "gen config: splits.val: split name must be one of ('train', 'test', 'test_ood')",
+        ),
+        config_fault("gen", gen_split(num_sims=0), "gen config: splits.train: num_sims must be >= 1"),
+        config_fault(
+            "gen",
+            gen_split(surface_points=2),
+            "gen config: splits.train: surface_points and field_points must be >= 3",
+        ),
+        config_fault("gen", gen_split(radius_range=[0, 1]), "gen config: splits.train: radius_range must be positive"),
+        config_fault(
+            "gen",
+            gen_split(radius_range=[2, 1]),
+            "gen config: splits.train: radius_range must be a finite (lo, hi) pair with lo <= hi",
+        ),
+        config_fault(
+            "gen",
+            gen_split(radius_range=[0.5, 1.0, 2.0]),
+            "gen config: splits.train: 'radius_range': expected a list of 2, got [0.5, 1.0, 2.0]",
+        ),
+        config_fault(
+            "bench",
+            {"cases": [{"name": "packed", "spec": SPEC}, {"name": "packed", "spec": SPEC}]},
+            "bench config: case names must be unique",
+        ),
+        config_fault(
+            "bench",
+            {"cases": [{"name": "packed", "spec": SPEC}, ["packed"]]},
+            "bench config: cases[1]: expected a JSON object",
+        ),
+        config_fault("cv", {"grid": []}, "cv config: 'grid' must be a non-empty list"),
+    ],
+)
+def test_config_fault_exits_2_before_any_output(workspace, tmp_path, monkeypatch, capsys, command, edit, message, flags):
+    config_path = write_config(tmp_path / f"{command}.json", {**valid_configs(workspace)[command], **edit})
+    stub_reads(monkeypatch, "generate_cylinder_flow", "load_dataset", "load_params")
+    before = directory_snapshot(tmp_path)
+    assert run_cli([command, "--config", config_path, *flags, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "out").exists()
 
 
 def test_bench_case_without_spec_names_the_missing_key(workspace, tmp_path, capsys):

@@ -1,9 +1,15 @@
-"""Report file formats: the exact bytes of every CSV and JSON report writer."""
+"""File formats: the exact bytes of every CSV and JSON report writer, and the one
+fault type of every input reader."""
+
+import re
 
 import pytest
+from helpers import cylinder_dataset, two_surface_points
 
-from packedflow.formats import write_json
-from packedflow.metrics import EvalReport, write_coefficients_csv, write_report_json
+from packedflow.data import Dataset, ScalerPair, SimulationParseError, load_dataset, load_simulation
+from packedflow.formats import ConfigError, read_json, write_json
+from packedflow.metrics import EvalReport, check_scorable, write_coefficients_csv, write_report_json
+from packedflow.packed_net import load_params
 from packedflow.training import (
     CVRow,
     TrainHistory,
@@ -117,3 +123,35 @@ def test_write_json_rejects_non_finite_numbers(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json(tmp_path / "out.json", {"nested": [1.0, {"x": value}]})
     assert not (tmp_path / "out.json").exists()
+
+
+def read_malformed(kind, path):
+    """Feed one malformed input of ``kind``, at ``path``, to the reader of that kind."""
+    if kind == "simulation-csv":
+        path.write_text("x,y\n1,2\n")
+        load_simulation(path)
+    elif kind == "manifest":
+        path.mkdir()
+        (path / "manifest.json").write_text('{"split_label": "val", "simulations": ["sim.csv"]}')
+        load_dataset(path)
+    elif kind == "json-config":
+        path.write_text('{"k": 2, "k": 3}')
+        read_json(path)
+    elif kind == "model-file":
+        path.write_bytes(b"PKMLP")
+        load_params(path)
+    elif kind == "scaler":
+        ScalerPair.from_dict({"input_mean": [0.0] * 7}, str(path))
+    elif kind == "unscorable-split":
+        sim = two_surface_points(cylinder_dataset(1).simulations[0])
+        check_scorable(Dataset((sim,), split_label="test"), path)
+
+
+@pytest.mark.parametrize(
+    "kind", ["simulation-csv", "manifest", "json-config", "model-file", "scaler", "unscorable-split"]
+)
+def test_every_input_fault_is_a_config_error(tmp_path, kind):
+    # So a caller, the CLI's exit 2 among them, catches every input fault by one type.
+    assert issubclass(SimulationParseError, ConfigError)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path / 'input'))}"):
+        read_malformed(kind, tmp_path / "input")
