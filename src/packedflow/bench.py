@@ -68,9 +68,10 @@ class BenchRow:
         return 0.0 if self.history is None else sum(self.history.wall_seconds)
 
     @property
-    def final_train_loss(self) -> float:
+    def final_train_loss(self) -> float | None:
+        """The last epoch's training loss; None (an empty CSV cell) when training failed or ran no epoch."""
         if self.history is None or not self.history.train_loss:
-            return float("nan")
+            return None
         return self.history.train_loss[-1]
 
 

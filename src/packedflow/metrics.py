@@ -114,24 +114,19 @@ def order_surface(sim: Simulation) -> SurfacePolyline:
     return SurfacePolyline(indices=ordered, segment_lengths=lengths)
 
 
-def force_coefficients(sim: Simulation, pressure: np.ndarray) -> ForceCoefficients:
-    """Integrate a surface pressure field into drag and lift coefficients.
+def force_coefficients(sim: Simulation, field: np.ndarray) -> ForceCoefficients:
+    """Integrate the surface pressure of a per-point field into drag and lift coefficients.
 
-    ``pressure`` holds p/rho at each surface point, in the simulation's point
-    order.  The force over the :func:`order_surface` polygon is F/rho =
-    -sum p n l with outward unit normals; drag and lift are its x and y
-    components over the dynamic pressure from the inlet velocity.
+    ``field`` is shaped like ``sim.targets`` (a prediction, or the targets);
+    its p/rho column is read on the :func:`order_surface` polygon.  The force
+    F/rho = -sum p n l with outward unit normals; drag and lift are its x and
+    y components over the dynamic pressure from the inlet velocity.
     """
+    field = np.asarray(field, dtype=np.float64)
+    if field.shape != sim.targets.shape:
+        raise ValueError(f"simulation {sim.name!r}: field shape {field.shape} vs targets {sim.targets.shape}")
     polyline = order_surface(sim)
-    surface_indices = np.flatnonzero(sim.surface_mask)
-    pressure = np.asarray(pressure, dtype=np.float64)
-    if pressure.shape != (len(surface_indices),):
-        raise ValueError(
-            f"pressure must have one entry per surface point "
-            f"({len(surface_indices)}), got shape {pressure.shape}"
-        )
-    position = np.searchsorted(surface_indices, polyline.indices)
-    p = pressure[position]
+    p = field[polyline.indices, 2]
     normals = sim.points[polyline.indices, 5:7]
     force = -(p[:, None] * normals * polyline.segment_lengths[:, None]).sum(axis=0)
 
@@ -147,14 +142,14 @@ def force_coefficients(sim: Simulation, pressure: np.ndarray) -> ForceCoefficien
 def check_scorable(dataset: Dataset, where) -> None:
     """Raise ``ConfigError`` unless every simulation of the split can be scored.
 
-    Integrates each reference pressure, so a split fails here exactly where
-    :func:`coefficient_table` would on it: fewer than 3 surface points,
-    coincident surface points, or zero inlet speed.  The message names
-    ``where`` and the simulation.
+    Runs :func:`force_coefficients` on each simulation's ``targets``, so a
+    split fails here exactly where :func:`coefficient_table` would on it: fewer
+    than 3 surface points, coincident surface points, or zero inlet speed.  The
+    message names ``where`` and the simulation.
     """
     for sim in dataset.simulations:
         try:
-            force_coefficients(sim, sim.targets[sim.surface_mask, 2])
+            force_coefficients(sim, sim.targets)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
@@ -219,13 +214,12 @@ def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulatio
 def coefficient_table(predictions: list[np.ndarray], dataset: Dataset) -> list[CoefficientRow]:
     """One :class:`CoefficientRow` per simulation, in the split's order.
 
-    A simulation that cannot be scored raises :func:`force_coefficients`' ``ValueError``.
+    A simulation that cannot be scored, or a list of another length than the split, raises ``ValueError``.
     """
     rows = []
-    for pred, sim in zip(predictions, dataset.simulations):
-        mask = sim.surface_mask
-        predicted = force_coefficients(sim, np.asarray(pred)[mask, 2])
-        actual = force_coefficients(sim, sim.targets[mask, 2])
+    for pred, sim in zip(predictions, dataset.simulations, strict=True):
+        predicted = force_coefficients(sim, pred)
+        actual = force_coefficients(sim, sim.targets)
         rows.append(CoefficientRow(sim.name, predicted.drag, actual.drag, predicted.lift, actual.lift))
     return rows
 
@@ -261,19 +255,16 @@ def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> tup
     """Score precomputed physical-unit predictions, one per simulation.
 
     Returns the metric suite and the per-simulation coefficient table it was
-    built from (see :func:`coefficient_table`).
+    built from (see :func:`coefficient_table`).  A list of another length than
+    the split, or a prediction that is misshapen or too large to score, raises ``ValueError``.
     """
-    if len(predictions) != len(dataset.simulations):
-        raise ValueError(
-            f"{len(predictions)} prediction arrays for {len(dataset.simulations)} simulations"
-        )
     if not dataset.simulations:
         raise ValueError("cannot evaluate an empty dataset")
     sq_sum = np.zeros(len(TARGET_COLUMNS))
     count = 0
     surface_sq_sum = 0.0
     surface_count = 0
-    for pred, sim in zip(predictions, dataset.simulations):
+    for pred, sim in zip(predictions, dataset.simulations, strict=True):
         pred = np.asarray(pred, dtype=np.float64)
         if pred.shape != sim.targets.shape:
             raise ValueError(

@@ -216,13 +216,17 @@ def pooled_scaled_arrays(dataset: Dataset, scaler: ScalerPair) -> tuple[np.ndarr
 
 
 def scaled_mse(params: Params, plans, scaler: ScalerPair, dataset: Dataset) -> float:
-    """MSE of the ensemble mean, without dropout, on standardized targets."""
+    """MSE of the ensemble mean, without dropout, on standardized targets; a non-finite one raises ``ValueError``."""
     return _mse(params, plans, *pooled_scaled_arrays(dataset, scaler))
 
 
 def _mse(params: Params, plans, x: np.ndarray, y: np.ndarray) -> float:
-    diff = forward(params, plans, x).mean_output - y
-    return float(np.mean(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = forward(params, plans, x).mean_output - y
+        mse = float(np.mean(diff * diff))
+    if not math.isfinite(mse):
+        raise ValueError(f"held-out MSE is {mse}, not finite in float64")
+    return mse
 
 
 def train(
@@ -266,7 +270,8 @@ def train(
             masks = None
             if mask_bufs is not None:
                 masks = make_dropout_masks(plans, len(idx), rng, out=[buf[: len(idx)] for buf in mask_bufs])
-            loss, grads = loss_and_grad(params, plans, x[idx], y[idx], masks, ws)
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is caught below
+                loss, grads = loss_and_grad(params, plans, x[idx], y[idx], masks, ws)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, f"loss = {loss}")
             try:
@@ -276,7 +281,10 @@ def train(
             weighted += loss * len(idx)
         losses.append(weighted / n)
         if val_losses is not None:
-            val_losses.append(_mse(params, plans, *val))
+            try:
+                val_losses.append(_mse(params, plans, *val))
+            except ValueError as exc:
+                raise ValueError(f"validation at epoch {epoch}: {exc}") from None
         wall.append(time.perf_counter() - started)
         if cfg.early_stop_enabled and early_stop(losses):
             break

@@ -25,7 +25,7 @@ GOLDEN_CSV = (
     b"12.5,0.03125,0.8,-0.4,\r\n"
     b'wide,"(8,4)",2,2,1,True,0.001,1e-05,240,1.125,0.30000000000000004,1e-05,3.0,0.125,4.0,0.0,'
     b"1234567.0,0.5,,1.0,\r\n"
-    b'broken,(8),4,1,2,False,0.5,0.0,112,0.0,nan,,,,,,,,,,"ValueError: bad spec, no features"\r\n'
+    b'broken,(8),4,1,2,False,0.5,0.0,112,0.0,,,,,,,,,,,"ValueError: bad spec, no features"\r\n'
 )
 GOLDEN_TABLE = """\
 evaluation split: test

@@ -68,11 +68,11 @@ def corrupt_model(blob, kind):
     }[kind]
 
 
-def with_spec_value(blob, key, value):
-    """A copy of a model file whose header stores ``value`` under ``spec[key]``."""
+def with_spec(blob, edit):
+    """A copy of a model file whose header stores ``edit(spec)`` as its spec."""
     (h,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12 : 12 + h])
-    header["spec"][key] = value
+    header["spec"] = edit(header["spec"])
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + h :]
 
@@ -249,6 +249,23 @@ class TestTrainCommand:
         config_path = write_config(tmp_path / "train.json", config)
         assert run_cli(["train", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
         message = "error: ValueError: cannot standardize input column 'x': its std overflows float64\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "run").exists()
+
+    def test_validation_mse_that_overflows_float64_exits_1_naming_the_epoch(self, workspace, tmp_path, capsys):
+        # x = 1e307 is a valid cell of the validation split, but its squared error overflows;
+        # an inf val_loss in history.csv would hide that.
+        dataset = load_dataset(workspace / "data" / "test")
+        sim = dataset.simulations[1]
+        points = sim.points.copy()
+        points[np.flatnonzero(~sim.surface_mask)[0], 0] = 1e307
+        far = Dataset((dataset.simulations[0], Simulation(sim.name, points, sim.targets)), split_label="test")
+        write_dataset(far, tmp_path / "val")
+        config = valid_configs(workspace)["train"]
+        config["data"]["val_dir"] = str(tmp_path / "val")
+        config_path = write_config(tmp_path / "train.json", config)
+        assert run_cli(["train", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+        message = "error: ValueError: validation at epoch 0: held-out MSE is inf, not finite in float64\n"
         assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "run").exists()
 
@@ -534,8 +551,7 @@ class TestBenchCommand:
         config["train"] = {**TRAIN, "max_epochs": 3}
         config_path = write_config(tmp_path / "bench.json", config)
         out = tmp_path / "bench_out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli(["bench", "--config", config_path, "--seed", "2", "--out", str(out)]) == 1
+        assert run_cli(["bench", "--config", config_path, "--seed", "2", "--out", str(out)]) == 1
         printed = capsys.readouterr()
         assert printed.out == f"benchmarked 2 cases over splits ['test']; outputs in {out}\n"
         assert printed.err == "failed cases: ['diverges']\n"
@@ -544,7 +560,7 @@ class TestBenchCommand:
         assert (packed["name"], packed["error"]) == ("packed", "")
         assert float(packed["mse_pressure"]) >= 0.0 and float(packed["final_train_loss"]) >= 0.0
         assert diverges["name"] == "diverges" and diverges["error"].startswith("TrainingDivergedError: ")
-        assert diverges["mse_pressure"] == ""
+        assert diverges["mse_pressure"] == diverges["final_train_loss"] == ""
 
 
 class TestExitCodes:
@@ -596,6 +612,14 @@ class TestExitCodes:
         assert f"error: {scaler_path}: '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
+    def test_scaler_entry_of_the_wrong_length_is_validation_error(self, workspace, tmp_path, capsys):
+        scaler = json.loads((workspace / "run" / "scaler.json").read_text())
+        scaler["input_mean"] = scaler["input_mean"][:6]
+        code, scaler_path = self.eval_with_scaler(workspace, tmp_path, json.dumps(scaler))
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {scaler_path}: input_mean must have shape (7,), got (6,)\n")
+        assert not (tmp_path / "report").exists()
+
     def test_repeated_scaler_key_is_validation_error(self, workspace, tmp_path, capsys):
         text = (workspace / "run" / "scaler.json").read_text()
         repeated = text.replace("{", '{"target_std": [1.0, 1.0, 1.0, 1.0],', 1)
@@ -609,7 +633,8 @@ class TestExitCodes:
     )
     def test_mistyped_model_spec_is_validation_error(self, workspace, tmp_path, capsys, key, value):
         model_path = tmp_path / "model.pkmlp"
-        model_path.write_bytes(with_spec_value((workspace / "run" / "model.pkmlp").read_bytes(), key, value))
+        blob = (workspace / "run" / "model.pkmlp").read_bytes()
+        model_path.write_bytes(with_spec(blob, lambda spec: {**spec, key: value}))
         config = write_config(
             tmp_path / "eval.json",
             {
@@ -620,6 +645,32 @@ class TestExitCodes:
         )
         assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
         assert f"error: {model_path}: byte 12: spec: '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda spec: list(spec), "spec: expected a JSON object", id="list"),
+            pytest.param(
+                lambda spec: {**spec, "in_features": 0},
+                "spec: in_features and out_features must be positive",
+                id="zero-in-features",
+            ),
+        ],
+    )
+    def test_model_spec_that_is_not_a_spec_is_validation_error(self, workspace, tmp_path, capsys, edit, message):
+        model_path = tmp_path / "model.pkmlp"
+        model_path.write_bytes(with_spec((workspace / "run" / "model.pkmlp").read_bytes(), edit))
+        config = write_config(
+            tmp_path / "eval.json",
+            {
+                "model": str(model_path),
+                "scaler": str(workspace / "run" / "scaler.json"),
+                "data": {"dir": str(workspace / "data" / "test")},
+            },
+        )
+        assert run_cli(["eval", "--config", config, "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr() == ("", f"error: {model_path}: byte 12: {message}\n")
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
@@ -799,7 +850,7 @@ class TestExitCodes:
         assert run_cli(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {path}: invalid JSON" in capsys.readouterr().err
 
-    def test_runtime_failure_returns_one(self, workspace, tmp_path):
+    def test_runtime_failure_returns_one(self, workspace, tmp_path, capsys):
         config = write_config(
             tmp_path / "train.json",
             {
@@ -808,8 +859,11 @@ class TestExitCodes:
                 "data": {"train_dir": str(workspace / "data" / "train")},
             },
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+        assert run_cli(["train", "--config", config, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.count("\n") == 1
+        assert printed.err.startswith("error: TrainingDivergedError: training diverged at epoch ")
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_dataset_is_validation_error(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -1150,6 +1204,22 @@ def config_fault(command, edit, message, flags=()):
             "bench config: cases[1]: expected a JSON object",
         ),
         config_fault("cv", {"grid": []}, "cv config: 'grid' must be a non-empty list"),
+        config_fault("bench", {"cases": []}, "bench config: 'cases' must be a non-empty list"),
+        config_fault(
+            "gen",
+            gen_split(inlet_speed_range=[0, 1]),
+            "gen config: splits.train: inlet_speed_range must be positive",
+        ),
+        config_fault(
+            "train",
+            {"train": {**TRAIN, "max_epochs": -1}},
+            "train config: train: max_epochs must be non-negative, got -1",
+        ),
+        config_fault(
+            "train",
+            {"train": {**TRAIN, "batch_points": 0}},
+            "train config: train: batch_points must be positive, got 0",
+        ),
     ],
 )
 def test_config_fault_exits_2_before_any_output(workspace, tmp_path, monkeypatch, capsys, command, edit, message, flags):

@@ -121,21 +121,21 @@ class TestForceCoefficients:
         sim = surface_polygon_simulation(xy[np.random.default_rng(5).permutation(400)])
         poly = order_surface(sim)
         pressure_level = 7.5
-        fc = force_coefficients(sim, np.full(400, pressure_level))
+        fc = force_coefficients(sim, np.full((400, 4), pressure_level))
         scale = pressure_level * poly.segment_lengths.sum() / (0.5 * 10.0**2)
         assert abs(fc.drag) < 1e-10 * scale
         assert abs(fc.lift) < 1e-10 * scale
 
     def test_dalembert_zero_drag_and_lift(self):
         sim = ring_dataset(1, 2000, circulation=0.0, seed=1).simulations[0]
-        fc = force_coefficients(sim, sim.targets[sim.surface_mask, 2])
+        fc = force_coefficients(sim, sim.targets)
         assert abs(fc.drag) < 1e-3
         assert abs(fc.lift) < 1e-3
 
     def test_kutta_joukowski_lift(self):
         speed, circulation = 10.0, 5.0
         sim = ring_dataset(1, 2000, circulation, seed=2, speed=speed).simulations[0]
-        fc = force_coefficients(sim, sim.targets[sim.surface_mask, 2])
+        fc = force_coefficients(sim, sim.targets)
         lift_force_per_rho = fc.lift * 0.5 * speed**2
         # counterclockwise-positive circulation pushes the cylinder downward
         assert lift_force_per_rho == pytest.approx(-speed * circulation, rel=0.01)
@@ -145,12 +145,14 @@ class TestForceCoefficients:
         xy = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         sim = surface_polygon_simulation(xy, inlet=(0.0, 0.0))
         with pytest.raises(ValueError, match="inlet"):
-            force_coefficients(sim, np.zeros(4))
+            force_coefficients(sim, np.zeros((4, 4)))
 
-    def test_pressure_length_must_match_surface(self):
-        sim = ring_dataset(1, 32, 0.0, seed=3).simulations[0]
-        with pytest.raises(ValueError, match="surface point"):
-            force_coefficients(sim, np.zeros(31))
+    @pytest.mark.parametrize("shape", [(41, 4), (42, 3), (32,)], ids=["short", "narrow", "surface-only"])
+    def test_field_must_have_the_targets_shape(self, shape):
+        sim = ring_dataset(1, 32, 0.0, seed=3).simulations[0]  # 32 surface and 10 field points
+        with pytest.raises(ValueError) as err:
+            force_coefficients(sim, np.zeros(shape))
+        assert str(err.value) == f"simulation {sim.name!r}: field shape {shape} vs targets (42, 4)"
 
 
 class TestSpearman:
@@ -303,9 +305,8 @@ class TestEvaluate:
         report, _ = evaluate_predictions(predictions, split)
         drag_pred, drag_true = [], []
         for pred, sim in zip(predictions, split.simulations):
-            mask = sim.surface_mask
-            drag_pred.append(force_coefficients(sim, pred[mask, 2]).drag)
-            drag_true.append(force_coefficients(sim, sim.targets[mask, 2]).drag)
+            drag_pred.append(force_coefficients(sim, pred).drag)
+            drag_true.append(force_coefficients(sim, sim.targets).drag)
         assert report.spearman_drag == spearman(drag_pred, drag_true)
 
     def test_rank_metrics_scale_invariant(self, split):
@@ -402,6 +403,13 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
             evaluate_predictions([], Dataset((), split_label="test"))
+
+    @pytest.mark.parametrize("score", [coefficient_table, evaluate_predictions])
+    @pytest.mark.parametrize("count", [9, 11], ids=["one-short", "one-over"])
+    def test_prediction_list_of_another_length_than_the_split_rejected(self, split, score, count):
+        targets = [sim.targets for sim in split.simulations]
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+            score((targets * 2)[:count], split)
 
     def test_report_json_round_trip(self, split, tmp_path):
         import json

@@ -15,7 +15,7 @@ import pytest
 from helpers import cylinder_dataset, field_dataset, linear_target_dataset
 
 from packedflow import packed_net, training
-from packedflow.data import fit_scaler
+from packedflow.data import Dataset, Simulation, fit_scaler
 from packedflow.packed_net import PackedSpec, Params, init_params, plan_layers
 from packedflow.training import (
     ADAM_BETA1,
@@ -219,22 +219,47 @@ class TestTrain:
         # Adam updates are scale-normalized, so the rate must be absurd enough
         # that squared outputs overflow float64.
         cfg = TrainConfig(learning_rate=1e100, max_epochs=50, batch_points=16, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
+        with pytest.raises(TrainingDivergedError) as err:
             train(spec, dataset, None, fit_scaler(dataset), cfg)
         assert err.value.epoch >= 0
 
     def test_divergence_on_pool_workers_raises_with_epoch(self, monkeypatch, pool_width):
         # Four one-estimator blocks on two workers, each long enough that the pool thread takes
-        # some: a matmul there overflows, and it must run under the caller's errstate (numpy
-        # keeps that in a context variable), or the suite's warnings-as-errors would raise it.
+        # some: a matmul there overflows, and it must run under train's errstate (numpy keeps
+        # that in a context variable), or the suite's warnings-as-errors would raise it.
         pool_width(2)
         monkeypatch.setattr(packed_net, "_estimator_block", lambda plans, rows: 1)
         dataset = linear_target_dataset(num_sims=2, num_points=1024, seed=3)
         spec = PackedSpec(4, 1, 1, (64, 64))
         cfg = TrainConfig(learning_rate=1e100, max_epochs=50, batch_points=2048, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
+        with pytest.raises(TrainingDivergedError) as err:
             train(spec, dataset, None, fit_scaler(dataset), cfg)
         assert err.value.epoch >= 0
+
+    def test_finite_loss_with_a_nan_gradient_diverges_naming_the_layer(self, monkeypatch):
+        dataset = field_dataset(2, num_points=20, seed=4)
+
+        def nan_in_layer_1(params, plans, x, y, masks, ws):
+            grads = Params(np.zeros_like(params.flat), params.shapes)
+            grads.weights[1][0, 0, 0] = float("nan")
+            return 0.5, grads
+
+        monkeypatch.setattr(training, "loss_and_grad", nan_in_layer_1)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3, batch_points=16, seed=0)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(PackedSpec(2, 1, 1, (8, 8)), dataset, None, fit_scaler(dataset), cfg)
+        assert str(err.value) == "training diverged at epoch 0: non-finite gradient in layer 1"
+        assert err.value.epoch == 0
+
+    def test_held_out_mse_that_overflows_float64_raises(self):
+        dataset = field_dataset(2, num_points=20, seed=4)
+        sim = dataset.simulations[0]
+        points = sim.points.copy()
+        points[0, 0] = 1e307
+        far = Dataset((Simulation(sim.name, points, sim.targets),), split_label="test")
+        plans = plan_layers(PackedSpec(2, 1, 1, (8,)))
+        with pytest.raises(ValueError, match=r"^held-out MSE is inf, not finite in float64$"):
+            scaled_mse(init_params(plans, 0), plans, fit_scaler(dataset), far)
 
     def test_early_stop_fires_at_window_plus_one(self):
         dataset = field_dataset(2, num_points=20, seed=4)
