@@ -195,19 +195,18 @@ def mean_relative_error(pred, truth) -> float:
 
 
 def predict_simulation(params: Params, plans, scaler: ScalerPair, sim: Simulation) -> np.ndarray:
-    """Model prediction for one simulation in physical units.
+    """Model prediction for one simulation in physical units, under one error state that hides overflow.
 
     Inputs too large for float64 once standardized (a tiny ``input_std``, say)
-    raise ``ValueError`` naming the simulation.  A prediction too large for
-    float64 in physical units becomes an infinity, which
-    :func:`evaluate_predictions` rejects naming the simulation.
+    raise ``ValueError`` naming the simulation.  A prediction that overflows,
+    in the network or in physical units, is non-finite, and
+    :func:`evaluate_predictions` rejects it naming the simulation.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         scaled = apply_scaler(scaler, sim.points, "forward", "inputs")
-    if not np.isfinite(scaled).all():
-        raise ValueError(f"simulation {sim.name!r}: inputs are too large for float64 once standardized")
-    out = forward(params, plans, scaled)
-    with np.errstate(over="ignore"):
+        if not np.isfinite(scaled).all():
+            raise ValueError(f"simulation {sim.name!r}: inputs are too large for float64 once standardized")
+        out = forward(params, plans, scaled)
         return apply_scaler(scaler, out.mean_output, "inverse", "targets")
 
 
@@ -254,9 +253,9 @@ def null_reasons(table) -> dict[str, str]:
 def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> tuple[EvalReport, list[CoefficientRow]]:
     """Score precomputed physical-unit predictions, one per simulation.
 
-    Returns the metric suite and the per-simulation coefficient table it was
-    built from (see :func:`coefficient_table`).  A list of another length than
-    the split, or a prediction that is misshapen or too large to score, raises ``ValueError``.
+    Returns the metric suite and the :func:`coefficient_table` it built first,
+    which rejects a list of another length than the split and a misshapen
+    prediction; one non-finite or too large to score then raises ``ValueError``.
     """
     if not dataset.simulations:
         raise ValueError("cannot evaluate an empty dataset")
@@ -264,25 +263,19 @@ def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> tup
     count = 0
     surface_sq_sum = 0.0
     surface_count = 0
-    for pred, sim in zip(predictions, dataset.simulations, strict=True):
-        pred = np.asarray(pred, dtype=np.float64)
-        if pred.shape != sim.targets.shape:
-            raise ValueError(
-                f"simulation {sim.name!r}: prediction shape {pred.shape} vs targets {sim.targets.shape}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = coefficient_table(predictions, dataset)
+        for pred, sim in zip(predictions, dataset.simulations, strict=True):
             diff = pred - sim.targets
             sq = (diff * diff).sum(axis=0)
-        if not np.isfinite(sq).all():
-            raise ValueError(f"simulation {sim.name!r}: prediction is non-finite or too large to score")
-        sq_sum += sq
-        count += sim.num_points
-        surface_diff = diff[sim.surface_mask, 2]
-        surface_sq_sum += float(surface_diff @ surface_diff)
-        surface_count += int(sim.surface_mask.sum())
+            if not np.isfinite(sq).all():
+                raise ValueError(f"simulation {sim.name!r}: prediction is non-finite or too large to score")
+            sq_sum += sq
+            count += sim.num_points
+            surface_diff = diff[sim.surface_mask, 2]
+            surface_sq_sum += float(surface_diff @ surface_diff)
+            surface_count += len(surface_diff)
     mse = sq_sum / count
-
-    table = coefficient_table(predictions, dataset)
     undefined = null_reasons(table)  # null at every zero reference, so no relative error meets one
 
     def unless_null(field, score, quantity):

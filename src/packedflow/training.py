@@ -163,28 +163,33 @@ def adam_step(
     Weight decay enters as coupled L2 (gradient += weight_decay * param)
     before the moment updates, and never touches biases.  ``params`` and
     ``state`` are updated in place and returned; ``grads`` is left unchanged.
-    A non-finite gradient raises ``ValueError`` before anything is written.
+    A gradient that is not finite, or whose square overflows float64, raises
+    ``ValueError`` naming its layer before anything is written: the update
+    first computes ``(1 - beta2) * g**2`` into its scratch and checks it.
     The values are those of the textbook formula, evaluated in the same order.
     """
-    bad = grads.non_finite_layer()
-    if bad is not None:
-        raise ValueError(f"non-finite gradient in layer {bad}")
+    g, tmp = state.scratch
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copyto(g, grads.flat)
+        for g_w, w in zip(Params(g, params.shapes).weights, params.weights):
+            g_w += np.multiply(weight_decay, w, out=tmp[: w.size].reshape(w.shape))
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+    if not np.isfinite(tmp).all():
+        bad = grads.non_finite_layer()
+        if bad is not None:
+            raise ValueError(f"non-finite gradient in layer {bad}")
+        bad = Params(tmp, params.shapes).non_finite_layer()
+        raise ValueError(f"gradient in layer {bad} is too large to square in float64")
 
     t = state.step_count + 1
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
-
-    g, tmp = state.scratch
-    np.copyto(g, grads.flat)
-    for g_w, w in zip(Params(g, params.shapes).weights, params.weights):
-        g_w += np.multiply(weight_decay, w, out=tmp[: w.size].reshape(w.shape))
     m, v = state.first_moment, state.second_moment
+    v *= ADAM_BETA2
+    v += tmp
     m *= ADAM_BETA1
     m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
-    v *= ADAM_BETA2
-    np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - ADAM_BETA2
-    v += tmp
     m_hat = np.divide(m, correction1, out=tmp)
     sqrt_v_hat = np.sqrt(np.divide(v, correction2, out=g), out=g)
     sqrt_v_hat += ADAM_EPSILON
@@ -207,12 +212,18 @@ def early_stop(history: list[float]) -> bool:
 
 
 def pooled_scaled_arrays(dataset: Dataset, scaler: ScalerPair) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized (inputs, targets) pooled over all points of all simulations."""
+    """Standardized (inputs, targets) pooled over all points of all simulations.
+
+    Either one too large for float64 once standardized raises ``ValueError`` naming it.
+    """
     points, targets = _pooled(dataset)
-    return (
-        apply_scaler(scaler, points, "forward", "inputs"),
-        apply_scaler(scaler, targets, "forward", "targets"),
-    )
+    with np.errstate(over="ignore"):
+        x = apply_scaler(scaler, points, "forward", "inputs")
+        y = apply_scaler(scaler, targets, "forward", "targets")
+    for which, values in (("inputs", x), ("targets", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{which} are too large for float64 once standardized")
+    return x, y
 
 
 def scaled_mse(params: Params, plans, scaler: ScalerPair, dataset: Dataset) -> float:
@@ -251,7 +262,10 @@ def train(
     params = init_params(plans, cfg.seed)
     state = init_adam_state(params)
     x, y = pooled_scaled_arrays(train_data, scaler)
-    val = pooled_scaled_arrays(val_data, scaler) if val_data is not None else None
+    try:
+        val = pooled_scaled_arrays(val_data, scaler) if val_data is not None else None
+    except ValueError as exc:
+        raise ValueError(f"validation data: {exc}") from None
     n = len(x)
     rng = np.random.default_rng([cfg.seed, 1])
     # One set of buffers for every step; a short last batch uses their leading rows.

@@ -269,6 +269,40 @@ class TestTrainCommand:
         assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "run").exists()
 
+    def test_validation_target_that_overflows_its_standardization_exits_1(self, workspace, tmp_path, capsys):
+        # nut = 1e308 is a valid cell, but divided by the training split's small nut std it
+        # overflows; the run must name the validation data, not blame an infinite MSE.
+        dataset = load_dataset(workspace / "data" / "test")
+        sim = dataset.simulations[1]
+        targets = sim.targets.copy()
+        targets[np.flatnonzero(~sim.surface_mask)[0], 3] = 1e308
+        far = Dataset((dataset.simulations[0], Simulation(sim.name, sim.points, targets)), split_label="test")
+        write_dataset(far, tmp_path / "val")
+        config = valid_configs(workspace)["train"]
+        config["data"]["val_dir"] = str(tmp_path / "val")
+        config_path = write_config(tmp_path / "train.json", config)
+        assert run_cli(["train", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+        message = "error: ValueError: validation data: targets are too large for float64 once standardized\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "run").exists()
+
+    def test_gradient_whose_square_overflows_exits_1_naming_the_layer(self, workspace, tmp_path, capsys):
+        # At learning rate 1e10 a deep net's gradients grow until their squares overflow
+        # Adam's second moment; the run must stop there rather than exit 0 with inf moments.
+        config = valid_configs(workspace)["train"]
+        shipped = json.loads((Path(__file__).resolve().parents[1] / "configs" / "train.json").read_text())
+        config["spec"] = shipped["spec"]
+        config["train"] = {"learning_rate": 1e10, "max_epochs": 10, "batch_points": 64}
+        config_path = write_config(tmp_path / "train.json", config)
+        assert run_cli(["train", "--config", config_path, "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == (
+            "error: TrainingDivergedError: training diverged at epoch 0: "
+            "gradient in layer 0 is too large to square in float64\n"
+        )
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvalCommand:
     def test_saved_model_reproduces_in_process_evaluation(self, workspace):
@@ -820,6 +854,31 @@ class TestExitCodes:
         assert code == 1
         name = load_dataset(workspace / "data" / "test").simulations[0].name
         message = f"error: ValueError: simulation '{name}': inputs are too large for float64 once standardized\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("split", ["sample", "two-row-blocks"])
+    def test_model_whose_activations_overflow_exits_1_naming_the_simulation(
+        self, workspace, tmp_path, capsys, pool_width, split
+    ):
+        # Finite weights scaled by 1e120 overflow float64 by the third layer, with inf - inf
+        # in the same GEMM; no RuntimeWarning may surface, from a pool worker either.
+        spec = PackedSpec(2, 2, 1, (8, 8))
+        params = init_params(plan_layers(spec), 0)
+        params.flat *= 1e120
+        save_params(tmp_path / "model.pkmlp", spec, params)
+        data_dir = workspace / "data" / "test"
+        if split == "two-row-blocks":  # 2064 rows: forward deals two row blocks to two workers
+            pool_width(2)
+            data_dir = tmp_path / "data"
+            large = cylinder_dataset(1, surface_points=64, field_points=2000, seed=5, split_label="test")
+            write_dataset(large, data_dir)
+        config = valid_configs(workspace)["eval"]
+        config["model"], config["data"]["dir"] = str(tmp_path / "model.pkmlp"), str(data_dir)
+        config_path = write_config(tmp_path / "eval.json", config)
+        assert run_cli(["eval", "--config", config_path, "--out", str(tmp_path / "report")]) == 1
+        name = load_dataset(data_dir).simulations[0].name
+        message = f"error: ValueError: simulation '{name}': prediction is non-finite or too large to score\n"
         assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "report").exists()
 

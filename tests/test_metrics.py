@@ -400,6 +400,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"^simulation '{name}': prediction is non-finite or too large to score$"):
             evaluate_predictions(predictions, split)
 
+    @pytest.mark.parametrize("shape", [(64, 3), (63, 4)], ids=["narrow", "short"])
+    def test_misshapen_prediction_gives_the_field_shape_message(self, split, shape):
+        # One shape rule, force_coefficients', names the simulation for every scorer.
+        predictions = [sim.targets for sim in split.simulations]
+        predictions[4] = np.zeros(shape)
+        sim = split.simulations[4]
+        with pytest.raises(ValueError) as err:
+            evaluate_predictions(predictions, split)
+        assert str(err.value) == f"simulation {sim.name!r}: field shape {shape} vs targets {sim.targets.shape}"
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
             evaluate_predictions([], Dataset((), split_label="test"))

@@ -154,6 +154,28 @@ class TestAdamInPlace:
         assert [a.tobytes() for a in (params.flat, state.first_moment, state.second_moment)] == saved
         assert state.step_count == 1
 
+    @pytest.mark.parametrize(
+        "nan_layer, message",
+        [(None, "gradient in layer 1 is too large to square in float64"), (3, "non-finite gradient in layer 3")],
+        ids=["square-overflows", "nan-elsewhere"],
+    )
+    def test_gradient_whose_square_overflows_writes_nothing(self, nan_layer, message):
+        # 1e200 is finite, but its square is not; a non-finite gradient elsewhere keeps its message.
+        params, _, rng = self.case(3)
+        state = init_adam_state(params)
+        grads = Params(np.zeros_like(params.flat), params.shapes)
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        adam_step(params, grads, state, 0.01)
+        saved = [a.tobytes() for a in (params.flat, state.first_moment, state.second_moment)]
+        grads.biases[1][0] = 1e200
+        if nan_layer is not None:
+            grads.weights[nan_layer][0, 0, 0] = float("nan")
+        with pytest.raises(ValueError) as err:
+            adam_step(params, grads, state, 0.01)
+        assert str(err.value) == message
+        assert [a.tobytes() for a in (params.flat, state.first_moment, state.second_moment)] == saved
+        assert state.step_count == 1
+
 
 class TestEarlyStop:
     def test_insufficient_history(self):
@@ -260,6 +282,23 @@ class TestTrain:
         plans = plan_layers(PackedSpec(2, 1, 1, (8,)))
         with pytest.raises(ValueError, match=r"^held-out MSE is inf, not finite in float64$"):
             scaled_mse(init_params(plans, 0), plans, fit_scaler(dataset), far)
+
+    @pytest.mark.parametrize("which, column", [("inputs", 4), ("targets", 3)])
+    def test_fold_that_overflows_its_standardization_raises_naming_it(self, which, column):
+        # A cell at float64's largest value overflows once divided by a std below 1.
+        dataset = field_dataset(2, num_points=20, seed=4)
+        train_data = Dataset(
+            tuple(Simulation(s.name, s.points, 0.01 * s.targets) for s in dataset.simulations), split_label="train"
+        )
+        scaler = fit_scaler(train_data)
+        assert scaler.input_std[4] < 1 and scaler.target_std[3] < 1
+        sim = dataset.simulations[0]
+        points, targets = sim.points.copy(), sim.targets.copy()
+        (points if which == "inputs" else targets)[0, column] = np.finfo(np.float64).max
+        fold = Dataset((Simulation(sim.name, points, targets),), split_label="test")
+        plans = plan_layers(PackedSpec(2, 1, 1, (8,)))
+        with pytest.raises(ValueError, match=f"^{which} are too large for float64 once standardized$"):
+            scaled_mse(init_params(plans, 0), plans, scaler, fold)
 
     def test_early_stop_fires_at_window_plus_one(self):
         dataset = field_dataset(2, num_points=20, seed=4)
