@@ -65,9 +65,9 @@ def _path(base: Path, obj: dict, key: str, where: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
-def _read_spec(obj, where: str) -> PackedSpec:
-    """A config's spec section; its widths are the point schema's, not keys."""
-    return _read(PackedSpec, obj, where, in_features=len(INPUT_COLUMNS), out_features=len(TARGET_COLUMNS))
+def _read_spec(obj, where: str, **given) -> PackedSpec:
+    """A config's spec section; its widths are the point schema's and the ``given`` fields are set, not keys."""
+    return _read(PackedSpec, obj, where, in_features=len(INPUT_COLUMNS), out_features=len(TARGET_COLUMNS), **given)
 
 
 def _cmd_gen(args) -> int:
@@ -128,7 +128,7 @@ def _cmd_cv(args) -> int:
         optional=("k", "subsample_fraction"),
     )
     _check_keys(config["data"], "cv config: data", required=("train_dir",))
-    base_spec = _read_spec(config["base_spec"], "cv config: base_spec")
+    base_spec = _read_spec(config["base_spec"], "cv config: base_spec", dropout_enabled=False)
     cfg = _read(TrainConfig, config["train"], "cv config: train", seed=args.seed)
     if not isinstance(config["grid"], list) or not config["grid"]:
         raise ConfigError("cv config: 'grid' must be a non-empty list")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import ConfigError, _read, is_file_name, read_json, write_json
+from .formats import ConfigError, _check_keys, _read, is_file_name, read_json, write_json
 
 __all__ = [
     "INPUT_COLUMNS",
@@ -68,7 +68,7 @@ _WRITE_BLOCK_ROWS = 4096
 
 
 class SimulationParseError(ConfigError):
-    """A malformed simulation CSV or manifest, so a ``ConfigError``; carries the 1-based CSV row and column, if any."""
+    """A malformed simulation CSV or manifest value (a ``ConfigError``), with its 1-based CSV row and column, if any."""
 
     def __init__(self, path, row: int | None, column: str | None, message: str):
         location = ""
@@ -292,7 +292,8 @@ def write_simulation(sim: Simulation, path) -> None:
 
 
 def load_dataset(directory) -> Dataset:
-    """Load a dataset directory: manifest.json plus the simulation CSVs it lists."""
+    """Load a dataset directory: manifest.json, holding exactly the keys ``split_label`` and
+    ``simulations``, plus the simulation CSVs it lists (a fault is a ``ConfigError``)."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
 
@@ -300,9 +301,7 @@ def load_dataset(directory) -> Dataset:
         return SimulationParseError(manifest_path, None, None, message)
 
     manifest = read_json(manifest_path)
-    for key in ("split_label", "simulations"):
-        if key not in manifest:
-            raise fault(f"missing manifest key {key!r}")
+    _check_keys(manifest, str(manifest_path), required=("split_label", "simulations"))
     if manifest["split_label"] not in SPLIT_LABELS:
         raise fault(f"split_label must be one of {SPLIT_LABELS}, got {manifest['split_label']!r}")
     names = manifest["simulations"]

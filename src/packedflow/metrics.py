@@ -117,10 +117,10 @@ def order_surface(sim: Simulation) -> SurfacePolyline:
 def force_coefficients(sim: Simulation, field: np.ndarray) -> ForceCoefficients:
     """Integrate the surface pressure of a per-point field into drag and lift coefficients.
 
-    ``field`` is shaped like ``sim.targets`` (a prediction, or the targets);
-    its p/rho column is read on the :func:`order_surface` polygon.  The force
-    F/rho = -sum p n l with outward unit normals; drag and lift are its x and
-    y components over the dynamic pressure from the inlet velocity.
+    ``field`` is shaped like ``sim.targets`` (a prediction, or the targets); its p/rho
+    column is read on the :func:`order_surface` polygon.  The force F/rho = -sum p n l
+    with outward unit normals; drag and lift are its x and y components over the dynamic
+    pressure from the inlet velocity, which every point must state alike.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.shape != sim.targets.shape:
@@ -131,6 +131,8 @@ def force_coefficients(sim: Simulation, field: np.ndarray) -> ForceCoefficients:
     force = -(p[:, None] * normals * polyline.segment_lengths[:, None]).sum(axis=0)
 
     inlet = sim.points[0, 2:4]
+    if (sim.points[:, 2:4] != inlet).any():
+        raise ValueError(f"simulation {sim.name!r}: inlet velocity differs between points")
     dynamic_pressure = 0.5 * float(inlet @ inlet)
     if dynamic_pressure == 0.0:
         raise ValueError(f"simulation {sim.name!r}: zero inlet speed, coefficients undefined")
@@ -142,10 +144,10 @@ def force_coefficients(sim: Simulation, field: np.ndarray) -> ForceCoefficients:
 def check_scorable(dataset: Dataset, where) -> None:
     """Raise ``ConfigError`` unless every simulation of the split can be scored.
 
-    Runs :func:`force_coefficients` on each simulation's ``targets``, so a
-    split fails here exactly where :func:`coefficient_table` would on it: fewer
-    than 3 surface points, coincident surface points, or zero inlet speed.  The
-    message names ``where`` and the simulation.
+    Runs :func:`force_coefficients` on each simulation's ``targets``, so a split fails
+    here exactly where :func:`coefficient_table` would on it: fewer than 3 surface points,
+    coincident surface points, an inlet velocity that differs between points, or zero
+    inlet speed.  The message names ``where`` and the simulation.
     """
     for sim in dataset.simulations:
         try:

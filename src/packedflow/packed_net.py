@@ -717,8 +717,9 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     """Read a model file written by :func:`save_params` (bit-exact).
 
     A malformed file raises ``ConfigError`` naming the path and the byte offset
-    of the fault; every length is checked before the bytes are read.  A NaN or an
-    infinity among the parameters (``save_params`` writes none) is such a fault.
+    of the fault; every length is checked before the bytes are read.  The header must be
+    the bytes ``save_params`` writes for its spec (a difference names its first byte), and
+    a NaN or an infinity among the parameters (``save_params`` writes none) is a fault.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -736,14 +737,14 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     if offset > len(blob):
         raise fault(len(_MODEL_MAGIC), f"header length {header_len} runs past the end of the file")
     header = decode_json(blob[start:offset], f"{path}: byte {start}: header")
-    if "spec" not in header or "plans" not in header:
-        raise fault(start, "header must hold 'spec' and 'plans'")
     if header.get("format_version") != MODEL_FORMAT_VERSION:
         raise fault(start, f"unsupported format version {header.get('format_version')}")
-    spec = PackedSpec.from_dict(header["spec"], f"{path}: byte {start}: spec")
+    spec = PackedSpec.from_dict(header.get("spec"), f"{path}: byte {start}: spec")
     plans = plan_layers(spec)
-    if [p.to_dict() for p in plans] != header["plans"]:
-        raise fault(start, "layer plan table does not match the stored spec")
+    canonical = _header_bytes(spec, plans)
+    if blob[start:offset] != canonical:
+        same = len(os.path.commonprefix([blob[start:offset], canonical]))
+        raise fault(start + same, "header differs from the one save_params writes for its spec")
     expected = 8 * param_count(plans)
     if len(blob) - offset < expected:
         raise fault(offset, f"parameter data holds {len(blob) - offset} bytes, the spec needs {expected}")

@@ -360,6 +360,13 @@ def zero_inlet_speed(sim):
     return Simulation(sim.name, points, sim.targets)
 
 
+def first_inlet_doubled(sim):
+    """``sim`` with the inlet velocity of its first point alone doubled."""
+    points = sim.points.copy()
+    points[0, 2:4] *= 2.0
+    return Simulation(sim.name, points, sim.targets)
+
+
 def linear_target_dataset(num_sims=4, num_points=200, seed=0):
     """Targets are a fixed affine map of the features: exactly learnable."""
     rng = np.random.default_rng(seed)

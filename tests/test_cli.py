@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
 import shutil
 import struct
 import typing
@@ -12,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import coincident_surface_points, cylinder_dataset, two_surface_points, zero_inlet_speed
+from helpers import (
+    coincident_surface_points,
+    cylinder_dataset,
+    first_inlet_doubled,
+    two_surface_points,
+    zero_inlet_speed,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,33 +45,44 @@ def directory_snapshot(root):
     }
 
 
+NOT_CANONICAL = "header differs from the one save_params writes for its spec"
+
+
 def corrupt_model(blob, kind):
     """A damaged copy of a model file, the byte offset its fault is reported at and the message's start."""
     (h,) = struct.unpack_from("<I", blob, 8)
     header, params = blob[12 : 12 + h], blob[12 + h :]
-    repeated = header.replace(b'{"format_version":1,', b'{"format_version":1,"format_version":1,', 1)
+
+    def edited(old, new):
+        """The file with the header's first ``old`` replaced by ``new``, and the offset of the first changed byte."""
+        changed = header.replace(old, new, 1)
+        at = header.index(old) + len(os.path.commonprefix([old, new]))
+        return blob[:8] + struct.pack("<I", len(changed)) + changed + params, 12 + at
+
     return {
         "under-12-bytes": (blob[:10], 10, "file ends inside the 12-byte magic and header length"),
         "long-header": (blob[:8] + struct.pack("<I", 10**6) + blob[12:], 8, "header length 1000000 runs past"),
         "header-not-utf8": (blob[:12] + b"\xff" + blob[13:], 12, "header: invalid JSON ('utf-8' codec can't decode"),
         "array": (blob[:12] + b"[" + b" " * (h - 2) + b"]" + params, 12, "header: top level must be a JSON object"),
-        "no-plans": (blob[:12] + header.replace(b'"plans"', b'"plan_"') + params, 12, "header must hold 'spec' and"),
+        "no-plans": (*edited(b'"plans"', b'"plan_"'), NOT_CANONICAL),
         "repeated-key": (
-            blob[:8] + struct.pack("<I", len(repeated)) + repeated + params,
+            edited(b'{"format_version":1,', b'{"format_version":1,"format_version":1,')[0],
             12,
             "header: invalid JSON (repeated key 'format_version')",
         ),
         "short-parameters": (blob[:-8], 12 + h, "parameter data holds"),
         "format-version-2": (
-            blob[:12] + header.replace(b'"format_version":1', b'"format_version":2', 1) + params,
+            edited(b'"format_version":1', b'"format_version":2')[0],
             12,
             "unsupported format version 2",
         ),
-        "plans-disagree-with-spec": (
-            blob[:12] + header.replace(b'"role":"first"', b'"role":"final"', 1) + params,
-            12,
-            "layer plan table does not match the stored spec",
-        ),
+        "plans-disagree-with-spec": (*edited(b'"role":"first"', b'"role":"final"'), NOT_CANONICAL),
+        # Each of these decodes to the same spec and plans, so only the byte comparison refuses it.
+        "format-version-true": (*edited(b'"format_version":1', b'"format_version":true'), NOT_CANONICAL),
+        "format-version-1.0": (*edited(b'"format_version":1', b'"format_version":1.0'), NOT_CANONICAL),
+        "plan-value-2.0": (*edited(b'"groups":2', b'"groups":2.0'), NOT_CANONICAL),
+        "unknown-header-key": (*edited(b'{"format_version"', b'{"comment":0,"format_version"'), NOT_CANONICAL),
+        "dropout-p-with-dropout-off": (*edited(b'"dropout_p":0.2', b'"dropout_p":0.5'), NOT_CANONICAL),
     }[kind]
 
 
@@ -719,6 +737,11 @@ class TestExitCodes:
             "short-parameters",
             "format-version-2",
             "plans-disagree-with-spec",
+            "format-version-true",
+            "format-version-1.0",
+            "plan-value-2.0",
+            "unknown-header-key",
+            "dropout-p-with-dropout-off",
         ],
     )
     def test_corrupt_model_file_is_validation_error(self, workspace, tmp_path, capsys, kind):
@@ -747,7 +770,12 @@ class TestExitCodes:
                 id="not-utf8",
             ),
             pytest.param(b"[]", "top level must be a JSON object", id="not-object"),
-            pytest.param(b'{"split_label": "test"}', "missing manifest key 'simulations'", id="missing-key"),
+            pytest.param(b'{"split_label": "test"}', "missing keys ['simulations']", id="missing-key"),
+            pytest.param(
+                b'{"split_label": "test", "simulations": ["sim.csv"], "simulation": ["sim.csv"]}',
+                "unknown keys ['simulation']",
+                id="unknown-key",
+            ),
             pytest.param(
                 b'{"split_label": "val", "simulations": ["sim.csv"]}', "split_label must be one of", id="unknown-split"
             ),
@@ -1019,7 +1047,6 @@ def fault(command, path, value, where):
         fault("train", ("spec", "hidden_widths"), "64", "train config: spec: 'hidden_widths'"),
         fault("train", ("spec", "alpha"), 2.9, "train config: spec: 'alpha'"),
         fault("train", ("spec", "dropout_enabled"), "false", "train config: spec: 'dropout_enabled'"),
-        fault("cv", ("base_spec", "dropout_enabled"), "false", "cv config: base_spec: 'dropout_enabled'"),
         fault("train", ("train", "max_epochs"), 1.5, "train config: train: 'max_epochs'"),
         fault("train", ("train", "early_stop_enabled"), "false", "train config: train: 'early_stop_enabled'"),
         fault("train", ("train", "learning_rate"), True, "train config: train: 'learning_rate'"),
@@ -1196,6 +1223,7 @@ def removed(command, path, key, value, where):
         removed("train", ("spec",), "out_features", 4, "train config: spec"),
         removed("cv", ("base_spec",), "in_features", 7, "cv config: base_spec"),
         removed("cv", ("base_spec",), "out_features", 4, "cv config: base_spec"),
+        removed("cv", ("base_spec",), "dropout_enabled", False, "cv config: base_spec"),
         removed("bench", ("cases", 0, "spec"), "in_features", 7, "bench config: cases[0]: 'spec'"),
         removed("bench", ("cases", 0, "spec"), "out_features", 4, "bench config: cases[0]: 'spec'"),
         removed("gen", ("splits", "test_ood"), "ood", True, "gen config: splits.test_ood"),
@@ -1203,7 +1231,8 @@ def removed(command, path, key, value, where):
 )
 def test_fixed_rule_is_not_a_config_key(workspace, tmp_path, monkeypatch, capsys, command, path, key, value, where):
     # Even the fixed value itself is rejected: the early-stop rule, bench's every-epoch runs,
-    # the point schema's widths and a gen split's shift (from its name) are not settable.
+    # the point schema's widths, cv's dropout (set by each grid row) and a gen split's shift
+    # (from its name) are not settable.
     config = copy.deepcopy(valid_configs(workspace)[command])
     section = config
     for step in path:
@@ -1404,6 +1433,7 @@ UNSCORABLE = {
     "two-surface-points": (two_surface_points, "need at least 3 surface points, have 2"),
     "coincident": (coincident_surface_points, "coincident surface points, segment lengths must be positive"),
     "zero-inlet-speed": (zero_inlet_speed, "zero inlet speed, coefficients undefined"),
+    "inlet-velocity-differs": (first_inlet_doubled, "inlet velocity differs between points"),
 }
 
 

@@ -7,6 +7,7 @@ from helpers import (
     coincident_surface_points,
     cylinder_dataset,
     field_simulation,
+    first_inlet_doubled,
     naive_average_ranks,
     naive_spearman,
     two_surface_points,
@@ -147,6 +148,12 @@ class TestForceCoefficients:
         with pytest.raises(ValueError, match="inlet"):
             force_coefficients(sim, np.zeros((4, 4)))
 
+    def test_inlet_velocity_must_be_one_per_simulation(self):
+        sim = first_inlet_doubled(ring_dataset(1, 32, 0.0, seed=3).simulations[0])
+        with pytest.raises(ValueError) as err:
+            force_coefficients(sim, sim.targets)
+        assert str(err.value) == f"simulation {sim.name!r}: inlet velocity differs between points"
+
     @pytest.mark.parametrize("shape", [(41, 4), (42, 3), (32,)], ids=["short", "narrow", "surface-only"])
     def test_field_must_have_the_targets_shape(self, shape):
         sim = ring_dataset(1, 32, 0.0, seed=3).simulations[0]  # 32 surface and 10 field points
@@ -241,6 +248,7 @@ FAULTS = [
     lambda sim: coincident_surface_points(sim, 2),
     coincident_surface_points,
     zero_inlet_speed,
+    first_inlet_doubled,
 ]
 
 

@@ -887,6 +887,25 @@ class TestSerialization:
         save_params(tmp_path / "again.pkmlp", spec, loaded)
         assert (tmp_path / "again.pkmlp").read_bytes() == expected
 
+    def test_every_single_byte_change_of_the_header_is_refused(self, tmp_path):
+        spec = PackedSpec(2, 2, 1, (6,))  # dropout off, so a header's dropout_p is not read as a spec field
+        path = tmp_path / "model.pkmlp"
+        save_params(path, spec, init_params(plan_layers(spec), 0))
+        blob = path.read_bytes()
+        loaded_spec, _, loaded = load_params(path)
+        save_params(tmp_path / "again.pkmlp", loaded_spec, loaded)
+        assert (tmp_path / "again.pkmlp").read_bytes() == blob
+        (h,) = struct.unpack_from("<I", blob, 8)
+        copy_path = tmp_path / "changed.pkmlp"
+        for at in range(12, 12 + h):
+            # "5" turns any digit into another (0.2 into 0.5), " " pads a value, b ^ 1 flips a letter.
+            for value in {ord("5"), ord(" "), blob[at] ^ 1} - {blob[at]}:
+                copy_path.write_bytes(blob[:at] + bytes([value]) + blob[at + 1 :])
+                with pytest.raises(ConfigError) as err:
+                    load_params(copy_path)
+                offset = int(re.match(rf"{re.escape(str(copy_path))}: byte (\d+): ", str(err.value))[1])
+                assert 12 <= offset < 12 + h, (at, value, str(err.value))
+
     @settings(max_examples=25, deadline=None)
     @given(SPECS, st.integers(0, 2**32 - 1))
     def test_round_trip_bit_exact_property(self, tmp_path_factory, spec, seed):
