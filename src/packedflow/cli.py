@@ -65,6 +65,12 @@ def _path(base: Path, obj: dict, key: str, where: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _dirs(base: Path, config: dict, where: str, required, optional=()) -> dict[str, Path]:
+    """The directories of the ``data`` section of ``config`` by key, its keys checked, each read by :func:`_path`."""
+    _check_keys(config["data"], f"{where}: data", required, optional)
+    return {key: _path(base, config["data"], key, f"{where}: data") for key in config["data"]}
+
+
 def _read_spec(obj, where: str, **given) -> PackedSpec:
     """A config's spec section; its widths are the point schema's and the ``given`` fields are set, not keys."""
     return _read(PackedSpec, obj, where, in_features=len(INPUT_COLUMNS), out_features=len(TARGET_COLUMNS), **given)
@@ -99,14 +105,12 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "train config", required=("spec", "train", "data"))
-    _check_keys(config["data"], "train config: data", required=("train_dir",), optional=("val_dir",))
+    dirs = _dirs(base, config, "train config", required=("train_dir",), optional=("val_dir",))
     spec = _read_spec(config["spec"], "train config: spec")
     cfg = _read(TrainConfig, config["train"], "train config: train", seed=args.seed)
 
-    train_data = load_dataset(_path(base, config["data"], "train_dir", "train config: data"))
-    val_data = None
-    if "val_dir" in config["data"]:
-        val_data = load_dataset(_path(base, config["data"], "val_dir", "train config: data"))
+    train_data = load_dataset(dirs["train_dir"])
+    val_data = load_dataset(dirs["val_dir"]) if "val_dir" in dirs else None
     scaler = fit_scaler(train_data)
     params, history = train(spec, train_data, val_data, scaler, cfg)
 
@@ -127,7 +131,7 @@ def _cmd_cv(args) -> int:
         required=("base_spec", "train", "grid", "data"),
         optional=("k", "subsample_fraction"),
     )
-    _check_keys(config["data"], "cv config: data", required=("train_dir",))
+    train_dir = _dirs(base, config, "cv config", required=("train_dir",))["train_dir"]
     base_spec = _read_spec(config["base_spec"], "cv config: base_spec", dropout_enabled=False)
     cfg = _read(TrainConfig, config["train"], "cv config: train", seed=args.seed)
     if not isinstance(config["grid"], list) or not config["grid"]:
@@ -140,7 +144,7 @@ def _cmd_cv(args) -> int:
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"cv config: 'subsample_fraction' must be in (0, 1], got {fraction}")
 
-    dataset = load_dataset(_path(base, config["data"], "train_dir", "cv config: data"))
+    dataset = load_dataset(train_dir)
     dataset = subsample(dataset, fraction, args.seed)
     if len(dataset) < k:
         kept = f" left by 'subsample_fraction' {fraction}" if fraction < 1.0 else ""
@@ -164,17 +168,16 @@ def _cmd_cv(args) -> int:
 def _cmd_eval(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "eval config", required=("model", "scaler", "data"))
-    _check_keys(config["data"], "eval config: data", required=("dir",))
+    data_dir = _dirs(base, config, "eval config", required=("dir",))["dir"]
     model_path = _path(base, config, "model", "eval config")
+    scaler_path = _path(base, config, "scaler", "eval config")
     spec, plans, params = load_params(model_path)
     if (spec.in_features, spec.out_features) != (len(INPUT_COLUMNS), len(TARGET_COLUMNS)):
         raise ConfigError(
             f"{model_path}: the model maps {spec.in_features} inputs to {spec.out_features} targets, "
             f"the point schema has {len(INPUT_COLUMNS)} inputs and {len(TARGET_COLUMNS)} targets"
         )
-    scaler_path = _path(base, config, "scaler", "eval config")
     scaler = ScalerPair.from_dict(read_json(scaler_path), str(scaler_path))
-    data_dir = _path(base, config["data"], "dir", "eval config: data")
     dataset = load_dataset(data_dir)
     check_scorable(dataset, data_dir)
 
@@ -193,8 +196,7 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     config, base = _load_config(args.config)
     _check_keys(config, "bench config", required=("cases", "train", "data"))
-    data = config["data"]
-    _check_keys(data, "bench config: data", required=("train_dir", "test_dir"), optional=("test_ood_dir",))
+    dirs = _dirs(base, config, "bench config", required=("train_dir", "test_dir"), optional=("test_ood_dir",))
     # Compared runs train every epoch.
     cfg = _read(TrainConfig, config["train"], "bench config: train", seed=args.seed, early_stop_enabled=False)
     if not isinstance(config["cases"], list) or not config["cases"]:
@@ -212,7 +214,6 @@ def _cmd_bench(args) -> int:
         cases.append(_read(BenchCase, case_cfg, where, **given))
     if len({c.name for c in cases}) != len(cases):
         raise ConfigError("bench config: case names must be unique")
-    dirs = {key: _path(base, data, key, "bench config: data") for key in data}
 
     train_split = load_dataset(dirs["train_dir"])
     eval_splits = {"test": load_dataset(dirs["test_dir"])}
@@ -270,8 +271,8 @@ def run_cli(argv=None) -> int:
             raise ConfigError("--seed must be non-negative")
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
-        # The nearest path that exists, --out itself or an ancestor, must be a directory.
-        existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+        # The nearest path that exists, --out itself or an ancestor, must be a directory; a link exists, as for mkdir.
+        existing = next(p for p in (args.out, *args.out.parents) if p.exists() or p.is_symlink())
         if not existing.is_dir():
             raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         handler, _, _ = _COMMANDS[args.command]

@@ -1,8 +1,8 @@
 """The file formats packedflow reads and writes, decided in one place.
 
-``decode_json`` decodes every JSON input, and ``_read`` reads every dataclass-backed
-JSON object (config sections, a model header's ``spec``, ``scaler.json``), never
-coercing a value.  Report CSVs are written by ``write_csv``, JSON by ``write_json``.
+``decode_json`` decodes every JSON input, and ``_read`` reads every JSON object of leaf values (a
+config section, a model header's ``spec``, ``scaler.json``) into its dataclass, never coercing a value,
+and a nested section by its own ``_read`` call.  Report CSVs are written by ``write_csv``, JSON by ``write_json``.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -71,7 +71,7 @@ def _read(cls, obj: dict, where: str, **given):
 
     The keys of ``obj`` are the fields of ``cls`` other than those in
     ``given``: a field with a default may be left out, one without must be set.
-    Each value must have exactly its field's JSON type (see ``_value``).
+    Each value must have exactly its field's JSON type (see ``_value``); a dataclass field must be given.
     """
     settable = [f for f in fields(cls) if f.name not in given]
     required = [f.name for f in settable if f.default is MISSING and f.default_factory is MISSING]
@@ -87,13 +87,11 @@ def _read(cls, obj: dict, where: str, **given):
 def _value(kind, value, where: str):
     """``value`` checked against the field annotation ``kind``, never coerced.
 
-    ``tuple[T, ...]`` takes a list of ``T`` and ``tuple[T, T]`` a list of two;
-    ``np.ndarray`` takes a list of finite numbers, returned as a float64 array;
-    a dataclass takes an object, read by ``_read``.  A float field takes any
+    ``kind`` is a leaf, never a dataclass: a nested section is read by its own ``_read`` call.
+    ``tuple[T, ...]`` takes a list of ``T`` and ``tuple[T, T]`` a list of two; ``np.ndarray``
+    takes a list of finite numbers, returned as a float64 array.  A float field takes any
     finite JSON number and returns it as a float.
     """
-    if is_dataclass(kind):
-        return _read(kind, value, where)
     if kind is np.ndarray:
         return np.array(_value(tuple[float, ...], value, where), dtype=np.float64)
     if get_origin(kind) is tuple:

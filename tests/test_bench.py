@@ -126,6 +126,13 @@ def outputs(tmp_path_factory):
     return report, out_dir
 
 
+def test_no_cases_is_named():
+    train_split = field_dataset(2)
+    with pytest.raises(ValueError) as info:
+        run_benchmark([], TrainConfig(0.01), train_split, {"test": train_split})
+    assert type(info.value) is ValueError and str(info.value) == "no benchmark cases"
+
+
 class TestRunBenchmark:
 
     def test_rows_in_case_order_with_metrics(self, outputs):

@@ -1086,7 +1086,7 @@ VALID_SECTIONS = {
     },
     CylinderFlowConfig: {**GEN_SPLITS["test_ood"]},
     GridRow: {"dropout": True, "alpha": 2, "gamma": 2, "learning_rate": 0.001},
-    BenchCase: {"name": "packed", "spec": SPEC, "learning_rate": 0.01, "weight_decay": 0.0},
+    BenchCase: {"name": "packed", "learning_rate": 0.01, "weight_decay": 0.0},
     ScalerPair: {
         "input_mean": [0.5] * 7,
         "input_std": [1.0] * 7,
@@ -1094,7 +1094,12 @@ VALID_SECTIONS = {
         "target_std": [2] * 4,
     },
 }
-GIVEN = {TrainConfig: {"seed": 0}, CylinderFlowConfig: {"seed": 0, "ood": False}}
+# A bench case's spec is read by its own _read call, as _cmd_bench reads it, and given.
+GIVEN = {
+    TrainConfig: {"seed": 0},
+    CylinderFlowConfig: {"seed": 0, "ood": False},
+    BenchCase: {"spec": cli._read_spec(SPEC, "spec")},
+}
 
 
 def has_json_type(kind, value):
@@ -1106,7 +1111,7 @@ def has_json_type(kind, value):
         return number and isinstance(value, int)
     if kind in (bool, str):
         return isinstance(value, kind)
-    return isinstance(value, dict if dataclasses.is_dataclass(kind) else list)
+    return isinstance(value, list)
 
 
 @pytest.mark.parametrize("cls", list(VALID_SECTIONS), ids=lambda cls: cls.__name__)
@@ -1292,6 +1297,27 @@ def config_fault(command, edit, message, flags=()):
             "bench config: cases[1]: expected a JSON object",
         ),
         config_fault("cv", {"grid": []}, "cv config: 'grid' must be a non-empty list"),
+        config_fault("train", {"data": ["data/train"]}, "train config: data: expected a JSON object"),
+        config_fault("cv", {"train": 5}, "cv config: train: expected a JSON object"),
+        config_fault("gen", {"splits": {"train": []}}, "gen config: splits.train: expected a JSON object"),
+        # A path of the wrong type is found with its section's keys, before the spec and train sections,
+        # and eval's scaler path with its model path, before the model file is opened.
+        config_fault(
+            "train",
+            {"spec": {**SPEC, "alpha": 2.9}, "data": {"train_dir": 5}},
+            "train config: data: 'train_dir': expected a string, got 5",
+        ),
+        config_fault(
+            "cv",
+            {"train": {**TRAIN, "max_epochs": -1}, "data": {"train_dir": [1]}},
+            "cv config: data: 'train_dir': expected a string, got [1]",
+        ),
+        config_fault(
+            "bench",
+            {"train": {**TRAIN, "max_epochs": -1}, "data": {"train_dir": "data/train", "test_dir": None}},
+            "bench config: data: 'test_dir': expected a string, got null",
+        ),
+        config_fault("eval", {"scaler": 5}, "eval config: 'scaler': expected a string, got 5"),
         config_fault("bench", {"cases": []}, "bench config: 'cases' must be a non-empty list"),
         config_fault(
             "gen",
@@ -1328,19 +1354,41 @@ def test_bench_case_without_spec_names_the_missing_key(workspace, tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize(
+    "out, named",
+    [
+        ("afile", "afile"),
+        ("afile/sub", "afile"),
+        ("dangling", "dangling"),
+        ("dangling/sub", "dangling"),
+        ("loop", "loop"),
+        ("loop/sub", "loop"),
+    ],
+    ids=["file", "below-a-file", "dangling-link", "below-a-dangling-link", "link-loop", "below-a-link-loop"],
+)
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "cv", "bench"])
 def test_out_that_cannot_be_a_directory_is_validation_error(
-    workspace, tmp_path, monkeypatch, capsys, command, below
+    workspace, tmp_path, monkeypatch, capsys, command, out, named
 ):
+    # A link that leads to no directory names the link, as mkdir would find it.
     config_path = write_config(tmp_path / f"{command}.json", valid_configs(workspace)[command])
     (tmp_path / "afile").write_text("kept\n")
-    out = tmp_path / "afile" / "sub" if below else tmp_path / "afile"
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
     stub_reads(monkeypatch, "generate_cylinder_flow", "load_dataset", "load_params")
-    before = directory_snapshot(tmp_path)
-    assert run_cli([command, "--config", config_path, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"error: --out {out}: {tmp_path / 'afile'} is not a directory\n")
-    assert directory_snapshot(tmp_path) == before
+    before = directory_snapshot(tmp_path), sorted(tmp_path.iterdir())
+    assert run_cli([command, "--config", config_path, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --out {tmp_path / out}: {tmp_path / named} is not a directory\n")
+    assert (directory_snapshot(tmp_path), sorted(tmp_path.iterdir())) == before
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_that_is_a_link_to_a_directory_is_accepted(workspace, tmp_path):
+    (tmp_path / "target").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "target")
+    config_path = write_config(tmp_path / "gen.json", {"splits": {"test": GEN_SPLITS["test"]}})
+    assert run_cli(["gen", "--config", config_path, "--seed", "7", "--out", str(tmp_path / "link")]) == 0
+    assert directory_snapshot(tmp_path / "target" / "test") == directory_snapshot(workspace / "data" / "test")
 
 
 def test_out_below_new_directories_is_accepted(workspace, tmp_path, monkeypatch, capsys):

@@ -204,6 +204,53 @@ class TestSimulationInvariants:
             Dataset((sim, sim), split_label="train")
 
 
+SCALER = ScalerPair([0.0] * 7, [1.0] * 7, [0.0] * 4, [1.0] * 4)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(
+            lambda: Simulation("s", np.zeros((3, 6)), np.zeros((3, 4))),
+            "points must have shape (N, 7), got (3, 6)",
+            id="points-not-n-by-7",
+        ),
+        pytest.param(
+            lambda: Simulation("s", np.zeros((0, 7)), np.zeros((0, 4))), "simulation 's' has no points", id="no-points"
+        ),
+        pytest.param(
+            lambda: Simulation("s", np.zeros((3, 7)), np.zeros((2, 4))),
+            "simulation 's': 3 points vs 2 targets",
+            id="points-and-targets-of-other-lengths",
+        ),
+        pytest.param(
+            lambda: Dataset((), split_label="val"),
+            "split_label must be one of ('train', 'test', 'test_ood'), got 'val'",
+            id="unknown-split-label",
+        ),
+        pytest.param(
+            lambda: fit_scaler(Dataset((), split_label="train")),
+            "cannot fit a scaler on an empty dataset",
+            id="scaler-of-an-empty-dataset",
+        ),
+        pytest.param(
+            lambda: apply_scaler(SCALER, np.zeros((2, 7)), "forward", "points"),
+            "which must be 'inputs' or 'targets', got 'points'",
+            id="unknown-which",
+        ),
+        pytest.param(
+            lambda: apply_scaler(SCALER, np.zeros((2, 7)), "backward", "inputs"),
+            "direction must be 'forward' or 'inverse', got 'backward'",
+            id="unknown-direction",
+        ),
+    ],
+)
+def test_argument_fault_is_named(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 @pytest.fixture
 def no_csv_reads(monkeypatch):
     """Fail the test if a simulation CSV is read: a manifest fault must be found first."""

@@ -216,6 +216,32 @@ class TestSpearman:
             spearman([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(
+            lambda: spearman([1.0, 2.0, 3.0], [1.0, 2.0]),
+            "inputs must be equal-length 1-D, got (3,) and (2,)",
+            id="spearman-of-unequal-lengths",
+        ),
+        pytest.param(
+            lambda: spearman([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+            "inputs must be equal-length 1-D, got (2, 2) and (2, 2)",
+            id="spearman-of-2-d-inputs",
+        ),
+        pytest.param(
+            lambda: mean_relative_error([1.0, 2.0], [1.0, 2.0, 3.0]),
+            "shape mismatch: pred (2,) vs truth (3,)",
+            id="relative-error-of-other-shapes",
+        ),
+    ],
+)
+def test_argument_fault_is_named(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestMeanRelativeError:
     def test_zero_for_equal(self):
         assert mean_relative_error([1.0, -2.0], [1.0, -2.0]) == 0.0

@@ -853,6 +853,71 @@ class TestLossAndGrad:
             loss_and_grad(params, plans, x, np.zeros((len(x), 3)))
 
 
+TWO_LAYERS = plan_layers(PackedSpec(2, 1, 1, (8,)))  # weights 2x4x7 and 2x4x4, biases 8 and 8
+UNCHAINED = [LayerPlan("first", 14, 8, 2, 7, 4), LayerPlan("last", 12, 8, 2, 6, 4)]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: LayerPlan("middle", 14, 8, 2, 7, 4), "unknown layer role 'middle'", id="unknown-role"),
+        pytest.param(lambda: LayerPlan("first", 13, 8, 2, 7, 4), "in_width 13 != groups*per_group_in", id="in-width"),
+        pytest.param(lambda: LayerPlan("first", 14, 9, 2, 7, 4), "out_width 9 != groups*per_group_out", id="out-width"),
+    ],
+)
+def test_layer_plan_fault_is_named(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "params, plans, batch, message",
+    [
+        pytest.param(
+            init_params(plan_layers(PackedSpec(2, 1, 1, (8, 8))), 0),
+            TWO_LAYERS,
+            np.ones((3, 7)),
+            "layer 0: params hold 3 layers, plans 2",
+            id="params-of-another-layer-count",
+        ),
+        pytest.param(
+            Params(np.zeros(param_count(TWO_LAYERS)), [((2, 4, 7), (8,)), ((2, 4, 4), (2, 4))]),
+            TWO_LAYERS,
+            np.ones((3, 7)),
+            "layer 1: biases shape (2, 4), plan expects (8,)",
+            id="bias-of-another-shape",
+        ),
+        pytest.param(
+            Params(np.zeros(120), [((2, 4, 7), (8,)), ((2, 4, 6), (8,))]),
+            UNCHAINED,
+            np.ones((3, 7)),
+            "layer 1: input width 8, plan expects 12",
+            id="plans-whose-widths-do-not-chain",
+        ),
+        pytest.param(
+            init_params(TWO_LAYERS, 0), TWO_LAYERS, np.ones(7), "layer 0: batch must be 2-D, got shape (7,)", id="1-d-batch"
+        ),
+    ],
+)
+@pytest.mark.parametrize("step", [False, True], ids=["forward", "loss_and_grad"])
+def test_pass_argument_fault_is_named(params, plans, batch, message, step):
+    with pytest.raises(ShapeMismatchError) as info:
+        if step:
+            loss_and_grad(params, plans, batch, np.zeros((len(batch), 4)))
+        else:
+            forward(params, plans, batch)
+    assert str(info.value) == message
+
+
+def test_non_finite_targets_are_named():
+    targets = np.zeros((3, 4))
+    targets[1, 2] = np.nan
+    with pytest.raises(ValueError) as info:
+        loss_and_grad(init_params(TWO_LAYERS, 0), TWO_LAYERS, np.ones((3, 7)), targets)
+    assert type(info.value) is ValueError and str(info.value) == "targets contain non-finite values"
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         spec = PackedSpec(4, 3, 2, (10, 20), dropout_enabled=True)

@@ -196,6 +196,29 @@ class TestEarlyStop:
         assert early_stop([0.0] * 6) is True
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: TrainConfig(0.01, seed=-1), "seed must be non-negative, got -1", id="negative-seed"),
+        pytest.param(
+            lambda: train(
+                PackedSpec(2, 1, 1, (8,)),
+                Dataset((), split_label="train"),
+                None,
+                fit_scaler(field_dataset(1)),
+                TrainConfig(0.01),
+            ),
+            "train_data is empty",
+            id="empty-training-data",
+        ),
+    ],
+)
+def test_argument_fault_is_named(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestTrain:
     def test_zero_epochs_returns_initial_params(self):
         dataset = field_dataset(2, num_points=10, seed=0)
