@@ -7,12 +7,14 @@ that feeds all randomness (every subcommand but ``eval``) and ``--jobs`` for
 CV parallelism (``cv`` only).  Relative paths inside a config resolve against
 the config file's directory.
 
-Exit codes: 0 success, 2 input fault (any ``ConfigError``, or a bad input path), 1 runtime failure.
+Exit codes: 0 success, 2 input fault (a ``ConfigError``, the one input-fault type), 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -69,6 +71,29 @@ def _dirs(base: Path, config: dict, where: str, required, optional=()) -> dict[s
     """The directories of the ``data`` section of ``config`` by key, its keys checked, each read by :func:`_path`."""
     _check_keys(config["data"], f"{where}: data", required, optional)
     return {key: _path(base, config["data"], key, f"{where}: data") for key in config["data"]}
+
+
+# Where lstat finds no file, mkdir would make one, or find a non-directory above it.
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
+
+def _check_out(out: Path) -> None:
+    """``out``, or the nearest of its ancestors that exists, must be a directory; a link exists, as for mkdir.
+
+    A path that cannot be looked up (a name too long, a NUL byte) is a fault naming ``--out``.
+    """
+    for path in (out, *out.parents):
+        try:
+            os.lstat(path)
+        except OSError as exc:
+            if exc.errno in _ABSENT:
+                continue
+            raise ConfigError(f"--out: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"--out: {exc}: {str(out)!r}") from None
+        if not path.is_dir():
+            raise ConfigError(f"--out {out}: {path} is not a directory")
+        return
 
 
 def _read_spec(obj, where: str, **given) -> PackedSpec:
@@ -271,13 +296,10 @@ def run_cli(argv=None) -> int:
             raise ConfigError("--seed must be non-negative")
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
-        # The nearest path that exists, --out itself or an ancestor, must be a directory; a link exists, as for mkdir.
-        existing = next(p for p in (args.out, *args.out.parents) if p.exists() or p.is_symlink())
-        if not existing.is_dir():
-            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
+        _check_out(args.out)
         handler, _, _ = _COMMANDS[args.command]
         return handler(args)
-    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import ConfigError, _check_keys, _read, is_file_name, read_json, write_json
+from .formats import ConfigError, _check_keys, _read, is_file_name, read_bytes, read_json, write_json
 
 __all__ = [
     "INPUT_COLUMNS",
@@ -133,7 +133,7 @@ class Simulation:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered simulations belonging to one split."""
+    """Ordered simulations belonging to one split: at least one, each of its own name."""
 
     simulations: tuple[Simulation, ...]
     split_label: str
@@ -142,6 +142,8 @@ class Dataset:
         object.__setattr__(self, "simulations", tuple(self.simulations))
         if self.split_label not in SPLIT_LABELS:
             raise ValueError(f"split_label must be one of {SPLIT_LABELS}, got {self.split_label!r}")
+        if not self.simulations:
+            raise ValueError("a dataset must hold at least one simulation")
         names = [s.name for s in self.simulations]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -216,7 +218,7 @@ def _read_table(path: Path) -> np.ndarray:
     decoded and scanned for its first fault, and one with none is blank.  A header
     already in ``CSV_COLUMNS`` order gets ``loadtxt``'s array itself, not a copy.
     """
-    raw = path.read_bytes()
+    raw = read_bytes(path)
     start = raw.find(b"\n") + 1 or len(raw)  # the body's first byte
     body = _plain_body(raw, start)
     try:
@@ -338,14 +340,12 @@ def _pooled(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_scaler(train: Dataset) -> ScalerPair:
-    """Per-channel mean/std over the pooled training points (population std).
+    """Per-channel mean/std over the pooled points of a split (population std).
 
     Near-constant channels (std < 1e-12) are clamped to std 1 so the forward
     transform maps them to 0.  A channel whose std overflows float64 raises
     ``ValueError`` naming its column.
     """
-    if len(train) == 0:
-        raise ValueError("cannot fit a scaler on an empty dataset")
     points, targets = _pooled(train)
 
     def stats(arr, kind, columns):

@@ -1,8 +1,8 @@
 """The file formats packedflow reads and writes, decided in one place.
 
-``decode_json`` decodes every JSON input, and ``_read`` reads every JSON object of leaf values (a
-config section, a model header's ``spec``, ``scaler.json``) into its dataclass, never coercing a value,
-and a nested section by its own ``_read`` call.  Report CSVs are written by ``write_csv``, JSON by ``write_json``.
+``read_bytes`` reads every input file, ``decode_json`` decodes every JSON input, and ``_read`` reads
+every JSON object of leaf values (a config section, a model header's ``spec``, ``scaler.json``) into its
+dataclass, never coercing a value.  Report CSVs are written by ``write_csv``, JSON by ``write_json``.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["ConfigError", "decode_json", "is_file_name", "read_json", "write_csv", "write_json"]
+__all__ = ["ConfigError", "decode_json", "is_file_name", "read_bytes", "read_json", "write_csv", "write_json"]
 
 
 class ConfigError(ValueError):
-    """Every input fault: a malformed config, simulation CSV or manifest, model file, scaler or
-    unscorable split.  The CLI exits 2 on it, as on a missing input path (``[Errno 2] ...``)."""
+    """Every input fault: an unreadable input path (see ``read_bytes``), a malformed config, simulation
+    CSV or manifest, model file or scaler, or an unscorable split.  The CLI exits 2 on it alone."""
 
 
 def is_file_name(name: str) -> bool:
@@ -49,10 +49,20 @@ def decode_json(data: bytes, source) -> dict:
     return obj
 
 
+def read_bytes(path) -> bytes:
+    """The bytes of the input file ``path``; an ``OSError`` or a NUL byte is a ConfigError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: {str(path)!r}") from None
+
+
 def read_json(path) -> dict:
-    """The JSON object in the file ``path``, read by :func:`decode_json` naming the file."""
-    with open(path, "rb") as fh:
-        return decode_json(fh.read(), path)
+    """The JSON object in the file ``path``, read by :func:`read_bytes`, decoded by :func:`decode_json`."""
+    return decode_json(read_bytes(path), path)
 
 
 def _check_keys(obj: dict, where: str, required, optional=()) -> None:

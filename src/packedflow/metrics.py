@@ -253,14 +253,12 @@ def null_reasons(table) -> dict[str, str]:
 
 
 def evaluate_predictions(predictions: list[np.ndarray], dataset: Dataset) -> tuple[EvalReport, list[CoefficientRow]]:
-    """Score precomputed physical-unit predictions, one per simulation.
+    """Score precomputed physical-unit predictions, one per simulation of the (never empty) split.
 
     Returns the metric suite and the :func:`coefficient_table` it built first,
     which rejects a list of another length than the split and a misshapen
     prediction; one non-finite or too large to score then raises ``ValueError``.
     """
-    if not dataset.simulations:
-        raise ValueError("cannot evaluate an empty dataset")
     sq_sum = np.zeros(len(TARGET_COLUMNS))
     count = 0
     surface_sq_sum = 0.0

@@ -73,7 +73,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formats import ConfigError, _read, decode_json
+from .formats import ConfigError, _read, decode_json, read_bytes
 
 __all__ = [
     "DROPOUT_P",
@@ -721,8 +721,7 @@ def load_params(path) -> tuple[PackedSpec, list[LayerPlan], Params]:
     the bytes ``save_params`` writes for its spec (a difference names its first byte), and
     a NaN or an infinity among the parameters (``save_params`` writes none) is a fault.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path)
 
     def fault(offset: int, message: str) -> ConfigError:
         return ConfigError(f"{path}: byte {offset}: {message}")

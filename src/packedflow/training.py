@@ -249,15 +249,13 @@ def train(
 ) -> tuple[Params, TrainHistory]:
     """Mini-batch Adam training on standardized pooled points.
 
-    Points of all simulations are pooled and reshuffled each epoch with a
-    seeded generator; the loss is the MSE of the ensemble mean against
-    standardized targets.  With dropout, each step draws fresh keep masks from
-    the same generator, into one set of bool buffers.  Deterministic given
-    (spec, data, cfg.seed), bit for bit whatever the number of workers the
-    passes run on.
+    Points of all simulations (a split holds at least one) are pooled and
+    reshuffled each epoch with a seeded generator; the loss is the MSE of the
+    ensemble mean against standardized targets.  With dropout, each step
+    draws fresh keep masks from the same generator, into one set of bool
+    buffers.  Deterministic given (spec, data, cfg.seed), bit for bit whatever
+    the number of workers the passes run on.
     """
-    if len(train_data) == 0:
-        raise ValueError("train_data is empty")
     plans = plan_layers(spec)
     params = init_params(plans, cfg.seed)
     state = init_adam_state(params)

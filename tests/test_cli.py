@@ -1355,30 +1355,42 @@ def test_bench_case_without_spec_names_the_missing_key(workspace, tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "out, named",
+    "out, message",
     [
-        ("afile", "afile"),
-        ("afile/sub", "afile"),
-        ("dangling", "dangling"),
-        ("dangling/sub", "dangling"),
-        ("loop", "loop"),
-        ("loop/sub", "loop"),
+        ("afile", "--out {out}: {tmp}/afile is not a directory"),
+        ("afile/sub", "--out {out}: {tmp}/afile is not a directory"),
+        ("dangling", "--out {out}: {tmp}/dangling is not a directory"),
+        ("dangling/sub", "--out {out}: {tmp}/dangling is not a directory"),
+        ("loop", "--out {out}: {tmp}/loop is not a directory"),
+        ("loop/sub", "--out {out}: {tmp}/loop is not a directory"),
+        ("o\0ut", "--out: embedded null byte: {out!r}"),
+        ("o" * 300, "--out: [Errno 36] File name too long: {out!r}"),
     ],
-    ids=["file", "below-a-file", "dangling-link", "below-a-dangling-link", "link-loop", "below-a-link-loop"],
+    ids=[
+        "file",
+        "below-a-file",
+        "dangling-link",
+        "below-a-dangling-link",
+        "link-loop",
+        "below-a-link-loop",
+        "nul-byte",
+        "name-too-long",
+    ],
 )
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "cv", "bench"])
 def test_out_that_cannot_be_a_directory_is_validation_error(
-    workspace, tmp_path, monkeypatch, capsys, command, out, named
+    workspace, tmp_path, monkeypatch, capsys, command, out, message
 ):
     # A link that leads to no directory names the link, as mkdir would find it.
     config_path = write_config(tmp_path / f"{command}.json", valid_configs(workspace)[command])
     (tmp_path / "afile").write_text("kept\n")
     (tmp_path / "dangling").symlink_to(tmp_path / "missing")
     (tmp_path / "loop").symlink_to(tmp_path / "loop")
-    stub_reads(monkeypatch, "generate_cylinder_flow", "load_dataset", "load_params")
+    stub_reads(monkeypatch, "_load_config")
     before = directory_snapshot(tmp_path), sorted(tmp_path.iterdir())
     assert run_cli([command, "--config", config_path, "--out", str(tmp_path / out)]) == 2
-    assert capsys.readouterr() == ("", f"error: --out {tmp_path / out}: {tmp_path / named} is not a directory\n")
+    message = message.format(out=str(tmp_path / out), tmp=tmp_path)
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert (directory_snapshot(tmp_path), sorted(tmp_path.iterdir())) == before
     assert not (tmp_path / "missing").exists()
 
@@ -1397,6 +1409,64 @@ def test_out_below_new_directories_is_accepted(workspace, tmp_path, monkeypatch,
     assert run_cli(["train", "--config", config_path, "--out", str(tmp_path / "new" / "deeper")]) == 1
     assert "error: Reached: " in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+# Every input path by subcommand: a key path into its config, or None for --config.
+PATH_LEAVES = [
+    ("train", ("data", "train_dir")),
+    ("train", ("data", "val_dir")),
+    ("cv", ("data", "train_dir")),
+    ("eval", ("model",)),
+    ("eval", ("scaler",)),
+    ("eval", ("data", "dir")),
+    ("bench", ("data", "train_dir")),
+    ("bench", ("data", "test_dir")),
+    ("bench", ("data", "test_ood_dir")),
+    *((command, None) for command in ("gen", "train", "cv", "eval", "bench")),
+]
+CONTROL_CHARACTERS = [chr(c) for c in (*range(32), 127)]
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # lone surrogates too
+# A path no input can be read from: text holding a NUL or another control character, a name
+# over 255 bytes, or one of the entries the ``unreadable`` fixture makes.
+UNREADABLE_PATHS = st.one_of(
+    st.tuples(ANY_TEXT, st.sampled_from(CONTROL_CHARACTERS), ANY_TEXT).map("".join),
+    st.integers(256, 400).map(lambda n: "n" * n),
+    st.sampled_from(["afile", "dangling", "loop", "no_manifest"]),
+)
+
+
+@pytest.fixture
+def unreadable(tmp_path):
+    """A directory holding a regular file, a dangling link, a link loop and a directory with no manifest."""
+    root = tmp_path / "unreadable"
+    root.mkdir()
+    (root / "afile").write_text("kept\n")
+    (root / "dangling").symlink_to(root / "missing")
+    (root / "loop").symlink_to(root / "loop")
+    (root / "no_manifest").mkdir()
+    return root
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(leaf=st.sampled_from(PATH_LEAVES), value=UNREADABLE_PATHS)
+def test_any_unreadable_input_path_is_validation_error(workspace, tmp_path, unreadable, monkeypatch, capsys, leaf, value):
+    command, keys = leaf
+    config_path = path = str(unreadable / value)
+    if keys is not None:
+        config = copy.deepcopy(valid_configs(workspace)[command])
+        *outer, key = keys
+        section = config
+        for step in outer:
+            section = section[step]
+        section[key] = path
+        config_path = write_config(tmp_path / "config.json", config)
+    stub_reads(monkeypatch, "generate_cylinder_flow", "train", "cross_validate", "predict_simulation", "run_benchmark")
+    before = directory_snapshot(tmp_path)
+    assert run_cli([command, "--config", config_path, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "Warning" not in err
+    assert directory_snapshot(tmp_path) == before and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "sub/dir", "sub\\dir", "nul\0"])

@@ -229,9 +229,7 @@ SCALER = ScalerPair([0.0] * 7, [1.0] * 7, [0.0] * 4, [1.0] * 4)
             id="unknown-split-label",
         ),
         pytest.param(
-            lambda: fit_scaler(Dataset((), split_label="train")),
-            "cannot fit a scaler on an empty dataset",
-            id="scaler-of-an-empty-dataset",
+            lambda: Dataset((), split_label="train"), "a dataset must hold at least one simulation", id="empty-dataset"
         ),
         pytest.param(
             lambda: apply_scaler(SCALER, np.zeros((2, 7)), "forward", "points"),

@@ -155,3 +155,14 @@ def test_every_input_fault_is_a_config_error(tmp_path, kind):
     assert issubclass(SimulationParseError, ConfigError)
     with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path / 'input'))}"):
         read_malformed(kind, tmp_path / "input")
+
+
+@pytest.mark.parametrize("name", ["missing", "nul\0", "n" * 300], ids=["missing", "nul-byte", "name-too-long"])
+@pytest.mark.parametrize("read", [read_json, load_simulation, load_params, load_dataset])
+def test_input_path_that_cannot_be_read_is_a_config_error(tmp_path, read, name):
+    # Each reader opens its input through read_bytes, whose fault names the path it opened.
+    path = tmp_path / name
+    opened = path / "manifest.json" if read is load_dataset else path
+    with pytest.raises(ConfigError) as err:
+        read(path)
+    assert str(err.value).endswith(f": {str(opened)!r}")

@@ -444,10 +444,6 @@ class TestEvaluate:
             evaluate_predictions(predictions, split)
         assert str(err.value) == f"simulation {sim.name!r}: field shape {shape} vs targets {sim.targets.shape}"
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError, match="empty dataset"):
-            evaluate_predictions([], Dataset((), split_label="test"))
-
     @pytest.mark.parametrize("score", [coefficient_table, evaluate_predictions])
     @pytest.mark.parametrize("count", [9, 11], ids=["one-short", "one-over"])
     def test_prediction_list_of_another_length_than_the_split_rejected(self, split, score, count):

@@ -200,17 +200,6 @@ class TestEarlyStop:
     "make, message",
     [
         pytest.param(lambda: TrainConfig(0.01, seed=-1), "seed must be non-negative, got -1", id="negative-seed"),
-        pytest.param(
-            lambda: train(
-                PackedSpec(2, 1, 1, (8,)),
-                Dataset((), split_label="train"),
-                None,
-                fit_scaler(field_dataset(1)),
-                TrainConfig(0.01),
-            ),
-            "train_data is empty",
-            id="empty-training-data",
-        ),
     ],
 )
 def test_argument_fault_is_named(make, message):
